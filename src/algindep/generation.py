@@ -3,6 +3,16 @@
 Closures run a worklist fixpoint: each newly added element is combined with
 everything found so far against every operation table, so the cost of a step
 is proportional to the number of new elements times the table sizes.
+
+Congruences use one more fact: Con(A) is a sublattice of the partition
+lattice Eq(A).  The join of two congruences is the join of their partitions,
+the transitive closure of their union, which ``join_partitions`` computes
+with union-find and no propagation through the operations.  Consequently
+Cg(X u Y) = Cg(X) v Cg(Y), and every congruence is a join of principal ones
+Cg(a, b).  ``all_congruences`` uses this (Freese's method, "Computing
+congruences efficiently", Algebra Universalis 59, 2008): it calls ``cg`` once
+per pair of elements and then closes under partition joins with the
+principal congruences.
 """
 
 from __future__ import annotations
@@ -252,38 +262,78 @@ def cg(
     return Congruence.from_assignment(uf.find(x) for x in range(n))
 
 
-def all_congruences(
-    structure: FiniteStructure, max_size: int = 12
-) -> list[Congruence]:
-    """The complete congruence lattice, via principal congruences closed
-    under pairwise join.
+# Default bound on the number of congruences ``all_congruences`` may find.
+# It admits every partition lattice up to 9 elements (Bell(9) = 21147).
+MAX_CONGRUENCE_LATTICE = 25_000
 
-    Partition filtering would explode (Bell numbers), so it is kept only as a
-    test oracle.  Joins of congruences are computed as ``cg`` of the union of
-    their generating pairs.
+
+def join_partitions(theta: Congruence, phi: Congruence) -> Congruence:
+    """Join in the partition lattice: the transitive closure of theta u phi.
+
+    On congruences of one structure this is their join in Con(A), because
+    Con(A) is a sublattice of Eq(A).
+    """
+    if theta.size != phi.size:
+        raise InputError("partitions of different sets cannot be joined")
+    labels, k = theta.block_of, theta.num_blocks
+    uf = _UnionFind(k)
+    first: list[int] = []  # theta's label of the first element of each phi block
+    for e, blk in enumerate(phi.block_of):
+        if blk == len(first):
+            first.append(labels[e])
+        else:
+            uf.union(first[blk], labels[e])
+    root = [uf.find(label) for label in range(k)]
+    return Congruence.from_assignment(root[label] for label in labels)
+
+
+def all_congruences(
+    structure: FiniteStructure,
+    max_size: int = 12,
+    max_lattice: int = MAX_CONGRUENCE_LATTICE,
+) -> list[Congruence]:
+    """The complete congruence lattice, sorted by ``block_of``.
+
+    Every congruence is the join of the principal congruences Cg(a, b) of
+    its related pairs, and joins of congruences are joins of partitions.  So
+    the distinct principal congruences are computed once, with n(n-1)/2
+    ``cg`` calls, and {identity} is closed under ``join_partitions`` with
+    them.  A principal Cg(a, b) is skipped for every congruence that already
+    relates a and b, since the join would change nothing.
+
+    ``max_size`` bounds the element count and ``max_lattice`` (default
+    ``MAX_CONGRUENCE_LATTICE``) the number of congruences found; exceeding
+    either raises ``SizeLimitExceeded``.  Partition filtering would visit
+    Bell(n) partitions whatever the lattice, so it is kept only as a test
+    oracle.
     """
     n = structure.size
     if n > max_size:
         raise SizeLimitExceeded(
             f"structure size {n} exceeds the congruence lattice bound {max_size}"
         )
-    found: set[Congruence] = {Congruence.identity(n)}
+    identity = Congruence.identity(n)
+    principals: dict[Congruence, tuple[int, int]] = {}
     for a in range(n):
         for b in range(a + 1, n):
-            found.add(cg(structure, [(a, b)]))
-    worklist = sorted(found, key=lambda t: t.block_of)
+            principals.setdefault(cg(structure, [(a, b)]), (a, b))
+    found: set[Congruence] = {identity}
+    worklist = [identity]
     while worklist:
         theta = worklist.pop()
-        fresh = []
-        for other in found:
-            joined = cg(
-                structure, theta.generating_pairs() + other.generating_pairs()
-            )
+        block_of = theta.block_of
+        for principal, (a, b) in principals.items():
+            if block_of[a] == block_of[b]:
+                continue
+            joined = join_partitions(theta, principal)
             if joined not in found:
-                fresh.append(joined)
-        for j in fresh:
-            found.add(j)
-            worklist.append(j)
+                found.add(joined)
+                if len(found) > max_lattice:
+                    raise SizeLimitExceeded(
+                        f"congruence lattice exceeds the lattice bound of "
+                        f"{max_lattice} congruences"
+                    )
+                worklist.append(joined)
     return sorted(found, key=lambda t: t.block_of)
 
 

@@ -13,13 +13,20 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .core import (
+    Congruence,
     FiniteStructure,
     InputError,
     SizeLimitExceeded,
     SubUniverse,
     induced_substructure,
 )
-from .generation import all_congruences, cg, join
+from .generation import (
+    MAX_CONGRUENCE_LATTICE,
+    all_congruences,
+    cg,
+    join,
+    join_partitions,
+)
 from .morphisms import (
     ExtensionRefusal,
     HOM_CLASS_ALL,
@@ -135,6 +142,7 @@ def decide_congruence_independence(
     a: SubUniverse,
     b: SubUniverse,
     max_size: int = 12,
+    max_lattice: int = MAX_CONGRUENCE_LATTICE,
 ) -> Verdict:
     """Test every congruence pair for an exact extension to the join.
 
@@ -145,9 +153,18 @@ def decide_congruence_independence(
     is exact.  (This shortcut is a derived lemma, guarded by a brute-force
     equivalence test in the suite.)
 
+    The minimal candidate is computed as a join: Cg(X u Y) = Cg(X) v Cg(Y),
+    and the join of congruences is the join of their partitions.  So each
+    theta_A and each theta_B is lifted to a congruence of the join once with
+    ``cg``, and each pair costs one ``join_partitions``.  Its restriction to
+    each side is compared as a canonical block assignment; only a mismatch
+    runs the lexicographic scan that names the first offending element pair.
+
     Pairs with |A n B| >= 2 are refused before any lattice computation:
     identity on one side and the full relation on the other cannot both
-    restrict exactly across a shared pair.
+    restrict exactly across a shared pair.  ``max_size`` bounds the join's
+    element count and ``max_lattice`` each side's congruence lattice, as in
+    ``all_congruences``.
     """
     if a.parent != parent or b.parent != parent:
         raise InputError("subuniverses must belong to the given parent structure")
@@ -172,46 +189,52 @@ def decide_congruence_independence(
     pos = {e: i for i, e in enumerate(jembed)}
     a_struct, a_embed = induced_substructure(parent, a)
     b_struct, b_embed = induced_substructure(parent, b)
-    cons_a = all_congruences(a_struct, max_size=max_size)
-    cons_b = all_congruences(b_struct, max_size=max_size)
+    cons_a = all_congruences(a_struct, max_size=max_size, max_lattice=max_lattice)
+    cons_b = all_congruences(b_struct, max_size=max_size, max_lattice=max_lattice)
+    at_a = [pos[e] for e in a_embed]  # join coordinates of A's elements
+    at_b = [pos[e] for e in b_embed]
+
+    def lift(theta, at):
+        return cg(jstruct, [(at[u], at[v]) for u, v in theta.generating_pairs()])
 
     def to_parent_blocks(theta, embed):
         return tuple(tuple(embed[v] for v in block) for block in theta.blocks())
 
-    def lift_pairs(theta, embed):
-        return [(pos[embed[u]], pos[embed[v]]) for u, v in theta.generating_pairs()]
-
+    lifts_b = [lift(theta_b, at_b) for theta_b in cons_b]
     pairs = 0
     for theta_a in cons_a:
-        seeds_a = lift_pairs(theta_a, a_embed)
-        for theta_b in cons_b:
+        lift_a = lift(theta_a, at_a)
+        for theta_b, lift_b in zip(cons_b, lifts_b):
             pairs += 1
-            theta = cg(jstruct, seeds_a + lift_pairs(theta_b, b_embed))
-            for theta_side, embed, side in (
-                (theta_a, a_embed, "a"),
-                (theta_b, b_embed, "b"),
+            theta = join_partitions(lift_a, lift_b)
+            for theta_side, embed, at, side in (
+                (theta_a, a_embed, at_a, "a"),
+                (theta_b, b_embed, at_b, "b"),
             ):
-                m = len(embed)
-                bad = None
-                for i in range(m):
-                    for j in range(i + 1, m):
-                        want = theta_side.related(i, j)
-                        got = theta.related(pos[embed[i]], pos[embed[j]])
-                        if want != got:
-                            bad = (embed[i], embed[j], want)
-                            break
-                    if bad:
-                        break
-                if bad:
-                    witness = CongruenceWitness(
-                        to_parent_blocks(theta_a, a_embed),
-                        to_parent_blocks(theta_b, b_embed),
-                        side,
-                        (bad[0], bad[1]),
-                        bad[2],
-                    )
-                    return Verdict(False, witness, pairs)
+                restricted = Congruence.from_assignment(theta.block_of[k] for k in at)
+                if restricted == theta_side:
+                    continue
+                i, j = _first_mismatch(theta_side, restricted)
+                witness = CongruenceWitness(
+                    to_parent_blocks(theta_a, a_embed),
+                    to_parent_blocks(theta_b, b_embed),
+                    side,
+                    (embed[i], embed[j]),
+                    theta_side.related(i, j),
+                )
+                return Verdict(False, witness, pairs)
     return Verdict(True, None, pairs)
+
+
+def _first_mismatch(want: Congruence, got: Congruence) -> tuple[int, int]:
+    """Lexicographically first (i, j), i < j, that one partition relates and
+    the other does not."""
+    m = want.size
+    for i in range(m):
+        for j in range(i + 1, m):
+            if want.related(i, j) != got.related(i, j):
+                return i, j
+    raise ValueError("the partitions are equal")
 
 
 # ---------------------------------------------------------------------------

@@ -333,8 +333,10 @@ class _JointContext:
         self.a_struct, self.a_embed = induced_substructure(parent, a)
         self.b_struct, self.b_embed = induced_substructure(parent, b)
         root = _PartialMap(self.jstruct.size)
-        conflict = _seed_constants(self.jstruct, self.jstruct, root)
-        assert conflict is None  # constants map to themselves
+        if _seed_constants(self.jstruct, self.jstruct, root) is not None:
+            raise RuntimeError(
+                "invariant broken: the join's constants do not map to themselves"
+            )
         self.root = root
 
     def seed_pairs(self, hom: Homomorphism, embed) -> list[tuple[int, int]]:
@@ -354,7 +356,10 @@ class _JointContext:
             x, y1, y2 = conflict
             emb = self.jembed
             return ExtensionRefusal("not-functional", (emb[x], emb[y1], emb[y2]))
-        assert None not in state.images  # A and B generate their join
+        if None in state.images:
+            raise RuntimeError(
+                "invariant broken: A and B do not generate their join"
+            )
         mapping = tuple(state.images)
         violation = _relation_violation(self.jstruct, mapping, self.mode)
         if violation is not None:

@@ -157,3 +157,65 @@ def element_orders(group) -> dict[int, int]:
             k += 1
         out[x] = k
     return out
+
+
+def reference_congruence_independence(parent, a, b, max_size=12):
+    """The congruence decider as one ``cg`` call per congruence pair.
+
+    Lattices come from partition filtering, the minimal extension of each
+    pair from ``cg`` of the union of both sides' generating pairs, and the
+    restriction check scans every element pair of each side in
+    lexicographic order.  Verdicts, witnesses and ``pairs_examined`` must
+    equal ``decide_congruence_independence``.
+    """
+    from algindep.core import SizeLimitExceeded, induced_substructure
+    from algindep.generation import cg, join
+    from algindep.independence import CongruenceWitness, Verdict
+
+    inter = sorted(a.member_set() & b.member_set())
+    if len(inter) >= 2:
+        witness = CongruenceWitness(
+            theta_a_blocks=tuple((e,) for e in a.members),
+            theta_b_blocks=(tuple(b.members),),
+            side="a",
+            pair=(inter[0], inter[1]),
+            wanted_related=False,
+        )
+        return Verdict(False, witness, 0)
+    join_sub, _ = join(parent, a, b)
+    if len(join_sub.members) > max_size:
+        raise SizeLimitExceeded("join over the size bound")
+    jstruct, jembed = induced_substructure(parent, join_sub)
+    pos = {e: i for i, e in enumerate(jembed)}
+    a_struct, a_embed = induced_substructure(parent, a)
+    b_struct, b_embed = induced_substructure(parent, b)
+
+    def blocks_in_parent(theta, embed):
+        return tuple(tuple(embed[v] for v in block) for block in theta.blocks())
+
+    def lifted_pairs(theta, embed):
+        return [(pos[embed[u]], pos[embed[v]]) for u, v in theta.generating_pairs()]
+
+    pairs = 0
+    for theta_a in brute_congruences(a_struct):
+        for theta_b in brute_congruences(b_struct):
+            pairs += 1
+            theta = cg(
+                jstruct, lifted_pairs(theta_a, a_embed) + lifted_pairs(theta_b, b_embed)
+            )
+            for theta_side, embed, side in (
+                (theta_a, a_embed, "a"),
+                (theta_b, b_embed, "b"),
+            ):
+                for i, j in itertools.combinations(range(len(embed)), 2):
+                    want = theta_side.related(i, j)
+                    if want != theta.related(pos[embed[i]], pos[embed[j]]):
+                        witness = CongruenceWitness(
+                            blocks_in_parent(theta_a, a_embed),
+                            blocks_in_parent(theta_b, b_embed),
+                            side,
+                            (embed[i], embed[j]),
+                            want,
+                        )
+                        return Verdict(False, witness, pairs)
+    return Verdict(True, None, pairs)

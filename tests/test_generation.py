@@ -1,6 +1,12 @@
 import pytest
 
-from algindep.core import InputError, SizeLimitExceeded, SubUniverse, is_subuniverse
+from algindep.core import (
+    Congruence,
+    InputError,
+    SizeLimitExceeded,
+    SubUniverse,
+    is_subuniverse,
+)
 from algindep.generation import (
     all_congruences,
     all_subuniverses,
@@ -8,8 +14,10 @@ from algindep.generation import (
     close,
     generated_subuniverse_of_square,
     join,
+    join_partitions,
 )
 from algindep.zoo import (
+    build,
     cyclic_group,
     empty_sig_set,
     permutation_index,
@@ -142,6 +150,46 @@ def test_all_congruences_size_bound():
     with pytest.raises(SizeLimitExceeded):
         all_congruences(empty_sig_set(13))
     assert all_congruences(empty_sig_set(3), max_size=3)
+
+
+BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_all_congruences_of_a_set_are_all_partitions(n):
+    lattice = all_congruences(empty_sig_set(n))
+    assert len(lattice) == BELL[n]
+    assert lattice == sorted(lattice, key=lambda t: t.block_of)
+    if n <= 6:
+        assert lattice == brute_congruences(empty_sig_set(n))
+
+
+def test_all_congruences_of_f2_4_are_its_67_subspaces():
+    f2_4, _ = build("vector_space", 2, 4)
+    lattice = all_congruences(f2_4, max_size=16)
+    # congruences of a vector space are the cosets of its subspaces
+    assert len(lattice) == 67
+    assert lattice[0].is_full() and lattice[-1].is_identity()
+
+
+def test_all_congruences_lattice_bound_names_the_bound():
+    s5 = empty_sig_set(5)
+    assert len(all_congruences(s5, max_lattice=52)) == 52
+    with pytest.raises(SizeLimitExceeded, match="lattice bound of 51 congruences"):
+        all_congruences(s5, max_lattice=51)
+    with pytest.raises(SizeLimitExceeded, match="lattice bound of 5 congruences"):
+        all_congruences(cyclic_group(12), max_lattice=5)
+
+
+def test_join_partitions_is_transitive_closure_of_union():
+    theta = Congruence.from_blocks(5, [(0, 1), (2,), (3, 4)])
+    phi = Congruence.from_blocks(5, [(0,), (1, 2), (3,), (4,)])
+    assert join_partitions(theta, phi).blocks() == ((0, 1, 2), (3, 4))
+    assert join_partitions(phi, theta) == join_partitions(theta, phi)
+    assert join_partitions(theta, Congruence.identity(5)) == theta
+    assert join_partitions(theta, Congruence.full(5)).is_full()
+    with pytest.raises(InputError):
+        join_partitions(theta, Congruence.identity(4))
 
 
 def test_close_result_is_subuniverse():

@@ -14,14 +14,16 @@ from algindep.independence import (
 )
 from algindep.morphisms import HOM_CLASS_AUTO, Homomorphism
 from algindep.zoo import (
+    build,
     cyclic_group,
+    dihedral_group,
     empty_sig_set,
     powerset_boolean_algebra,
     symmetric_group,
     permutation_index,
 )
 
-from oracles import brute_congruences
+from oracles import brute_congruences, reference_congruence_independence
 
 
 def test_verdict_invariant():
@@ -131,6 +133,33 @@ def test_congruence_size_bound_applies_to_the_join():
     with pytest.raises(SizeLimitExceeded):
         decide_congruence_independence(z13, a, b)
     assert decide_congruence_independence(z13, a, b, max_size=13).independent
+
+
+def test_congruence_lattice_bound_applies_to_each_side():
+    from algindep.core import SizeLimitExceeded
+
+    s = empty_sig_set(12)
+    a = SubUniverse(s, (0,))
+    b = SubUniverse(s, tuple(range(12)))
+    with pytest.raises(SizeLimitExceeded, match="lattice bound of 100 congruences"):
+        decide_congruence_independence(s, a, b, max_lattice=100)
+    small = SubUniverse(s, (0, 1, 2))
+    assert decide_congruence_independence(s, a, small, max_lattice=5).independent
+
+
+@pytest.mark.parametrize(
+    "parent",
+    [symmetric_group(3), dihedral_group(4), build("vector_space", 2, 2)[0]],
+    ids=["S3", "D4", "F2^2"],
+)
+def test_congruence_decider_matches_per_pair_cg_reference(parent):
+    # every ordered subgroup pair; S3 and D4 include refusals found by the
+    # restriction scan, not only by the shared-pair shortcut
+    subs = all_subuniverses(parent)
+    for a in subs:
+        for b in subs:
+            expected = reference_congruence_independence(parent, a, b)
+            assert decide_congruence_independence(parent, a, b) == expected
 
 
 def test_boole_independent_examples():

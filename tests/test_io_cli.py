@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from algindep.cli import main
 from algindep.io import (
     StructureParseError,
     canonical_json,
@@ -12,7 +13,12 @@ from algindep.io import (
     structure_from_dict,
     structure_to_dict,
 )
-from algindep.zoo import cyclic_group, graph, powerset_boolean_algebra, symmetric_group
+from algindep.zoo import (
+    cyclic_group,
+    graph,
+    powerset_boolean_algebra,
+    symmetric_group,
+)
 
 
 def run_cli(*args, cwd=None):
@@ -51,6 +57,45 @@ def test_parse_rejects_duplicate_symbols():
     doc["ops"].append(dict(doc["ops"][0]))
     with pytest.raises(StructureParseError, match="duplicate"):
         structure_from_dict(doc)
+
+
+def test_parse_rejects_bool_size():
+    doc = structure_to_dict(cyclic_group(1))
+    doc["size"] = True
+    with pytest.raises(StructureParseError, match="size: expected int, got bool"):
+        structure_from_dict(doc)
+
+
+def test_parse_rejects_bool_arity():
+    doc = structure_to_dict(cyclic_group(2))
+    doc["ops"] = [op for op in doc["ops"] if op["name"] == "inv"]
+    doc["ops"][0]["arity"] = True
+    with pytest.raises(StructureParseError, match="arity: expected int, got bool"):
+        structure_from_dict(doc)
+
+
+def test_parse_rejects_bool_table_entries():
+    doc = structure_to_dict(cyclic_group(2))
+    inv = next(op for op in doc["ops"] if op["name"] == "inv")
+    inv["table"] = [False, True]
+    with pytest.raises(StructureParseError, match="entries must be integers"):
+        structure_from_dict(doc)
+
+
+def test_parse_rejects_bool_relation_entries():
+    doc = structure_to_dict(graph(2, [(0, 1)]))
+    doc["rels"][0]["tuples"] = [[False, True]]
+    with pytest.raises(StructureParseError, match="expected a list of integers"):
+        structure_from_dict(doc)
+
+
+def test_cli_rejects_bool_size_with_exit_2(tmp_path, capsys):
+    doc = structure_to_dict(cyclic_group(1))
+    doc["size"] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert main(["decide-cong", "-s", str(path), "--a", "0", "--b", "0"]) == 2
+    assert "size: expected int, got bool" in capsys.readouterr().err
 
 
 def test_parse_error_reports_line(tmp_path):

@@ -124,6 +124,24 @@ def test_joint_extension_identity_pair_gives_identity():
     assert gamma.mapping == tuple(range(6))
 
 
+def test_joint_context_invariants_raise_explicit_errors(monkeypatch):
+    # explicit errors, not asserts, so that they also hold under python -O
+    from algindep import morphisms
+
+    z6 = cyclic_group(6)
+    a = SubUniverse(z6, (0, 3))
+    b = SubUniverse(z6, (0, 2, 4))
+    ctx = morphisms._JointContext(z6, a, b, "weak")
+    alpha = Homomorphism(ctx.a_struct, ctx.a_struct, (0, 1), "weak")
+    beta = Homomorphism(ctx.b_struct, ctx.b_struct, (0, 1, 2), "weak")
+    monkeypatch.setattr(morphisms, "_propagate", lambda *args: None)
+    with pytest.raises(RuntimeError, match="do not generate their join"):
+        ctx.extend(alpha, beta)
+    monkeypatch.setattr(morphisms, "_seed_constants", lambda *args: (0, 0, 1))
+    with pytest.raises(RuntimeError, match="constants do not map to themselves"):
+        morphisms._JointContext(z6, a, b, "weak")
+
+
 def test_joint_extension_refusal_on_overlapping_sets():
     s = empty_sig_set(3)
     a = SubUniverse(s, (0, 1))

@@ -21,7 +21,9 @@ from algindep.generation import (
     close,
     generated_subuniverse_of_square,
     join,
+    join_partitions,
 )
+from algindep.independence import decide_congruence_independence
 from algindep.morphisms import (
     Homomorphism,
     enumerate_homs,
@@ -31,7 +33,7 @@ from algindep.morphisms import (
 )
 from algindep.zoo import graph
 
-from oracles import brute_congruences, brute_homs
+from oracles import brute_congruences, brute_homs, reference_congruence_independence
 
 
 @st.composite
@@ -124,6 +126,30 @@ def test_cg_contains_pairs_and_is_compatible(structure, data):
 @settings(max_examples=30, deadline=None)
 def test_all_congruences_matches_partition_filter(structure):
     assert all_congruences(structure) == brute_congruences(structure)
+
+
+@given(algebras(max_size=5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_cg_of_union_is_partition_join(structure, data):
+    n = structure.size
+    pair_lists = st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3
+    )
+    xs, ys = data.draw(pair_lists), data.draw(pair_lists)
+    joined = join_partitions(cg(structure, xs), cg(structure, ys))
+    assert cg(structure, xs + ys) == joined
+
+
+@given(algebras(max_size=5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_congruence_decider_matches_per_pair_cg_reference(structure, data):
+    subs = all_subuniverses(structure)
+    if not subs:
+        return
+    a = data.draw(st.sampled_from(subs))
+    b = data.draw(st.sampled_from(subs))
+    verdict = decide_congruence_independence(structure, a, b)
+    assert verdict == reference_congruence_independence(structure, a, b)
 
 
 @given(algebras(max_size=4))
