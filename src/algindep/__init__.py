@@ -24,7 +24,6 @@ from .core import (
     validate,
 )
 from .generation import (
-    MAX_CONGRUENCE_LATTICE,
     WitnessDag,
     all_congruences,
     all_subuniverses,
@@ -32,7 +31,6 @@ from .generation import (
     close,
     generated_subuniverse_of_square,
     join,
-    join_partitions,
 )
 from .independence import (
     CongruenceWitness,
@@ -70,7 +68,6 @@ __all__ = [
     "HOM_CLASS_AUTO",
     "Homomorphism",
     "InputError",
-    "MAX_CONGRUENCE_LATTICE",
     "Signature",
     "SizeLimitExceeded",
     "SubUniverse",
@@ -99,7 +96,6 @@ __all__ = [
     "is_homomorphism",
     "is_subuniverse",
     "join",
-    "join_partitions",
     "joint_extension",
     "kernel",
     "quotient",

@@ -287,11 +287,7 @@ def join_partitions(theta: Congruence, phi: Congruence) -> Congruence:
     return Congruence.from_assignment(root[label] for label in labels)
 
 
-def all_congruences(
-    structure: FiniteStructure,
-    max_size: int = 12,
-    max_lattice: int = MAX_CONGRUENCE_LATTICE,
-) -> list[Congruence]:
+def all_congruences(structure: FiniteStructure, max_size: int = 12) -> list[Congruence]:
     """The complete congruence lattice, sorted by ``block_of``.
 
     Every congruence is the join of the principal congruences Cg(a, b) of
@@ -301,9 +297,9 @@ def all_congruences(
     them.  A principal Cg(a, b) is skipped for every congruence that already
     relates a and b, since the join would change nothing.
 
-    ``max_size`` bounds the element count and ``max_lattice`` (default
-    ``MAX_CONGRUENCE_LATTICE``) the number of congruences found; exceeding
-    either raises ``SizeLimitExceeded``.  Partition filtering would visit
+    ``max_size`` bounds the element count and ``MAX_CONGRUENCE_LATTICE`` the
+    number of congruences found; exceeding either raises
+    ``SizeLimitExceeded``.  Partition filtering would visit
     Bell(n) partitions whatever the lattice, so it is kept only as a test
     oracle.
     """
@@ -328,10 +324,10 @@ def all_congruences(
             joined = join_partitions(theta, principal)
             if joined not in found:
                 found.add(joined)
-                if len(found) > max_lattice:
+                if len(found) > MAX_CONGRUENCE_LATTICE:
                     raise SizeLimitExceeded(
                         f"congruence lattice exceeds the lattice bound of "
-                        f"{max_lattice} congruences"
+                        f"{MAX_CONGRUENCE_LATTICE} congruences"
                     )
                 worklist.append(joined)
     return sorted(found, key=lambda t: t.block_of)

@@ -21,7 +21,6 @@ from .core import (
     induced_substructure,
 )
 from .generation import (
-    MAX_CONGRUENCE_LATTICE,
     all_congruences,
     cg,
     join,
@@ -142,7 +141,6 @@ def decide_congruence_independence(
     a: SubUniverse,
     b: SubUniverse,
     max_size: int = 12,
-    max_lattice: int = MAX_CONGRUENCE_LATTICE,
 ) -> Verdict:
     """Test every congruence pair for an exact extension to the join.
 
@@ -163,7 +161,7 @@ def decide_congruence_independence(
     Pairs with |A n B| >= 2 are refused before any lattice computation:
     identity on one side and the full relation on the other cannot both
     restrict exactly across a shared pair.  ``max_size`` bounds the join's
-    element count and ``max_lattice`` each side's congruence lattice, as in
+    element count; each side's congruence lattice is bounded as in
     ``all_congruences``.
     """
     if a.parent != parent or b.parent != parent:
@@ -189,8 +187,8 @@ def decide_congruence_independence(
     pos = {e: i for i, e in enumerate(jembed)}
     a_struct, a_embed = induced_substructure(parent, a)
     b_struct, b_embed = induced_substructure(parent, b)
-    cons_a = all_congruences(a_struct, max_size=max_size, max_lattice=max_lattice)
-    cons_b = all_congruences(b_struct, max_size=max_size, max_lattice=max_lattice)
+    cons_a = all_congruences(a_struct, max_size=max_size)
+    cons_b = all_congruences(b_struct, max_size=max_size)
     at_a = [pos[e] for e in a_embed]  # join coordinates of A's elements
     at_b = [pos[e] for e in b_embed]
 

@@ -55,7 +55,7 @@ def _expect(doc, field, kind, where):
     if field not in doc:
         raise StructureParseError(f"{where}: missing field {field!r}")
     value = doc[field]
-    if not isinstance(value, kind) or isinstance(value, bool):  # no field is a bool
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise StructureParseError(
             f"{where}.{field}: expected {kind.__name__}, got {type(value).__name__}"
         )

@@ -1,5 +1,6 @@
 import pytest
 
+from algindep import generation
 from algindep.core import (
     Congruence,
     InputError,
@@ -172,13 +173,20 @@ def test_all_congruences_of_f2_4_are_its_67_subspaces():
     assert lattice[0].is_full() and lattice[-1].is_identity()
 
 
-def test_all_congruences_lattice_bound_names_the_bound():
+def test_all_congruences_lattice_bound_names_the_bound(monkeypatch):
     s5 = empty_sig_set(5)
-    assert len(all_congruences(s5, max_lattice=52)) == 52
+    monkeypatch.setattr(generation, "MAX_CONGRUENCE_LATTICE", 52)
+    assert len(all_congruences(s5)) == 52
+    monkeypatch.setattr(generation, "MAX_CONGRUENCE_LATTICE", 51)
     with pytest.raises(SizeLimitExceeded, match="lattice bound of 51 congruences"):
-        all_congruences(s5, max_lattice=51)
+        all_congruences(s5)
+    monkeypatch.setattr(generation, "MAX_CONGRUENCE_LATTICE", 5)
     with pytest.raises(SizeLimitExceeded, match="lattice bound of 5 congruences"):
-        all_congruences(cyclic_group(12), max_lattice=5)
+        all_congruences(cyclic_group(12))
+
+
+def test_default_lattice_bound_admits_bell_9():
+    assert generation.MAX_CONGRUENCE_LATTICE >= 21147
 
 
 def test_join_partitions_is_transitive_closure_of_union():

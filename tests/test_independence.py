@@ -135,16 +135,19 @@ def test_congruence_size_bound_applies_to_the_join():
     assert decide_congruence_independence(z13, a, b, max_size=13).independent
 
 
-def test_congruence_lattice_bound_applies_to_each_side():
+def test_congruence_lattice_bound_applies_to_each_side(monkeypatch):
+    from algindep import generation
     from algindep.core import SizeLimitExceeded
 
     s = empty_sig_set(12)
     a = SubUniverse(s, (0,))
     b = SubUniverse(s, tuple(range(12)))
+    monkeypatch.setattr(generation, "MAX_CONGRUENCE_LATTICE", 100)
     with pytest.raises(SizeLimitExceeded, match="lattice bound of 100 congruences"):
-        decide_congruence_independence(s, a, b, max_lattice=100)
+        decide_congruence_independence(s, a, b)
+    monkeypatch.setattr(generation, "MAX_CONGRUENCE_LATTICE", 5)
     small = SubUniverse(s, (0, 1, 2))
-    assert decide_congruence_independence(s, a, small, max_lattice=5).independent
+    assert decide_congruence_independence(s, a, small).independent
 
 
 @pytest.mark.parametrize(
