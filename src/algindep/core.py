@@ -299,7 +299,9 @@ class Congruence:
     """A partition stored as a canonical block assignment.
 
     ``block_of[e]`` is the block index of element e; blocks are numbered by
-    first occurrence, so equal partitions always compare equal.
+    first occurrence, so equal partitions always compare equal.  The block
+    count is stored once, outside the fields, so equality, hashing and
+    ``asdict`` see only ``block_of``.
     """
 
     block_of: tuple[int, ...]
@@ -310,6 +312,7 @@ class Congruence:
             if b > seen + 1 or b < 0:
                 raise InputError("block assignment is not in canonical form")
             seen = max(seen, b)
+        object.__setattr__(self, "_num_blocks", seen + 1)
 
     @staticmethod
     def from_assignment(values: Iterable[int]) -> "Congruence":
@@ -348,7 +351,7 @@ class Congruence:
 
     @property
     def num_blocks(self) -> int:
-        return max(self.block_of) + 1 if self.block_of else 0
+        return self._num_blocks
 
     def related(self, a: int, b: int) -> bool:
         return self.block_of[a] == self.block_of[b]

@@ -115,7 +115,10 @@ def decide_subalgebra_independence(
 
     Pairs are visited alpha-major, each stream in the deterministic
     enumeration order of the morphism module, and the first failing pair is
-    returned as the witness.
+    returned as the witness.  The join is compiled once for (A, B); each pair
+    then costs one term evaluation along the join's derivation DAG and one
+    vectorised endomorphism check, and only the refused pair runs the
+    forced-image propagation that names the witness.
     """
     if a.parent != parent or b.parent != parent:
         raise InputError("subuniverses must belong to the given parent structure")
@@ -326,8 +329,9 @@ def check_word_condition(
     Equivalent to the existence of the joint extension: the pair set generated
     by graph(alpha) u graph(beta) inside the join's square is exactly
     {(prod a_i b_i, prod alpha(a_i) beta(b_i))}, so the quantified word
-    condition holds iff that set is functional.  Implemented as the
-    functionality test.
+    condition holds iff that set is functional.  Implemented through
+    ``joint_extension``, whose term evaluation along the join's derivation
+    DAG is this condition.
     """
     from .morphisms import joint_extension
     from .zoo import is_group

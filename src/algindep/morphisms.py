@@ -6,6 +6,12 @@ them.  Operation preservation is required in both modes.  Enumeration
 backtracks over a greedy generating set of the domain, propagating forced
 images through the operation tables, so the stream is deterministic:
 lexicographic in (generator index, image value).
+
+Joint extensions are decided by term evaluation: every element of the join
+of A and B is a term in the elements of A u B, so the images of alpha and
+beta fix gamma along the join's derivation DAG, and a vectorised check says
+whether gamma is an endomorphism.  Forced-image propagation only explains a
+refusal, naming the witness.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .core import (
     Congruence,
@@ -320,8 +328,20 @@ class ExtensionRefusal:
     detail: tuple
 
 
+def _axes(ar: int) -> list[tuple[int, ...]]:
+    """Shapes that put a vector on axis p of an ar-dimensional grid, so
+    ``table[tuple(v.reshape(s) for s in _axes(ar))]`` is table at v x ... x v."""
+    return [(-1,) + (1,) * (ar - 1 - p) for p in range(ar)]
+
+
 class _JointContext:
-    """Shared setup for repeated joint-extension tests on one (A, B) pair."""
+    """Shared setup for repeated joint-extension tests on one (A, B) pair.
+
+    The join is compiled once: the join positions of A's and B's elements,
+    the applied nodes of the join's derivation DAG as (target, table, args)
+    steps in derivation order, and numpy operation tables and relation masks
+    for the endomorphism check.
+    """
 
     def __init__(self, parent, a: SubUniverse, b: SubUniverse, mode: Mode):
         self.parent = parent
@@ -329,7 +349,7 @@ class _JointContext:
         self.a, self.b = a, b
         self.join_sub, self.dag = join(parent, a, b)
         self.jstruct, self.jembed = induced_substructure(parent, self.join_sub)
-        self.pos = {e: i for i, e in enumerate(self.jembed)}
+        self.pos = pos = {e: i for i, e in enumerate(self.jembed)}
         self.a_struct, self.a_embed = induced_substructure(parent, a)
         self.b_struct, self.b_embed = induced_substructure(parent, b)
         root = _PartialMap(self.jstruct.size)
@@ -339,53 +359,137 @@ class _JointContext:
             )
         self.root = root
 
-    def seed_pairs(self, hom: Homomorphism, embed) -> list[tuple[int, int]]:
-        pos = self.pos
-        return [
-            (pos[embed[i]], pos[embed[y]]) for i, y in enumerate(hom.mapping)
+        m = self.jstruct.size
+        self.a_at = [pos[e] for e in self.a_embed]
+        self.b_at = [pos[e] for e in self.b_embed]
+        a_index = {e: i for i, e in enumerate(self.a_embed)}
+        # (index in B, index in A) of every shared element
+        self.shared = [
+            (j, a_index[e]) for j, e in enumerate(self.b_embed) if e in a_index
         ]
+        tables = {name: table for name, _, table in self.jstruct.op_views()}
+        covered = set(self.a_at) | set(self.b_at)
+        self.steps = []
+        for node in self.dag.nodes:
+            if node.op is not None:
+                target = pos[node.element]
+                args = tuple(pos[x] for x in node.args)
+                self.steps.append((target, tables[node.op], args))
+                covered.add(target)
+        if len(covered) != m:
+            raise RuntimeError("invariant broken: A and B do not generate their join")
+        self.constants = self.jstruct.constants()
+        by_arity: dict[int, list] = {}
+        for _, ar, table in self.jstruct.op_views():
+            if ar > 0:
+                by_arity.setdefault(ar, []).append(table)
+        self.op_arrays = [  # the tables of one arity, stacked on axis 0
+            (np.array(tables, dtype=np.intp).reshape((-1,) + (m,) * ar), _axes(ar))
+            for ar, tables in sorted(by_arity.items())
+        ]
+        self.rels = []
+        self.rel_arrays = []
+        for name, ar, tuples in self.jstruct.rel_views():
+            ordered = sorted(tuples)
+            self.rels.append((name, ar, tuples, ordered))
+            listed = np.array(ordered, dtype=np.intp).reshape(-1, ar)
+            mask = np.zeros((m,) * ar, dtype=bool)
+            mask[tuple(listed.T)] = True
+            self.rel_arrays.append((mask, tuple(listed.T), _axes(ar)))
+
+    def seed_pairs(self, hom: Homomorphism, at) -> list[tuple[int, int]]:
+        return [(at[i], at[y]) for i, y in enumerate(hom.mapping)]
 
     def extend(self, alpha: Homomorphism, beta: Homomorphism):
-        """Joint extension of endomorphisms given on the induced substructures."""
+        """Joint extension of endomorphisms given on the induced substructures.
+
+        Term evaluation decides: the seeds take their alpha and beta images,
+        and every other join element is the value of its DAG step on the
+        images of its arguments.  A joint extension exists iff the seeds
+        agree on A n B and this map is an endomorphism of the join in the
+        relation mode.  Only a refusal runs the forced-image propagation,
+        which names the witness.
+        """
+        am, bm = alpha.mapping, beta.mapping
+        a_at, b_at = self.a_at, self.b_at
+        for j, i in self.shared:
+            if b_at[bm[j]] != a_at[am[i]]:
+                return self._refusal(alpha, beta)
+        m = self.jstruct.size
+        g = [0] * m
+        for i, y in enumerate(am):
+            g[a_at[i]] = a_at[y]
+        for j, y in enumerate(bm):
+            g[b_at[j]] = b_at[y]
+        for target, table, args in self.steps:
+            idx = 0
+            for x in args:
+                idx = idx * m + g[x]
+            g[target] = table[idx]
+        if not self._is_endomorphism(g):
+            return self._refusal(alpha, beta)
+        return Homomorphism(self.jstruct, self.jstruct, tuple(g), self.mode)
+
+    def _is_endomorphism(self, g: list[int]) -> bool:
+        """One gather-and-compare per operation arity, a mask per relation."""
+        if any(g[c] != c for c in self.constants):
+            return False
+        ga = np.array(g, dtype=np.intp)
+        for stack, axes in self.op_arrays:
+            image = stack[(slice(None),) + tuple(ga.reshape(s) for s in axes)]
+            if (ga[stack] != image).any():
+                return False
+        for mask, columns, axes in self.rel_arrays:
+            if self.mode == "strong":
+                # tuples of R map into R, and nothing outside R does
+                if (mask[tuple(ga.reshape(s) for s in axes)] != mask).any():
+                    return False
+            elif not mask[tuple(ga[c] for c in columns)].all():
+                return False
+        return True
+
+    def _refusal(self, alpha: Homomorphism, beta: Homomorphism) -> ExtensionRefusal:
+        """Name the witness of a refused pair by forced-image propagation."""
         state = self.root.copy()
-        seeds = self.seed_pairs(alpha, self.a_embed) + self.seed_pairs(
-            beta, self.b_embed
-        )
+        seeds = self.seed_pairs(alpha, self.a_at) + self.seed_pairs(beta, self.b_at)
         conflict = _propagate(self.jstruct, self.jstruct, state, seeds)
+        emb = self.jembed
         if conflict is not None:
             x, y1, y2 = conflict
-            emb = self.jembed
             return ExtensionRefusal("not-functional", (emb[x], emb[y1], emb[y2]))
-        if None in state.images:
-            raise RuntimeError(
-                "invariant broken: A and B do not generate their join"
+        if None not in state.images:
+            violation = _relation_violation(
+                self.rels, self.jstruct.size, state.images, self.mode
             )
-        mapping = tuple(state.images)
-        violation = _relation_violation(self.jstruct, mapping, self.mode)
-        if violation is not None:
-            name, t, image, direction = violation
-            emb = self.jembed
-            return ExtensionRefusal(
-                "relation",
-                (
-                    name,
-                    tuple(emb[v] for v in t),
-                    tuple(emb[v] for v in image),
-                    direction,
-                ),
-            )
-        return Homomorphism(self.jstruct, self.jstruct, mapping, self.mode)
+            if violation is not None:
+                name, t, image, direction = violation
+                return ExtensionRefusal(
+                    "relation",
+                    (
+                        name,
+                        tuple(emb[v] for v in t),
+                        tuple(emb[v] for v in image),
+                        direction,
+                    ),
+                )
+        raise RuntimeError(
+            "invariant broken: the compiled check refused a pair that "
+            "propagation extends"
+        )
 
 
-def _relation_violation(structure, mapping, mode: Mode):
-    """First relation violation of a total endomap, scanned deterministically."""
-    for name, ar, tuples in structure.rel_views():
-        for t in sorted(tuples):
+def _relation_violation(rels, size: int, mapping, mode: Mode):
+    """First relation violation of a total endomap, scanned deterministically.
+
+    ``rels`` holds (name, arity, tuple set, sorted tuples) per relation.
+    """
+    for name, ar, tuples, ordered in rels:
+        for t in ordered:
             image = tuple(mapping[v] for v in t)
             if image not in tuples:
                 return (name, t, image, "missing")
         if mode == "strong":
-            for t in itertools.product(range(structure.size), repeat=ar):
+            for t in itertools.product(range(size), repeat=ar):
                 if t in tuples:
                     continue
                 image = tuple(mapping[v] for v in t)
@@ -403,12 +507,13 @@ def joint_extension(
 ):
     """Extend endomorphisms of two subalgebras to their join, if possible.
 
-    The subuniverse of (join x join) generated by graph(alpha) u graph(beta)
-    is computed as a partial-map closure; if it is functional the induced map
-    is automatically operation-preserving, and only the relation mode remains
-    to be checked on the induced structure of the join.  A non-functional set
-    yields a "not-functional" refusal with the offending pair, a relation
-    failure yields the violating tuple.
+    gamma is evaluated along the join's derivation DAG from the images of
+    alpha and beta, and it is the joint extension iff alpha and beta agree on
+    A n B and gamma is an endomorphism of the join in the relation mode.  A
+    refusal is explained by the subuniverse of (join x join) generated by
+    graph(alpha) u graph(beta), computed as a partial-map closure: a
+    non-functional set yields a "not-functional" refusal with the offending
+    pair, and a relation failure yields the violating tuple.
 
     alpha and beta must be endomorphisms of the induced substructures of a
     and b (as produced by ``induced_substructure``); the returned gamma lives

@@ -219,3 +219,109 @@ def reference_congruence_independence(parent, a, b, max_size=12):
                         )
                         return Verdict(False, witness, pairs)
     return Verdict(True, None, pairs)
+
+
+def reference_subalgebra_independence(parent, a, b, hom_class="all_endomorphisms", mode="weak"):
+    """The subalgebra decider as one forced-image propagation per pair.
+
+    A copy of the decider before joint extensions were compiled: every
+    (alpha, beta) pair, alpha-major, seeds a partial map of the join with
+    both graphs and closes it under the operation tables with the library's
+    ``_propagate``; a collision refuses "not-functional", and a total map is
+    scanned for a relation violation in the mode.  Verdicts, witnesses and
+    ``pairs_examined`` must equal ``decide_subalgebra_independence``.
+    """
+    from algindep.core import induced_substructure
+    from algindep.generation import join
+    from algindep.independence import SubalgebraWitness, Verdict
+    from algindep.morphisms import (
+        ExtensionRefusal,
+        _PartialMap,
+        _propagate,
+        _seed_constants,
+        enumerate_endos,
+    )
+
+    join_sub, _ = join(parent, a, b)
+    jstruct, jembed = induced_substructure(parent, join_sub)
+    pos = {e: i for i, e in enumerate(jembed)}
+    a_struct, a_embed = induced_substructure(parent, a)
+    b_struct, b_embed = induced_substructure(parent, b)
+    root = _PartialMap(jstruct.size)
+    assert _seed_constants(jstruct, jstruct, root) is None
+
+    def seed_pairs(hom, embed):
+        return [(pos[embed[i]], pos[embed[y]]) for i, y in enumerate(hom.mapping)]
+
+    def relation_violation(mapping):
+        for name, ar, tuples in jstruct.rel_views():
+            for t in sorted(tuples):
+                image = tuple(mapping[v] for v in t)
+                if image not in tuples:
+                    return (name, t, image, "missing")
+            if mode == "strong":
+                for t in itertools.product(range(jstruct.size), repeat=ar):
+                    if t in tuples:
+                        continue
+                    image = tuple(mapping[v] for v in t)
+                    if image in tuples:
+                        return (name, t, image, "extra")
+        return None
+
+    def extend(alpha, beta):
+        state = root.copy()
+        seeds = seed_pairs(alpha, a_embed) + seed_pairs(beta, b_embed)
+        conflict = _propagate(jstruct, jstruct, state, seeds)
+        if conflict is not None:
+            x, y1, y2 = conflict
+            return ExtensionRefusal("not-functional", (jembed[x], jembed[y1], jembed[y2]))
+        assert None not in state.images
+        violation = relation_violation(tuple(state.images))
+        if violation is not None:
+            name, t, image, direction = violation
+            return ExtensionRefusal(
+                "relation",
+                (
+                    name,
+                    tuple(jembed[v] for v in t),
+                    tuple(jembed[v] for v in image),
+                    direction,
+                ),
+            )
+        return None
+
+    def graph_in_parent(hom, embed):
+        return tuple((embed[i], embed[y]) for i, y in enumerate(hom.mapping))
+
+    betas = list(enumerate_endos(b_struct, mode, hom_class))
+    pairs = 0
+    for alpha in enumerate_endos(a_struct, mode, hom_class):
+        for beta in betas:
+            pairs += 1
+            refusal = extend(alpha, beta)
+            if refusal is not None:
+                witness = SubalgebraWitness(
+                    graph_in_parent(alpha, a_embed),
+                    graph_in_parent(beta, b_embed),
+                    refusal,
+                )
+                return Verdict(False, witness, pairs)
+    return Verdict(True, None, pairs)
+
+
+def relabel(structure, perm):
+    """The image of a structure under the bijection x -> perm[x]."""
+    from algindep.core import FiniteStructure
+
+    n = structure.size
+    ops = []
+    for name, ar, table in structure.op_views():
+        image = [0] * len(table)
+        for j, args in enumerate(itertools.product(range(n), repeat=ar)):
+            image[flat_index(n, (perm[x] for x in args))] = perm[table[j]]
+        ops.append(tuple(image))
+    rels = tuple(
+        frozenset(tuple(perm[v] for v in t) for t in tuples)
+        for name, ar, tuples in structure.rel_views()
+    )
+    return FiniteStructure(structure.sig, n, tuple(ops), rels)

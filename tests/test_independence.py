@@ -1,6 +1,14 @@
+import itertools
+
 import pytest
 
-from algindep.core import InputError, SubUniverse, induced_substructure
+from algindep.core import (
+    FiniteStructure,
+    InputError,
+    Signature,
+    SubUniverse,
+    induced_substructure,
+)
 from algindep.generation import all_subuniverses, close
 from algindep.independence import (
     CongruenceWitness,
@@ -12,18 +20,25 @@ from algindep.independence import (
     decide_subalgebra_independence,
     group_diagnostics,
 )
-from algindep.morphisms import HOM_CLASS_AUTO, Homomorphism
+from algindep.morphisms import HOM_CLASS_AUTO, HOM_CLASSES, Homomorphism
 from algindep.zoo import (
     build,
     cyclic_group,
     dihedral_group,
     empty_sig_set,
+    graph,
     powerset_boolean_algebra,
+    quaternion_group,
+    rigid_overlapping_pair,
     symmetric_group,
     permutation_index,
 )
 
-from oracles import brute_congruences, reference_congruence_independence
+from oracles import (
+    brute_congruences,
+    reference_congruence_independence,
+    reference_subalgebra_independence,
+)
 
 
 def test_verdict_invariant():
@@ -163,6 +178,78 @@ def test_congruence_decider_matches_per_pair_cg_reference(parent):
         for b in subs:
             expected = reference_congruence_independence(parent, a, b)
             assert decide_congruence_independence(parent, a, b) == expected
+
+
+def _ternary_algebra(n, f):
+    table = tuple(f(x, y, z) for x, y, z in itertools.product(range(n), repeat=3))
+    return FiniteStructure(Signature((("t", 3),)), n, (table,), ())
+
+
+@pytest.mark.parametrize(
+    "parent",
+    [
+        symmetric_group(3),
+        dihedral_group(4),
+        quaternion_group(),
+        cyclic_group(6),
+        powerset_boolean_algebra(3),
+        build("vector_space", 2, 3)[0],
+        empty_sig_set(4),
+        # a ternary operation alone decides these: the median of a 4-chain
+        # and the Mal'cev term x - y + z of Z4
+        _ternary_algebra(4, lambda x, y, z: sorted((x, y, z))[1]),
+        _ternary_algebra(4, lambda x, y, z: (x - y + z) % 4),
+    ],
+    ids=["S3", "D4", "Q8", "Z6", "BA3", "F2^3", "set4", "median4", "affineZ4"],
+)
+def test_subalgebra_decider_matches_per_pair_propagation_reference(parent):
+    # every ordered subuniverse pair in both hom classes: verdict, witness
+    # and pairs_examined equal the per-pair propagation decider
+    subs = all_subuniverses(parent)
+    refused = 0
+    for hom_class in HOM_CLASSES:
+        for a in subs:
+            for b in subs:
+                expected = reference_subalgebra_independence(parent, a, b, hom_class)
+                got = decide_subalgebra_independence(parent, a, b, hom_class)
+                assert got == expected
+                refused += not got.independent
+    assert refused > 0
+
+
+def _reflexive_cycles():
+    edges = [(v, v) for v in range(7)]
+    for first, length in ((0, 3), (3, 4)):
+        for i in range(length):
+            u, v = first + i, first + (i + 1) % length
+            edges += [(u, v), (v, u)]
+    return graph(7, edges)
+
+
+def _graph_cases():
+    cycles = _reflexive_cycles()
+    yield cycles, [(0, 1, 2), (3, 4, 5, 6), (0, 1), (1, 2, 3), (2, 3, 4), (6,)]
+    path = graph(4, [(0, 1), (1, 2), (2, 3)])
+    yield path, [(0,), (0, 1), (1, 2), (2, 3), (0, 1, 2), (1, 2, 3), (0, 3)]
+    rigid, members_a, members_b = rigid_overlapping_pair(0)
+    yield rigid, [members_a, members_b, members_a[:3], members_b[-3:]]
+
+
+@pytest.mark.parametrize("mode", ["weak", "strong"])
+def test_subalgebra_decider_on_graphs_matches_reference(mode):
+    outcomes = set()
+    for parent, subsets in _graph_cases():
+        subs = [SubUniverse(parent, s) for s in subsets]
+        for a in subs:
+            for b in subs:
+                expected = reference_subalgebra_independence(parent, a, b, mode=mode)
+                got = decide_subalgebra_independence(parent, a, b, mode=mode)
+                assert got == expected
+                if not got.independent:
+                    outcomes.add(got.witness.refusal.reason)
+                else:
+                    outcomes.add("independent")
+    assert {"independent", "not-functional", "relation"} <= outcomes
 
 
 def test_boole_independent_examples():

@@ -127,6 +127,7 @@ def test_joint_extension_identity_pair_gives_identity():
 def test_joint_context_invariants_raise_explicit_errors(monkeypatch):
     # explicit errors, not asserts, so that they also hold under python -O
     from algindep import morphisms
+    from algindep.generation import WitnessDag
 
     z6 = cyclic_group(6)
     a = SubUniverse(z6, (0, 3))
@@ -134,9 +135,20 @@ def test_joint_context_invariants_raise_explicit_errors(monkeypatch):
     ctx = morphisms._JointContext(z6, a, b, "weak")
     alpha = Homomorphism(ctx.a_struct, ctx.a_struct, (0, 1), "weak")
     beta = Homomorphism(ctx.b_struct, ctx.b_struct, (0, 1, 2), "weak")
-    monkeypatch.setattr(morphisms, "_propagate", lambda *args: None)
-    with pytest.raises(RuntimeError, match="do not generate their join"):
+    # a compiled check that refuses an extensible pair contradicts propagation
+    monkeypatch.setattr(morphisms._JointContext, "_is_endomorphism", lambda *args: False)
+    with pytest.raises(RuntimeError, match="compiled check refused"):
         ctx.extend(alpha, beta)
+    monkeypatch.undo()
+
+    def truncated_join(parent, a, b):
+        sub, dag = join(parent, a, b)
+        return sub, WitnessDag(dag.nodes[:-1])
+
+    monkeypatch.setattr(morphisms, "join", truncated_join)
+    with pytest.raises(RuntimeError, match="do not generate their join"):
+        morphisms._JointContext(z6, a, b, "weak")
+    monkeypatch.undo()
     monkeypatch.setattr(morphisms, "_seed_constants", lambda *args: (0, 0, 1))
     with pytest.raises(RuntimeError, match="constants do not map to themselves"):
         morphisms._JointContext(z6, a, b, "weak")

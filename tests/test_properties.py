@@ -2,12 +2,13 @@
 
 import itertools
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from algindep.core import (
     Congruence,
     FiniteStructure,
     Signature,
+    SubUniverse,
     direct_product,
     induced_substructure,
     is_congruence,
@@ -23,8 +24,12 @@ from algindep.generation import (
     join,
     join_partitions,
 )
-from algindep.independence import decide_congruence_independence
+from algindep.independence import (
+    decide_congruence_independence,
+    decide_subalgebra_independence,
+)
 from algindep.morphisms import (
+    HOM_CLASSES,
     Homomorphism,
     enumerate_homs,
     is_homomorphism,
@@ -33,17 +38,24 @@ from algindep.morphisms import (
 )
 from algindep.zoo import graph
 
-from oracles import brute_congruences, brute_homs, reference_congruence_independence
+from oracles import (
+    brute_congruences,
+    brute_homs,
+    reference_congruence_independence,
+    reference_subalgebra_independence,
+    relabel,
+)
+
+
+SHAPES = [((2,)), ((2, 1)), ((2, 0)), ((1,)), ((2, 2)), ()]
+# constants and a ternary operation, for the arity-0 and arity > 2 paths
+WIDE_SHAPES = [(3,), (3, 0), (0, 0, 1), (2, 0, 3), (3, 1), (0,)]
 
 
 @st.composite
-def algebras(draw, max_size=6):
+def algebras(draw, max_size=6, shapes=SHAPES):
     n = draw(st.integers(1, max_size))
-    shape = draw(
-        st.sampled_from(
-            [((2,)), ((2, 1)), ((2, 0)), ((1,)), ((2, 2)), ()]
-        )
-    )
+    shape = draw(st.sampled_from(shapes))
     ops, tables = [], []
     for i, arity in enumerate(shape):
         ops.append((f"f{i}", arity))
@@ -306,3 +318,61 @@ def test_congruence_canonicalization_roundtrip(seed):
     assert theta.size == n
     rebuilt = Congruence.from_blocks(n, theta.blocks())
     assert rebuilt == theta
+
+
+@st.composite
+def subalgebra_instances(draw):
+    """(parent, A members, B members, mode, hom class): an algebra drawn with
+    constants or a ternary operation, or a digraph in either mode."""
+    if draw(st.booleans()):
+        parent = draw(algebras(max_size=4, shapes=SHAPES + WIDE_SHAPES))
+        subs = all_subuniverses(parent)
+        assume(subs)
+        a = draw(st.sampled_from(subs)).members
+        b = draw(st.sampled_from(subs)).members
+        mode = "weak"
+    else:
+        parent = draw(digraphs(max_size=5))
+        # at most three vertices a side keeps End(A) x End(B) small
+        subsets = st.sets(st.integers(0, parent.size - 1), min_size=1, max_size=3)
+        a, b = sorted(draw(subsets)), sorted(draw(subsets))
+        mode = draw(st.sampled_from(["weak", "strong"]))
+    return parent, a, b, mode, draw(st.sampled_from(HOM_CLASSES))
+
+
+def _decide(parent, a, b, mode, hom_class):
+    return decide_subalgebra_independence(
+        parent, SubUniverse(parent, a), SubUniverse(parent, b), hom_class, mode
+    )
+
+
+@given(subalgebra_instances())
+@settings(max_examples=80, deadline=None)
+def test_subalgebra_decider_matches_per_pair_propagation_reference(instance):
+    parent, a, b, mode, hom_class = instance
+    expected = reference_subalgebra_independence(
+        parent, SubUniverse(parent, a), SubUniverse(parent, b), hom_class, mode
+    )
+    assert _decide(parent, a, b, mode, hom_class) == expected
+
+
+@given(subalgebra_instances(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_subalgebra_verdict_survives_relabelling(instance, data):
+    parent, a, b, mode, hom_class = instance
+    perm = data.draw(st.permutations(range(parent.size)))
+    moved = relabel(parent, perm)
+    before = _decide(parent, a, b, mode, hom_class)
+    after = _decide(moved, [perm[x] for x in a], [perm[x] for x in b], mode, hom_class)
+    assert after.independent == before.independent
+    if before.independent:
+        # |End A| * |End B| does not depend on the labels
+        assert after.pairs_examined == before.pairs_examined
+
+
+@given(subalgebra_instances())
+@settings(max_examples=60, deadline=None)
+def test_subalgebra_verdict_is_symmetric_in_a_and_b(instance):
+    parent, a, b, mode, hom_class = instance
+    forward = _decide(parent, a, b, mode, hom_class)
+    assert _decide(parent, b, a, mode, hom_class).independent == forward.independent
