@@ -349,7 +349,7 @@ class _JointContext:
         self.a, self.b = a, b
         self.join_sub, self.dag = join(parent, a, b)
         self.jstruct, self.jembed = induced_substructure(parent, self.join_sub)
-        self.pos = pos = {e: i for i, e in enumerate(self.jembed)}
+        pos = {e: i for i, e in enumerate(self.jembed)}
         self.a_struct, self.a_embed = induced_substructure(parent, a)
         self.b_struct, self.b_embed = induced_substructure(parent, b)
         root = _PartialMap(self.jstruct.size)

@@ -221,7 +221,9 @@ def reference_congruence_independence(parent, a, b, max_size=12):
     return Verdict(True, None, pairs)
 
 
-def reference_subalgebra_independence(parent, a, b, hom_class="all_endomorphisms", mode="weak"):
+def reference_subalgebra_independence(
+    parent, a, b, hom_class="all_endomorphisms", mode="weak"
+):
     """The subalgebra decider as one forced-image propagation per pair.
 
     A copy of the decider before joint extensions were compiled: every
@@ -274,7 +276,8 @@ def reference_subalgebra_independence(parent, a, b, hom_class="all_endomorphisms
         conflict = _propagate(jstruct, jstruct, state, seeds)
         if conflict is not None:
             x, y1, y2 = conflict
-            return ExtensionRefusal("not-functional", (jembed[x], jembed[y1], jembed[y2]))
+            detail = (jembed[x], jembed[y1], jembed[y2])
+            return ExtensionRefusal("not-functional", detail)
         assert None not in state.images
         violation = relation_violation(tuple(state.images))
         if violation is not None:

@@ -136,7 +136,8 @@ def test_joint_context_invariants_raise_explicit_errors(monkeypatch):
     alpha = Homomorphism(ctx.a_struct, ctx.a_struct, (0, 1), "weak")
     beta = Homomorphism(ctx.b_struct, ctx.b_struct, (0, 1, 2), "weak")
     # a compiled check that refuses an extensible pair contradicts propagation
-    monkeypatch.setattr(morphisms._JointContext, "_is_endomorphism", lambda *args: False)
+    context = morphisms._JointContext
+    monkeypatch.setattr(context, "_is_endomorphism", lambda *args: False)
     with pytest.raises(RuntimeError, match="compiled check refused"):
         ctx.extend(alpha, beta)
     monkeypatch.undo()
