@@ -43,6 +43,15 @@ def _infer_tag(kind: str, structure) -> CategoryTag:
     return CategoryTag("vector_space", p)
 
 
+def _load_structures(args, count: int) -> list:
+    """Load the ``-s`` files; any other number of them than ``count`` is an
+    error."""
+    if len(args.structure) != count:
+        files = "one -s FILE argument" if count == 1 else "two -s FILE arguments"
+        raise InputError(f"{args.command} needs exactly {files}")
+    return [load_structure(path) for path in args.structure]
+
+
 def _cmd_gen(args) -> int:
     structure, _ = build(args.family, *args.params)
     dump_structure(structure, args.output, name=args.family)
@@ -51,7 +60,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_decide_sub(args) -> int:
-    structure, _ = load_structure(args.structure[0])
+    [(structure, _)] = _load_structures(args, 1)
     a = SubUniverse(structure, _parse_subset(args.a))
     b = SubUniverse(structure, _parse_subset(args.b))
     hom_class = HOM_CLASS_AUTO if args.homs == "auto" else HOM_CLASS_ALL
@@ -61,7 +70,7 @@ def _cmd_decide_sub(args) -> int:
 
 
 def _cmd_decide_cong(args) -> int:
-    structure, _ = load_structure(args.structure[0])
+    [(structure, _)] = _load_structures(args, 1)
     a = SubUniverse(structure, _parse_subset(args.a))
     b = SubUniverse(structure, _parse_subset(args.b))
     verdict = decide_congruence_independence(structure, a, b, max_size=args.max_size)
@@ -70,10 +79,7 @@ def _cmd_decide_cong(args) -> int:
 
 
 def _cmd_coproduct(args) -> int:
-    if len(args.structure) != 2:
-        raise InputError("coproduct needs exactly two -s FILE arguments")
-    x, name_x = load_structure(args.structure[0])
-    y, name_y = load_structure(args.structure[1])
+    (x, name_x), (y, name_y) = _load_structures(args, 2)
     tag = _infer_tag(args.category, x)
     cop, e_a, e_b = coproduct(tag, x, y)
     dump_structure(cop, args.output, name=f"{name_x}+{name_y}")
@@ -84,10 +90,7 @@ def _cmd_coproduct(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    if len(args.structure) != 2:
-        raise InputError("iso needs exactly two -s FILE arguments")
-    x, _ = load_structure(args.structure[0])
-    y, _ = load_structure(args.structure[1])
+    (x, _), (y, _) = _load_structures(args, 2)
     h = find_isomorphism(x, y)
     if h is None:
         print("not isomorphic")

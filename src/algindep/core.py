@@ -214,6 +214,16 @@ class SubUniverse:
                 f"subset {list(members)} is not closed under the parent's operations"
             )
 
+    @classmethod
+    def _closed(cls, parent: FiniteStructure, members: tuple[int, ...]) -> "SubUniverse":
+        """A subuniverse the library closed itself.  ``members`` must be
+        sorted, distinct and closed; unlike the constructor, this does not
+        check it again."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "parent", parent)
+        object.__setattr__(sub, "members", members)
+        return sub
+
     def __len__(self) -> int:
         return len(self.members)
 

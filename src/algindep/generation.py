@@ -1,8 +1,17 @@
 """Closure computations: generated subuniverses, joins, squares, congruences.
 
-Closures run a worklist fixpoint: each newly added element is combined with
-everything found so far against every operation table, so the cost of a step
-is proportional to the number of new elements times the table sizes.
+One kernel, ``_propagate``, computes every closure.  It closes a partial map
+dom -> cod under forced images: once all arguments of an operation have
+images, so does its value.  ``close`` and ``join`` run it on the identity map
+of a structure, ``generated_subuniverse_of_square`` on the identity map of
+X x X, and the homomorphism search of ``morphisms`` on maps between two
+structures, where a collision (one element forced onto two images) refuses
+the map.  Each newly imaged element is combined with everything imaged so far
+against every operation table, so the cost of a step is proportional to the
+number of new elements times the table sizes.  The kernel's visit order fixes
+which collision is found first, and so which witness a refused joint
+extension reports: the order is part of the output, not an implementation
+detail.
 
 Congruences use one more fact: Con(A) is a sublattice of the partition
 lattice Eq(A).  The join of two congruences is the join of their partitions,
@@ -80,45 +89,112 @@ class WitnessDag:
         return val
 
 
-def _run_closure(structure, seeds):
-    """Worklist closure from (element, side) seeds; returns (members, nodes)."""
-    ops = structure.op_views()
-    in_set = [False] * structure.size
-    members: list[int] = []
-    nodes: list[DagNode] = []
-    n = structure.size
+class _PartialMap:
+    """A dom -> cod map under construction: the image of each element (None
+    while unknown) and the imaged elements in the order they were reached."""
 
-    def add(elem, op, args, side=None):
-        if not in_set[elem]:
-            in_set[elem] = True
-            members.append(elem)
-            nodes.append(DagNode(elem, op, args, side))
+    __slots__ = ("images", "imaged")
 
-    for e, side in seeds:
-        add(e, None, (), side)
-    for name, ar, table in ops:
-        if ar == 0:
-            add(table[0], name, ())
-    qi = 0
-    while qi < len(members):
-        x = members[qi]
+    def __init__(self, size: int):
+        self.images: list[Optional[int]] = [None] * size
+        self.imaged: list[int] = []
+
+    def copy(self) -> "_PartialMap":
+        out = _PartialMap.__new__(_PartialMap)
+        out.images = self.images[:]
+        out.imaged = self.imaged[:]
+        return out
+
+
+def _propagate(dom, cod, state: _PartialMap, new_pairs, nodes=None):
+    """The closure kernel: extend a partial map by every image it forces.
+
+    The new pairs are assigned first, then each constant of ``dom`` is sent
+    to the same constant of ``cod``.  Then every newly imaged element x, in
+    the order it was reached, meets each operation: unary ones alone, and
+    the others with x in every argument position and elements imaged so far
+    (a snapshot taken per operation) in the rest.  Once all arguments have
+    images, the image of the value is forced.  Returns None on success or
+    (x, y1, y2) on the first collision: element x would need the distinct
+    images y1 and y2.
+
+    A subuniverse closure is this kernel run on the identity map, with
+    ``cod`` = ``dom`` and each seed mapped to itself.  When ``nodes`` is a
+    list, one ``DagNode`` is appended per newly imaged element: a generator
+    for a new pair, the operation and its arguments otherwise.
+    """
+    images, imaged = state.images, state.imaged
+    nd, nc = dom.size, cod.size
+    qi = len(imaged)
+    ops = dom.op_views()
+    cts = cod.op_tables
+    seeds = [(x, y, None) for x, y in new_pairs]
+    seeds += [(dt[0], cts[i][0], name) for i, (name, ar, dt) in enumerate(ops) if ar == 0]
+    for v, w, name in seeds:
+        cur = images[v]
+        if cur is None:
+            images[v] = w
+            imaged.append(v)
+            if nodes is not None:
+                nodes.append(DagNode(v, name, ()))
+        elif cur != w:
+            return (v, cur, w)
+    while qi < len(imaged):
+        x = imaged[qi]
         qi += 1
-        for name, ar, table in ops:
+        fx = images[x]
+        for i, (name, ar, dt) in enumerate(ops):
             if ar == 0:
                 continue
+            ct = cts[i]
             if ar == 1:
-                add(table[x], name, (x,))
+                v, w = dt[x], ct[fx]
+                cur = images[v]
+                if cur is None:
+                    images[v] = w
+                    imaged.append(v)
+                    if nodes is not None:
+                        nodes.append(DagNode(v, name, (x,)))
+                elif cur != w:
+                    return (v, cur, w)
             elif ar == 2:
-                for z in list(members):
-                    add(table[x * n + z], name, (x, z))
-                    add(table[z * n + x], name, (z, x))
+                xrow, fxrow = x * nd, fx * nc
+                for z in list(imaged):
+                    fz = images[z]
+                    v, w = dt[xrow + z], ct[fxrow + fz]
+                    cur = images[v]
+                    if cur is None:
+                        images[v] = w
+                        imaged.append(v)
+                        if nodes is not None:
+                            nodes.append(DagNode(v, name, (x, z)))
+                    elif cur != w:
+                        return (v, cur, w)
+                    v, w = dt[z * nd + x], ct[fz * nc + fx]
+                    cur = images[v]
+                    if cur is None:
+                        images[v] = w
+                        imaged.append(v)
+                        if nodes is not None:
+                            nodes.append(DagNode(v, name, (z, x)))
+                    elif cur != w:
+                        return (v, cur, w)
             else:
-                snapshot = list(members)
+                snapshot = list(imaged)
                 for p in range(ar):
                     for rest in itertools.product(snapshot, repeat=ar - 1):
                         args = rest[:p] + (x,) + rest[p:]
-                        add(table[flat_index(n, args)], name, args)
-    return members, nodes
+                        v = dt[flat_index(nd, args)]
+                        w = ct[flat_index(nc, (images[a] for a in args))]
+                        cur = images[v]
+                        if cur is None:
+                            images[v] = w
+                            imaged.append(v)
+                            if nodes is not None:
+                                nodes.append(DagNode(v, name, args))
+                        elif cur != w:
+                            return (v, cur, w)
+    return None
 
 
 def close(
@@ -130,8 +206,10 @@ def close(
     identity on generators reproduces the closure.
     """
     seed = sorted(set(_check_elements(structure, seed)))
-    members, nodes = _run_closure(structure, [(e, None) for e in seed])
-    return SubUniverse(structure, tuple(sorted(members))), WitnessDag(tuple(nodes))
+    state, nodes = _PartialMap(structure.size), []
+    _propagate(structure, structure, state, [(e, e) for e in seed], nodes)
+    members = tuple(sorted(state.imaged))
+    return SubUniverse._closed(structure, members), WitnessDag(tuple(nodes))
 
 
 def join(
@@ -144,12 +222,34 @@ def join(
     if a.parent != parent or b.parent != parent:
         raise InputError("join requires subuniverses of the same parent structure")
     aset, bset = a.member_set(), b.member_set()
-    seeds = []
-    for e in sorted(aset | bset):
+    seed = sorted(aset | bset)
+    state, nodes = _PartialMap(parent.size), []
+    _propagate(parent, parent, state, [(e, e) for e in seed], nodes)
+    for i, e in enumerate(seed):
         side = "both" if (e in aset and e in bset) else ("a" if e in aset else "b")
-        seeds.append((e, side))
-    members, nodes = _run_closure(parent, seeds)
-    return SubUniverse(parent, tuple(sorted(members))), WitnessDag(tuple(nodes))
+        nodes[i] = DagNode(e, None, (), side)
+    members = tuple(sorted(state.imaged))
+    return SubUniverse._closed(parent, members), WitnessDag(tuple(nodes))
+
+
+class _SquareTable:
+    """An operation table of X x X read on demand: the pair (x, y) is the
+    element x * n + y, and the operation acts componentwise."""
+
+    def __init__(self, table, n: int, arity: int):
+        self.table, self.n, self.arity = table, n, arity
+
+    def __getitem__(self, idx: int) -> int:
+        n, table = self.n, self.table
+        xi = yi = 0
+        scale = 1
+        for _ in range(self.arity):  # argument pairs, last one first
+            idx, pair = divmod(idx, n * n)
+            x, y = divmod(pair, n)
+            xi += x * scale
+            yi += y * scale
+            scale *= n
+        return table[xi] * n + table[yi]
 
 
 def generated_subuniverse_of_square(
@@ -158,49 +258,18 @@ def generated_subuniverse_of_square(
     """Closure of a pair set inside parent x parent, kept as pairs.
 
     Operations act componentwise; constants contribute their diagonal pair.
+    The square's tables are read on demand, never built.
     """
     n = parent.size
-    seeds = []
+    seed = set()
     for x, y in pairs:
         _check_elements(parent, (x, y))
-        seeds.append((x, y))
-    ops = parent.op_views()
-    found: set[tuple[int, int]] = set()
-    worklist: list[tuple[int, int]] = []
-
-    def add(p):
-        if p not in found:
-            found.add(p)
-            worklist.append(p)
-
-    for p in sorted(set(seeds)):
-        add(p)
-    for name, ar, table in ops:
-        if ar == 0:
-            add((table[0], table[0]))
-    qi = 0
-    while qi < len(worklist):
-        x, y = worklist[qi]
-        qi += 1
-        for name, ar, table in ops:
-            if ar == 0:
-                continue
-            if ar == 1:
-                add((table[x], table[y]))
-            elif ar == 2:
-                for u, v in list(worklist):
-                    add((table[x * n + u], table[y * n + v]))
-                    add((table[u * n + x], table[v * n + y]))
-            else:
-                snapshot = list(worklist)
-                for p in range(ar):
-                    for rest in itertools.product(snapshot, repeat=ar - 1):
-                        xs = [r[0] for r in rest]
-                        ys = [r[1] for r in rest]
-                        xs[p:p] = [x]
-                        ys[p:p] = [y]
-                        add((table[flat_index(n, xs)], table[flat_index(n, ys)]))
-    return frozenset(found)
+        seed.add(x * n + y)
+    tables = tuple(_SquareTable(table, n, ar) for _, ar, table in parent.op_views())
+    square = FiniteStructure(parent.sig, n * n, tables)
+    state = _PartialMap(square.size)
+    _propagate(square, square, state, [(p, p) for p in sorted(seed)])
+    return frozenset(divmod(p, n) for p in state.imaged)
 
 
 class _UnionFind:
@@ -359,4 +428,4 @@ def all_subuniverses(structure: FiniteStructure) -> list[SubUniverse]:
                 sub, _ = close(structure, current + (x,))
                 register(sub.members)
     ordered = sorted(seen, key=lambda m: (len(m), m))
-    return [SubUniverse(structure, m) for m in ordered]
+    return [SubUniverse._closed(structure, m) for m in ordered]

@@ -4,7 +4,8 @@ kernels, and isomorphism search.
 A weak homomorphism preserves relations forward; a strong one also reflects
 them.  Operation preservation is required in both modes.  Enumeration
 backtracks over a greedy generating set of the domain, propagating forced
-images through the operation tables, so the stream is deterministic:
+images through the operation tables with the closure kernel of
+``generation`` (``_propagate``), so the stream is deterministic:
 lexicographic in (generator index, image value).
 
 Joint extensions are decided by term evaluation: every element of the join
@@ -31,7 +32,7 @@ from .core import (
     flat_index,
     induced_substructure,
 )
-from .generation import close, join
+from .generation import _PartialMap, _propagate, close, join
 
 Mode = str  # "weak" | "strong"
 
@@ -103,93 +104,12 @@ def check_homomorphism(h: Homomorphism) -> None:
 
 
 # ---------------------------------------------------------------------------
-# forced-image propagation
+# forced-image propagation (the kernel lives in generation)
 # ---------------------------------------------------------------------------
-
-class _PartialMap:
-    """A dom -> cod map under construction; images list plus insertion order."""
-
-    __slots__ = ("images", "imaged")
-
-    def __init__(self, size: int):
-        self.images: list[Optional[int]] = [None] * size
-        self.imaged: list[int] = []
-
-    def copy(self) -> "_PartialMap":
-        out = _PartialMap.__new__(_PartialMap)
-        out.images = self.images[:]
-        out.imaged = self.imaged[:]
-        return out
-
-
-def _propagate(dom, cod, state: _PartialMap, new_pairs):
-    """Close a partial map under forced operation images.
-
-    Whenever all arguments of an operation tuple have images, the image of its
-    value is forced.  Returns None on success or (x, y1, y2) on the first
-    collision: element x would need distinct images y1 and y2.
-    """
-    images, imaged = state.images, state.imaged
-    nd, nc = dom.size, cod.size
-    start = len(imaged)
-
-    def assign(x, y):
-        cur = images[x]
-        if cur is not None:
-            return None if cur == y else (x, cur, y)
-        images[x] = y
-        imaged.append(x)
-        return None
-
-    for x, y in new_pairs:
-        c = assign(x, y)
-        if c:
-            return c
-    ops = dom.op_views()
-    cts = cod.op_tables
-    qi = start
-    while qi < len(imaged):
-        x = imaged[qi]
-        qi += 1
-        fx = images[x]
-        for i, (name, ar, dt) in enumerate(ops):
-            if ar == 0:
-                continue
-            ct = cts[i]
-            if ar == 1:
-                c = assign(dt[x], ct[fx])
-                if c:
-                    return c
-            elif ar == 2:
-                for z in list(imaged):
-                    fz = images[z]
-                    c = assign(dt[x * nd + z], ct[fx * nc + fz])
-                    if c:
-                        return c
-                    c = assign(dt[z * nd + x], ct[fz * nc + fx])
-                    if c:
-                        return c
-            else:
-                snapshot = list(imaged)
-                for p in range(ar):
-                    for rest in itertools.product(snapshot, repeat=ar - 1):
-                        args = rest[:p] + (x,) + rest[p:]
-                        fargs = tuple(images[a] for a in args)
-                        c = assign(
-                            dt[flat_index(nd, args)], ct[flat_index(nc, fargs)]
-                        )
-                        if c:
-                            return c
-    return None
-
 
 def _seed_constants(dom, cod, state):
     """Constants of the domain are forced onto the constants of the codomain."""
-    pairs = []
-    for i, (name, ar) in enumerate(dom.sig.op_symbols):
-        if ar == 0:
-            pairs.append((dom.op_tables[i][0], cod.op_tables[i][0]))
-    return _propagate(dom, cod, state, pairs)
+    return _propagate(dom, cod, state, ())
 
 
 def _rel_conflict(dom, cod, state: _PartialMap, mode: Mode):

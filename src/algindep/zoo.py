@@ -33,7 +33,6 @@ from .morphisms import (
     Mode,
     _PartialMap,
     _propagate,
-    _seed_constants,
     enumerate_homs,
     is_homomorphism,
 )
@@ -588,8 +587,6 @@ def _extend_from_generators(dom, cod, seeds, mode: Mode):
     the domain.
     """
     state = _PartialMap(dom.size)
-    if _seed_constants(dom, cod, state) is not None:
-        return None
     if _propagate(dom, cod, state, seeds) is not None:
         return None
     if None in state.images:

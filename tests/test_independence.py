@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -27,6 +30,7 @@ from algindep.zoo import (
     dihedral_group,
     empty_sig_set,
     graph,
+    permutations_of,
     powerset_boolean_algebra,
     quaternion_group,
     rigid_overlapping_pair,
@@ -250,6 +254,40 @@ def test_subalgebra_decider_on_graphs_matches_reference(mode):
                 else:
                     outcomes.add("independent")
     assert {"independent", "not-functional", "relation"} <= outcomes
+
+
+def _alternating_4():
+    s4 = symmetric_group(4)
+    even = tuple(
+        i
+        for i, p in enumerate(permutations_of(4))
+        if sum(p[u] > p[v] for u in range(4) for v in range(u + 1, 4)) % 2 == 0
+    )
+    return induced_substructure(s4, SubUniverse(s4, even))[0]
+
+
+# sha256 of every verdict record.  The closure kernel's visit order decides
+# which collision becomes the witness, so a change of that order shows here.
+@pytest.mark.parametrize(
+    "parent, digest",
+    [
+        (symmetric_group(4), "e0e8411ef001399f4e307ad41b6349e8635337ee9434401f9ca2810d825613aa"),
+        (dihedral_group(6), "2db5af1e03e374c6d0360c0d55b4f6f370b45babbf322cf72be65ff354b57263"),
+        (_alternating_4(), "0236c97029d8c293f1d5e454369804f63a6b1b5ff12bb1a2c6e8ff59c181ce4c"),
+        (powerset_boolean_algebra(4), "c019b2ad1439fb6c5d55c348efd58c97d01f4f5627aac6b2bcdfb5659de34385"),
+    ],
+    ids=["S4", "D6", "A4", "BA4"],
+)
+def test_subalgebra_witnesses_are_pinned(parent, digest):
+    # every ordered subuniverse pair: verdict, witness and pairs_examined
+    subs = all_subuniverses(parent)
+    records = [
+        [a.members, b.members, dataclasses.asdict(decide_subalgebra_independence(parent, a, b))]
+        for a in subs
+        for b in subs
+    ]
+    text = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_boole_independent_examples():

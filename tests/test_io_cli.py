@@ -206,6 +206,20 @@ def test_cli_iso_needs_two_files(tmp_path):
     assert "exactly two" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["decide-sub", "decide-cong"])
+def test_cli_deciders_need_exactly_one_file(tmp_path, capsys, command):
+    z6 = tmp_path / "z6.json"
+    dump_structure(cyclic_group(6), z6, name="z6")
+    subsets = ["--a", "0,3", "--b", "0,2,4"]
+    for files in ([z6, tmp_path / "missing.json"], [z6, z6]):
+        argv = [command]
+        for path in files:
+            argv += ["-s", str(path)]
+        assert main(argv + subsets) == 2
+        assert f"{command} needs exactly one -s FILE argument" in capsys.readouterr().err
+    assert main([command, "-s", str(z6)] + subsets) == 0
+
+
 def test_cli_vector_space_category_inference(tmp_path):
     f3 = tmp_path / "f3.json"
     run_cli("gen", "vector_space", "3", "1", "-o", f3)

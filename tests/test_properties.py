@@ -2,7 +2,7 @@
 
 import itertools
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from algindep.core import (
     Congruence,
@@ -39,8 +39,10 @@ from algindep.morphisms import (
 from algindep.zoo import graph
 
 from oracles import (
+    brute_close,
     brute_congruences,
     brute_homs,
+    brute_pair_closure,
     reference_congruence_independence,
     reference_subalgebra_independence,
     relabel,
@@ -67,8 +69,8 @@ def algebras(draw, max_size=6, shapes=SHAPES):
 
 
 @st.composite
-def algebras_with_seed(draw, max_size=6):
-    structure = draw(algebras(max_size=max_size))
+def algebras_with_seed(draw, max_size=6, shapes=SHAPES):
+    structure = draw(algebras(max_size=max_size, shapes=shapes))
     seed = draw(
         st.sets(st.integers(0, structure.size - 1), max_size=structure.size)
     )
@@ -110,7 +112,41 @@ def test_square_of_diagonal_is_diagonal_of_closure(data):
     assert square == frozenset((e, e) for e in closed.members)
 
 
-@given(algebras_with_seed(max_size=6))
+def _late_argument_algebra():
+    """t(0,0,0) = 1 and t(0,1,0) = 2, all else 0: from {0}, the element 2 is
+    reached only with 1, imaged after 0, in the middle argument."""
+    table = [0] * 27
+    table[0], table[3] = 1, 2
+    return FiniteStructure(Signature((("t", 3),)), 3, (tuple(table),), ())
+
+
+@st.composite
+def algebras_with_pairs(draw, max_size=4):
+    structure = draw(algebras(max_size=max_size, shapes=SHAPES + WIDE_SHAPES))
+    n = structure.size
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return structure, draw(st.lists(pair, max_size=4))
+
+
+@given(algebras_with_seed(max_size=6, shapes=SHAPES + WIDE_SHAPES))
+@example((_late_argument_algebra(), [0]))
+@settings(max_examples=60, deadline=None)
+def test_close_matches_brute_closure(data):
+    structure, seed = data
+    closed, _ = close(structure, seed)
+    assert frozenset(closed.members) == brute_close(structure, seed)
+
+
+@given(algebras_with_pairs())
+@example((_late_argument_algebra(), [(0, 0), (1, 2)]))
+@settings(max_examples=60, deadline=None)
+def test_square_closure_matches_brute_pair_closure(data):
+    structure, pairs = data
+    expected = brute_pair_closure(structure, pairs)
+    assert generated_subuniverse_of_square(structure, pairs) == expected
+
+
+@given(algebras_with_seed(max_size=6, shapes=SHAPES + WIDE_SHAPES))
 @settings(max_examples=40, deadline=None)
 def test_witness_dag_identity_evaluation(data):
     structure, seed = data
@@ -118,6 +154,11 @@ def test_witness_dag_identity_evaluation(data):
     values = dag.evaluate(structure, {e: e for e in seed})
     assert set(values) == set(closed.members)
     assert all(values[e] == e for e in values)
+    # the seed alone is generators; constants are nullary-op nodes
+    assert [node.element for node in dag.generators()] == seed
+    arity = dict(structure.sig.op_symbols)
+    nullary = {node.element for node in dag.nodes if node.op and arity[node.op] == 0}
+    assert set(structure.constants()) - set(seed) <= nullary
 
 
 @given(algebras(max_size=5), st.data())
@@ -376,3 +417,54 @@ def test_subalgebra_verdict_is_symmetric_in_a_and_b(instance):
     parent, a, b, mode, hom_class = instance
     forward = _decide(parent, a, b, mode, hom_class)
     assert _decide(parent, b, a, mode, hom_class).independent == forward.independent
+
+
+@given(subalgebra_instances())
+@settings(max_examples=80, deadline=None)
+def test_not_functional_witness_lies_in_generated_pair_closure(instance):
+    parent, a, b, mode, hom_class = instance
+    verdict = _decide(parent, a, b, mode, hom_class)
+    if verdict.independent or verdict.witness.refusal.reason != "not-functional":
+        return
+    x, y1, y2 = verdict.witness.refusal.detail
+    closure = brute_pair_closure(parent, verdict.witness.alpha + verdict.witness.beta)
+    assert y1 != y2 and (x, y1) in closure and (x, y2) in closure
+
+
+@st.composite
+def congruence_instances(draw):
+    """(parent, A members, B members) over an algebra of at most five
+    elements, drawn with constants or a ternary operation too."""
+    parent = draw(algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES))
+    subs = all_subuniverses(parent)
+    a = draw(st.sampled_from(subs)).members
+    b = draw(st.sampled_from(subs)).members
+    return parent, a, b
+
+
+def _decide_congruence(parent, a, b):
+    return decide_congruence_independence(
+        parent, SubUniverse(parent, a), SubUniverse(parent, b)
+    )
+
+
+@given(congruence_instances(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_congruence_verdict_survives_relabelling(instance, data):
+    parent, a, b = instance
+    perm = data.draw(st.permutations(range(parent.size)))
+    moved = relabel(parent, perm)
+    before = _decide_congruence(parent, a, b)
+    after = _decide_congruence(moved, [perm[x] for x in a], [perm[x] for x in b])
+    assert after.independent == before.independent
+    if before.independent:
+        # |Con A| * |Con B| does not depend on the labels
+        assert after.pairs_examined == before.pairs_examined
+
+
+@given(congruence_instances())
+@settings(max_examples=60, deadline=None)
+def test_congruence_verdict_is_symmetric_in_a_and_b(instance):
+    parent, a, b = instance
+    forward = _decide_congruence(parent, a, b)
+    assert _decide_congruence(parent, b, a).independent == forward.independent
