@@ -51,12 +51,6 @@ class Signature:
             if ar < 1:
                 raise InputError(f"relation symbol {name!r} must have arity >= 1")
 
-    def op_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.op_symbols)
-
-    def rel_names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.rel_symbols)
-
 
 @dataclass(frozen=True)
 class FiniteStructure:
@@ -72,26 +66,14 @@ class FiniteStructure:
     rel_tables: tuple[frozenset, ...] = ()
     labels: Optional[tuple[str, ...]] = field(default=None, compare=False)
 
-    def universe(self) -> range:
-        return range(self.size)
-
     def op_index(self, name: str) -> int:
         for i, (n, _) in enumerate(self.sig.op_symbols):
             if n == name:
                 return i
         raise InputError(f"unknown operation symbol {name!r}")
 
-    def rel_index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.sig.rel_symbols):
-            if n == name:
-                return i
-        raise InputError(f"unknown relation symbol {name!r}")
-
     def op_table(self, name: str) -> tuple[int, ...]:
         return self.op_tables[self.op_index(name)]
-
-    def rel_table(self, name: str) -> frozenset:
-        return self.rel_tables[self.rel_index(name)]
 
     def op(self, name: str, *args: int) -> int:
         """Apply one operation; convenience accessor, not for hot loops."""

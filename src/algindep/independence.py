@@ -33,7 +33,9 @@ from .morphisms import (
     Mode,
     _JointContext,
     enumerate_endos,
+    joint_extension,
 )
+from .zoo import is_boolean_algebra, is_group
 
 
 @dataclass(frozen=True)
@@ -246,8 +248,6 @@ def boole_independent(
     parent: FiniteStructure, a: SubUniverse, b: SubUniverse
 ) -> bool:
     """True iff no nonzero elements of A and B meet to zero."""
-    from .zoo import is_boolean_algebra  # deferred: zoo builds on this module's types
-
     if not is_boolean_algebra(parent):
         raise InputError("parent is not a Boolean algebra")
     if a.parent != parent or b.parent != parent:
@@ -284,8 +284,6 @@ def group_diagnostics(
     Both normal with trivial intersection forces independence; exactly one
     normal (in the join) forbids it; anything else earns no prediction.
     """
-    from .zoo import is_group  # deferred import, see boole_independent
-
     if not is_group(parent):
         raise InputError("parent is not a group")
     if a.parent != parent or b.parent != parent:
@@ -333,9 +331,6 @@ def check_word_condition(
     ``joint_extension``, whose term evaluation along the join's derivation
     DAG is this condition.
     """
-    from .morphisms import joint_extension
-    from .zoo import is_group
-
     if not is_group(parent):
         raise InputError("parent is not a group")
     return isinstance(joint_extension(parent, a, b, alpha, beta), Homomorphism)

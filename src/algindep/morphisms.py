@@ -2,11 +2,17 @@
 kernels, and isomorphism search.
 
 A weak homomorphism preserves relations forward; a strong one also reflects
-them.  Operation preservation is required in both modes.  Enumeration
-backtracks over a greedy generating set of the domain, propagating forced
-images through the operation tables with the closure kernel of
-``generation`` (``_propagate``), so the stream is deterministic:
-lexicographic in (generator index, image value).
+them.  Operation preservation is required in both modes.  One search,
+``_search``, serves homomorphism and endomorphism streams, automorphisms,
+isomorphisms and maps pinned on given elements.  It backtracks over a
+greedy generating set of the domain, propagating forced images through the
+operation tables with the closure kernel of ``generation``
+(``_propagate``), so every stream is deterministic: lexicographic in
+(generator index, image value).  Pinned pairs are imaged at the root, and a
+generator they already image is skipped.  A bijective search also prunes
+partial maps that are not injective or that change an element's refined
+color; automorphisms and isomorphisms come from it in the order of the
+unpruned stream.
 
 Joint extensions are decided by term evaluation: every element of the join
 of A and B is a term in the elements of A u B, so the images of alpha and
@@ -64,9 +70,6 @@ class Homomorphism:
             inv[y] = x
         return Homomorphism(self.cod, self.dom, tuple(inv), self.mode)
 
-    def graph(self) -> tuple[tuple[int, int], ...]:
-        return tuple(enumerate(self.mapping))
-
 
 def is_homomorphism(
     dom: FiniteStructure,
@@ -96,11 +99,6 @@ def is_homomorphism(
                 if t not in dr and tuple(mapping[v] for v in t) in cr:
                     return False
     return True
-
-
-def check_homomorphism(h: Homomorphism) -> None:
-    if not is_homomorphism(h.dom, h.cod, h.mapping, h.mode):
-        raise InputError("map is not a homomorphism in the requested mode")
 
 
 # ---------------------------------------------------------------------------
@@ -164,42 +162,92 @@ def generating_sequence(structure: FiniteStructure) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def enumerate_homs(
-    dom: FiniteStructure, cod: FiniteStructure, mode: Mode = "weak"
+def _search(
+    dom: FiniteStructure,
+    cod: FiniteStructure,
+    mode: Mode,
+    pinned=(),
+    bijective: bool = False,
 ) -> Iterator[Homomorphism]:
-    """Yield every mode-respecting homomorphism exactly once.
+    """The homomorphism search behind every stream, pinned or not.
 
-    Backtracking over the greedy generating set with closure propagation;
-    op and relation constraints are checked incrementally, and each completed
-    map is fully re-validated before being yielded.
+    The root maps the ``pinned`` (element, image) pairs and the constants and
+    propagates their forced images; each level of the greedy generating
+    sequence then tries every image of its generator in increasing order,
+    unless the generator is already imaged.  Operation and relation
+    constraints are checked incrementally, and each completed map is fully
+    re-validated before being yielded.
+
+    With ``bijective`` only isomorphisms are yielded: bijections whose
+    inverse also respects the mode.  Refined colors are an isomorphism
+    invariant, so partial maps that are not injective or that change an
+    element's color are pruned.  Pruning removes no result, so a bijective
+    stream is the other stream filtered, in the same order.
     """
     if dom.sig != cod.sig:
         raise InputError("homomorphisms require structures of the same signature")
     if mode not in ("weak", "strong"):
         raise InputError(f"unknown mode {mode!r}")
-    gens = generating_sequence(dom)
     root = _PartialMap(dom.size)
-    if _seed_constants(dom, cod, root) is not None:
+    if _propagate(dom, cod, root, pinned) is not None:
         return
     if _rel_conflict(dom, cod, root, mode) is not None:
         return
+    if bijective:
+        if dom.size != cod.size:
+            return
+        cx = _refine_colors(dom)
+        cy = cx if cod == dom else _refine_colors(cod)
+        if sorted(cx) != sorted(cy) or _breaks_bijection(root, 0, set(), cx, cy):
+            return
+    gens = generating_sequence(dom)
 
     def rec(level: int, state: _PartialMap) -> Iterator[Homomorphism]:
         if level == len(gens):
             mapping = tuple(state.images)
             if is_homomorphism(dom, cod, mapping, mode):
-                yield Homomorphism(dom, cod, mapping, mode)
+                h = Homomorphism(dom, cod, mapping, mode)
+                if not bijective or is_homomorphism(cod, dom, h.inverse().mapping, mode):
+                    yield h
             return
         g = gens[level]
-        for v in range(cod.size):
+        if state.images[g] is not None:
+            yield from rec(level + 1, state)
+            return
+        if bijective:
+            start = len(state.imaged)
+            used = {state.images[u] for u in state.imaged}
+            candidates = [v for v in range(cod.size) if v not in used and cy[v] == cx[g]]
+        else:
+            candidates = range(cod.size)
+        for v in candidates:
             st = state.copy()
             if _propagate(dom, cod, st, [(g, v)]) is not None:
                 continue
             if _rel_conflict(dom, cod, st, mode) is not None:
                 continue
+            if bijective and _breaks_bijection(st, start, used, cx, cy):
+                continue
             yield from rec(level + 1, st)
 
     yield from rec(0, root)
+
+
+def _breaks_bijection(state: _PartialMap, start: int, used, cx, cy) -> bool:
+    """Do the elements imaged since position ``start`` change color, share an
+    image, or take one of the ``used`` images?"""
+    fresh = [state.images[u] for u in state.imaged[start:]]
+    if len(set(fresh)) != len(fresh) or not used.isdisjoint(fresh):
+        return True
+    return any(cy[w] != cx[u] for u, w in zip(state.imaged[start:], fresh))
+
+
+def enumerate_homs(
+    dom: FiniteStructure, cod: FiniteStructure, mode: Mode = "weak"
+) -> Iterator[Homomorphism]:
+    """Yield every mode-respecting homomorphism exactly once, lexicographic
+    in (generator index, image value)."""
+    yield from _search(dom, cod, mode)
 
 
 def enumerate_endos(
@@ -210,18 +258,13 @@ def enumerate_endos(
     """Endomorphism stream; optionally restricted to automorphisms.
 
     An automorphism is a bijective mode-homomorphism whose inverse also
-    respects the mode (the categorical isomorphisms in both graph categories).
+    respects the mode (the categorical isomorphisms in both graph
+    categories).  The automorphism class is searched with bijective pruning,
+    not filtered out of all endomorphisms, and comes in the same order.
     """
     if hom_class not in HOM_CLASSES:
         raise InputError(f"unknown homomorphism class {hom_class!r}")
-    for h in enumerate_homs(structure, structure, mode):
-        if hom_class == HOM_CLASS_AUTO:
-            if not h.is_bijective():
-                continue
-            inv = h.inverse()
-            if not is_homomorphism(inv.dom, inv.cod, inv.mapping, mode):
-                continue
-        yield h
+    yield from _search(structure, structure, mode, bijective=hom_class == HOM_CLASS_AUTO)
 
 
 def kernel(h: Homomorphism) -> Congruence:
@@ -449,7 +492,8 @@ def joint_extension(
                 "extension endpoints must be endomorphisms of the induced "
                 "substructures of a and b"
             )
-        check_homomorphism(hom)
+        if not is_homomorphism(hom.dom, hom.cod, hom.mapping, hom.mode):
+            raise InputError("map is not a homomorphism in the requested mode")
     return ctx.extend(alpha, beta)
 
 
@@ -510,51 +554,13 @@ def find_isomorphism(
 ) -> Optional[Homomorphism]:
     """A bijective strong homomorphism with strong inverse, or None.
 
-    Backtracks over a generating set of x with color-class pruning from an
-    iterated op/degree profile refinement.
+    After cheap signature, size and relation-count checks, this is the first
+    result of the bijective homomorphism search in strong mode, which prunes
+    by injectivity and by iterated op/degree color refinement.
     """
-    if x.sig != y.sig:
-        return None
-    if x.size != y.size:
+    if x.sig != y.sig or x.size != y.size:
         return None
     for i in range(len(x.sig.rel_symbols)):
         if len(x.rel_tables[i]) != len(y.rel_tables[i]):
             return None
-    cx, cy = _refine_colors(x), _refine_colors(y)
-    if sorted(cx) != sorted(cy):
-        return None
-    gens = generating_sequence(x)
-    root = _PartialMap(x.size)
-    if _seed_constants(x, y, root) is not None:
-        return None
-
-    def rec(level: int, state: _PartialMap) -> Optional[Homomorphism]:
-        if level == len(gens):
-            mapping = tuple(state.images)
-            if len(set(mapping)) != x.size:
-                return None
-            h = Homomorphism(x, y, mapping, "strong")
-            if is_homomorphism(x, y, mapping, "strong"):
-                inv = h.inverse()
-                if is_homomorphism(inv.dom, inv.cod, inv.mapping, "strong"):
-                    return h
-            return None
-        g = gens[level]
-        used = {v for v in state.images if v is not None}
-        for v in range(y.size):
-            if v in used or cy[v] != cx[g]:
-                continue
-            st = state.copy()
-            if _propagate(x, y, st, [(g, v)]) is not None:
-                continue
-            if _rel_conflict(x, y, st, "strong") is not None:
-                continue
-            seen = [w for w in st.images if w is not None]
-            if len(seen) != len(set(seen)):
-                continue
-            out = rec(level + 1, st)
-            if out is not None:
-                return out
-        return None
-
-    return rec(0, root)
+    return next(_search(x, y, "strong", bijective=True), None)

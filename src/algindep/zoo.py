@@ -25,17 +25,11 @@ from .core import (
     SizeLimitExceeded,
     SubUniverse,
     direct_product,
+    induced_substructure,
     validate,
 )
-from .generation import close, join
-from .morphisms import (
-    Homomorphism,
-    Mode,
-    _PartialMap,
-    _propagate,
-    enumerate_homs,
-    is_homomorphism,
-)
+from .generation import join
+from .morphisms import Homomorphism, Mode, _search, enumerate_homs
 
 SET_SIG = Signature()
 GRAPH_SIG = Signature(rel_symbols=(("edge", 2),))
@@ -419,8 +413,29 @@ def _parse_edges(edges) -> list[tuple[int, int]]:
     return [(int(u), int(v)) for u, v in edges]
 
 
+# parameter count of every family ``build`` knows
+_FAMILY_PARAMS = {
+    "empty_sig_set": 1,
+    "cyclic_group": 1,
+    "symmetric_group": 1,
+    "dihedral_group": 1,
+    "quaternion_group": 0,
+    "powerset_boolean_algebra": 1,
+    "vector_space": 2,
+    "graph": 2,
+}
+
+
 def build(family: str, *params) -> tuple[FiniteStructure, CategoryTag]:
     """Construct a named structure family; tables are law-checked."""
+    if family not in _FAMILY_PARAMS:
+        raise InputError(f"unknown structure family {family!r}")
+    want = _FAMILY_PARAMS[family]
+    if len(params) != want:
+        raise InputError(
+            f"{family} takes {want} parameter{'' if want == 1 else 's'}, "
+            f"got {len(params)}"
+        )
     if family == "empty_sig_set":
         (n,) = params
         return empty_sig_set(_parse_int(n, "size")), CategoryTag("set")
@@ -434,8 +449,6 @@ def build(family: str, *params) -> tuple[FiniteStructure, CategoryTag]:
         (n,) = params
         return dihedral_group(_parse_int(n, "parameter")), CategoryTag("group")
     if family == "quaternion_group":
-        if params:
-            raise InputError("quaternion_group takes no parameters")
         return quaternion_group(), CategoryTag("group")
     if family == "powerset_boolean_algebra":
         (k,) = params
@@ -449,12 +462,8 @@ def build(family: str, *params) -> tuple[FiniteStructure, CategoryTag]:
         return vector_space(p, _parse_int(d, "dimension")), CategoryTag(
             "vector_space", p
         )
-    if family == "graph":
-        n, edges = params
-        return graph(_parse_int(n, "vertex count"), _parse_edges(edges)), CategoryTag(
-            "graph"
-        )
-    raise InputError(f"unknown structure family {family!r}")
+    n, edges = params  # the graph family
+    return graph(_parse_int(n, "vertex count"), _parse_edges(edges)), CategoryTag("graph")
 
 
 # ---------------------------------------------------------------------------
@@ -475,19 +484,23 @@ def _atoms(structure: FiniteStructure) -> list[int]:
     return atoms
 
 
+# largest Boolean coproduct ``coproduct`` builds, in elements
+MAX_BOOLEAN_COPRODUCT = 4096
+
+
 def coproduct(
     tag: CategoryTag,
     x: FiniteStructure,
     y: FiniteStructure,
-    max_size: int = 4096,
 ) -> tuple[FiniteStructure, Homomorphism, Homomorphism]:
     """The categorical coproduct with its two embeddings.
 
     Sets and graphs take disjoint unions; abelian groups and vector spaces
     take the direct product with coordinate embeddings (equal to the direct
     sum in the finite case); Boolean algebras take the atom-pair construction,
-    where an element embeds as the union of all atom pairs below it.  The
-    group tag is refused: free products of nontrivial groups are infinite.
+    where an element embeds as the union of all atom pairs below it, up to
+    ``MAX_BOOLEAN_COPRODUCT`` elements.  The group tag is refused: free
+    products of nontrivial groups are infinite.
     """
     if x.sig != y.sig:
         raise InputError("coproduct requires structures of the same signature")
@@ -541,10 +554,10 @@ def coproduct(
                 if total != z:
                     raise InputError("boolean_algebra coproduct needs atomic inputs")
         bits = len(ax) * len(ay)
-        if 1 << bits > max_size:
+        if 1 << bits > MAX_BOOLEAN_COPRODUCT:
             raise SizeLimitExceeded(
                 f"Boolean coproduct would have 2^{bits} elements, over the "
-                f"bound {max_size}"
+                f"bound MAX_BOOLEAN_COPRODUCT = {MAX_BOOLEAN_COPRODUCT}"
             )
         cop = _powerset_boolean(bits) if bits else _trivial_boolean()
         meet_x, nx = x.op_table("meet"), x.size
@@ -579,24 +592,6 @@ def _trivial_boolean():
     )
 
 
-def _extend_from_generators(dom, cod, seeds, mode: Mode):
-    """The unique homomorphism pinned by images on a generating set, if any.
-
-    Returns the Homomorphism, or None when the forced images collide or break
-    a relation constraint.  Callers must ensure the seeded elements generate
-    the domain.
-    """
-    state = _PartialMap(dom.size)
-    if _propagate(dom, cod, state, seeds) is not None:
-        return None
-    if None in state.images:
-        raise InputError("seeded elements do not generate the domain")
-    mapping = tuple(state.images)
-    if not is_homomorphism(dom, cod, mapping, mode):
-        return None
-    return Homomorphism(dom, cod, mapping, mode)
-
-
 def canonical_quotient(
     parent: FiniteStructure,
     a: SubUniverse,
@@ -606,10 +601,9 @@ def canonical_quotient(
     """The canonical surjection q from the coproduct of A and B onto their join.
 
     q composed with either embedding is the corresponding inclusion, and q is
-    onto the join.
+    onto the join.  The images on the embedded elements pin q, and it is the
+    first result of the homomorphism search with those pins.
     """
-    from .core import induced_substructure
-
     a_struct, a_embed = induced_substructure(parent, a)
     b_struct, b_embed = induced_substructure(parent, b)
     cop, e_a, e_b = coproduct(tag, a_struct, b_struct)
@@ -618,7 +612,7 @@ def canonical_quotient(
     pos = {e: i for i, e in enumerate(jembed)}
     seeds = [(e_a.mapping[i], pos[a_embed[i]]) for i in range(a_struct.size)]
     seeds += [(e_b.mapping[j], pos[b_embed[j]]) for j in range(b_struct.size)]
-    q = _extend_from_generators(cop, jstruct, seeds, "weak")
+    q = next(_search(cop, jstruct, "weak", pinned=seeds), None)
     if q is None:
         raise InputError("canonical quotient does not exist; inputs are inconsistent")
     if set(q.mapping) != set(range(jstruct.size)):
@@ -639,13 +633,12 @@ def verify_coproduct_property(
     """Check the universal property against a list of target structures.
 
     For every target D and every pair (f_A, f_B) of homomorphisms into D
-    there must be exactly one mediating g with f_i = g o e_i.  When the
-    embedded images generate the coproduct the mediating map is pinned on
-    them, so it is constructed directly and uniqueness is automatic; otherwise
-    all homomorphisms into the target are enumerated and counted.
+    there must be exactly one mediating g with f_i = g o e_i.  The mediating
+    maps are the homomorphisms pinned to f_A and f_B on the embedded
+    elements, so the homomorphism search with those pins is run until it
+    yields a second result.  When the embedded elements generate the
+    coproduct the pins fix every generator, so the search does not branch.
     """
-    embedded = sorted(set(e_a.mapping) | set(e_b.mapping))
-    generating = len(close(cop, embedded)[0].members) == cop.size
     for target in targets:
         if target.sig != cop.sig:
             raise InputError("targets must share the coproduct's signature")
@@ -654,16 +647,8 @@ def verify_coproduct_property(
             for f_b in homs_b:
                 seeds = [(e_a.mapping[i], f_a.mapping[i]) for i in range(x.size)]
                 seeds += [(e_b.mapping[j], f_b.mapping[j]) for j in range(y.size)]
-                if generating:
-                    count = 0 if _extend_from_generators(cop, target, seeds, mode) is None else 1
-                else:
-                    count = 0
-                    for g in enumerate_homs(cop, target, mode):
-                        if all(g.mapping[u] == v for u, v in seeds):
-                            count += 1
-                            if count > 1:
-                                break
-                if count != 1:
+                mediating = _search(cop, target, mode, pinned=seeds)
+                if sum(1 for _ in itertools.islice(mediating, 2)) != 1:
                     return False
     return True
 
@@ -672,19 +657,9 @@ def verify_coproduct_property(
 # rigid graphs
 # ---------------------------------------------------------------------------
 
-def endomorphism_count(g: FiniteStructure, limit: int = 2) -> int:
-    """Number of weak endomorphisms, counted up to the given limit."""
-    count = 0
-    for _ in enumerate_homs(g, g, "weak"):
-        count += 1
-        if count >= limit:
-            break
-    return count
-
-
 def is_rigid(g: FiniteStructure) -> bool:
     """A graph is rigid when the identity is its only weak endomorphism."""
-    return endomorphism_count(g, limit=2) == 1
+    return sum(1 for _ in itertools.islice(enumerate_homs(g, g, "weak"), 2)) == 1
 
 
 def random_rigid_graph(

@@ -220,6 +220,26 @@ def test_cli_deciders_need_exactly_one_file(tmp_path, capsys, command):
     assert main([command, "-s", str(z6)] + subsets) == 0
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        pytest.param(p, m, id=" ".join(p))
+        for p, m in [
+            (["cyclic_group"], "cyclic_group takes 1 parameter, got 0"),
+            (["vector_space", "2"], "vector_space takes 2 parameters, got 1"),
+            (["graph", "3"], "graph takes 2 parameters, got 1"),
+            (["quaternion_group", "8"], "quaternion_group takes 0 parameters, got 1"),
+            (["symmetric_group", "3", "4"], "symmetric_group takes 1 parameter, got 2"),
+        ]
+    ],
+)
+def test_cli_gen_with_wrong_parameter_count_exits_2(tmp_path, capsys, params, message):
+    out = tmp_path / "x.json"
+    assert main(["gen"] + params + ["-o", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_vector_space_category_inference(tmp_path):
     f3 = tmp_path / "f3.json"
     run_cli("gen", "vector_space", "3", "1", "-o", f3)

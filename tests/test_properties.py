@@ -29,9 +29,12 @@ from algindep.independence import (
     decide_subalgebra_independence,
 )
 from algindep.morphisms import (
+    HOM_CLASS_AUTO,
     HOM_CLASSES,
     Homomorphism,
+    enumerate_endos,
     enumerate_homs,
+    find_isomorphism,
     is_homomorphism,
     joint_extension,
     kernel,
@@ -42,6 +45,7 @@ from oracles import (
     brute_close,
     brute_congruences,
     brute_homs,
+    brute_isomorphisms,
     brute_pair_closure,
     reference_congruence_independence,
     reference_subalgebra_independence,
@@ -332,8 +336,6 @@ def test_joint_extension_agrees_with_exhaustive_search(structure, data):
 @given(digraphs(max_size=4))
 @settings(max_examples=25, deadline=None)
 def test_automorphism_class_matches_permutation_filter(g):
-    from algindep.morphisms import HOM_CLASS_AUTO, enumerate_endos
-
     mine = sorted(h.mapping for h in enumerate_endos(g, "weak", HOM_CLASS_AUTO))
     brute = []
     for perm in itertools.permutations(range(g.size)):
@@ -345,6 +347,44 @@ def test_automorphism_class_matches_permutation_filter(g):
         ):
             brute.append(perm)
     assert mine == sorted(brute)
+
+
+def _inverse(mapping):
+    inv = [0] * len(mapping)
+    for x, y in enumerate(mapping):
+        inv[y] = x
+    return tuple(inv)
+
+
+small_structures = st.one_of(
+    algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES), digraphs(max_size=5)
+)
+
+
+@given(small_structures)
+@settings(max_examples=40, deadline=None)
+def test_automorphism_stream_is_the_filtered_endomorphism_stream(structure):
+    # the searched automorphism class equals, in order, the endomorphism
+    # stream filtered to bijections whose inverse respects the mode
+    for mode in ("weak", "strong"):
+        searched = [h.mapping for h in enumerate_endos(structure, mode, HOM_CLASS_AUTO)]
+        filtered = [
+            h.mapping
+            for h in enumerate_homs(structure, structure, mode)
+            if h.is_bijective()
+            and is_homomorphism(structure, structure, _inverse(h.mapping), mode)
+        ]
+        assert searched == filtered
+
+
+@given(small_structures, st.data())
+@settings(max_examples=40, deadline=None)
+def test_find_isomorphism_onto_a_relabelled_copy_is_an_isomorphism(structure, data):
+    perm = data.draw(st.permutations(range(structure.size)))
+    moved = relabel(structure, perm)
+    h = find_isomorphism(structure, moved)
+    assert h is not None
+    assert h.mapping in brute_isomorphisms(structure, moved)
 
 
 @given(st.integers(0, 10**6))

@@ -134,6 +134,17 @@ def test_boolean_coproduct_size_guard():
         coproduct(CategoryTag("boolean_algebra"), ba32, ba32)
 
 
+def test_boolean_coproduct_bound_is_a_module_constant(monkeypatch):
+    from algindep import zoo
+
+    ba2, ba4 = powerset_boolean_algebra(1), powerset_boolean_algebra(2)
+    monkeypatch.setattr(zoo, "MAX_BOOLEAN_COPRODUCT", 8)
+    cop, _, _ = coproduct(CategoryTag("boolean_algebra"), ba2, ba4)
+    assert cop.size == 4
+    with pytest.raises(SizeLimitExceeded, match="MAX_BOOLEAN_COPRODUCT = 8"):
+        coproduct(CategoryTag("boolean_algebra"), ba4, ba4)
+
+
 def test_boolean_coproduct_beyond_the_family_cap():
     ba8 = powerset_boolean_algebra(3)
     ba4 = powerset_boolean_algebra(2)
@@ -239,6 +250,22 @@ def test_verify_coproduct_property_rejects_wrong_object():
     assert not verify_coproduct_property(
         CategoryTag("abelian_group"), z2, z2, z4, e_a, e_b, [cyclic_group(2)]
     )
+
+
+def test_verify_coproduct_property_rejects_non_unique_mediating_maps():
+    from algindep.morphisms import Homomorphism
+    from algindep.zoo import verify_coproduct_property
+
+    # two points embedded at 0 and 1 of a three-element set: every pair of
+    # maps into a two-element set has two mediating maps, one per image of 2
+    x = y = empty_sig_set(1)
+    cop = empty_sig_set(3)
+    e_a = Homomorphism(x, cop, (0,), "strong")
+    e_b = Homomorphism(y, cop, (1,), "strong")
+    tag = CategoryTag("set")
+    assert not verify_coproduct_property(tag, x, y, cop, e_a, e_b, [empty_sig_set(2)])
+    # a one-element target leaves one mediating map per pair
+    assert verify_coproduct_property(tag, x, y, cop, e_a, e_b, [empty_sig_set(1)])
 
 
 def test_verify_coproduct_property_abelian():
