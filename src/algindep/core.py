@@ -126,11 +126,13 @@ def validate(structure: FiniteStructure) -> list[str]:
         return diags
     for i, (name, ar) in enumerate(structure.sig.op_symbols):
         table = structure.op_tables[i]
-        want = n**ar
-        if len(table) != want:
+        # n**ar > len(table) once n >= 2 and ar exceeds the bit length of
+        # len(table), so a huge arity is refused without building the power
+        fits = n < 2 or ar <= len(table).bit_length()
+        if not fits or len(table) != n**ar:
             diags.append(
                 f"operation {name!r}: non-total table "
-                f"(expected {want} entries, got {len(table)})"
+                f"(expected {n}**{ar} entries, got {len(table)})"
             )
             continue
         for j, v in enumerate(table):

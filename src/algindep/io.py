@@ -135,6 +135,8 @@ def load_structure(path) -> tuple[FiniteStructure, str]:
         raise StructureParseError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer with too many digits to convert
+        raise StructureParseError(str(exc).split(";")[0]) from None
     return structure_from_dict(doc)
 
 

@@ -8,11 +8,13 @@ isomorphisms and maps pinned on given elements.  It backtracks over a
 greedy generating set of the domain, propagating forced images through the
 operation tables with the closure kernel of ``generation``
 (``_propagate``), so every stream is deterministic: lexicographic in
-(generator index, image value).  Pinned pairs are imaged at the root, and a
-generator they already image is skipped.  A bijective search also prunes
-partial maps that are not injective or that change an element's refined
-color; automorphisms and isomorphisms come from it in the order of the
-unpruned stream.
+(generator index, image value).  Propagation and one relation check
+(``_relation_violation``) prune every partial map, so a completed map is
+yielded without being checked again.  Pinned pairs are imaged at the root,
+and a generator they already image is skipped.  A bijective search also
+prunes partial maps that are not injective or that change an element's
+refined color; automorphisms and isomorphisms come from it in the order of
+the unpruned stream.
 
 Joint extensions are decided by term evaluation: every element of the join
 of A and B is a term in the elements of A u B, so the images of alpha and
@@ -62,14 +64,6 @@ class Homomorphism:
     def is_bijective(self) -> bool:
         return self.dom.size == self.cod.size and len(set(self.mapping)) == self.dom.size
 
-    def inverse(self) -> "Homomorphism":
-        if not self.is_bijective():
-            raise InputError("only bijective homomorphisms have an inverse")
-        inv = [0] * self.cod.size
-        for x, y in enumerate(self.mapping):
-            inv[y] = x
-        return Homomorphism(self.cod, self.dom, tuple(inv), self.mode)
-
 
 def is_homomorphism(
     dom: FiniteStructure,
@@ -110,31 +104,39 @@ def _seed_constants(dom, cod, state):
     return _propagate(dom, cod, state, ())
 
 
-def _rel_conflict(dom, cod, state: _PartialMap, mode: Mode):
-    """Check relation constraints on fully imaged tuples of a partial map.
+def _relation_violation(rels, images, mode: Mode):
+    """First relation violation among the tuples whose entries all have images.
 
-    Violations are permanent as the map grows, so pruning here is sound.
-    Arity > 2 reverse checks are deferred to the final full validation.
+    ``rels`` holds (name, arity, sorted domain tuples, domain tuple set,
+    codomain tuple set) per relation.  Per relation, the sorted domain tuples
+    are scanned for an image outside the codomain relation ("missing"); in
+    strong mode every other tuple over the imaged elements, in lexicographic
+    order, is then scanned for an image inside it ("extra").  A violation
+    stays one as a partial map grows, so the search prunes on it; on a total
+    map the scan names a refusal's witness.
     """
-    images = state.images
-    for i, (name, ar) in enumerate(dom.sig.rel_symbols):
-        dr, cr = dom.rel_tables[i], cod.rel_tables[i]
-        for t in dr:
-            out = []
+    imaged = None
+    for name, ar, ordered, dom_tuples, cod_tuples in rels:
+        for t in ordered:
+            image = []
             for v in t:
                 iv = images[v]
                 if iv is None:
                     break
-                out.append(iv)
+                image.append(iv)
             else:
-                if tuple(out) not in cr:
-                    return (name, t, tuple(out), "missing")
-        if mode == "strong" and ar == 2:
-            for u in state.imaged:
-                fu = images[u]
-                for v in state.imaged:
-                    if (u, v) not in dr and (fu, images[v]) in cr:
-                        return (name, (u, v), (fu, images[v]), "extra")
+                image = tuple(image)
+                if image not in cod_tuples:
+                    return (name, t, image, "missing")
+        if mode == "strong":
+            if imaged is None:
+                imaged = [u for u, iv in enumerate(images) if iv is not None]
+            for t in itertools.product(imaged, repeat=ar):
+                if t in dom_tuples:
+                    continue
+                image = tuple(images[v] for v in t)
+                if image in cod_tuples:
+                    return (name, t, image, "extra")
     return None
 
 
@@ -174,12 +176,16 @@ def _search(
     The root maps the ``pinned`` (element, image) pairs and the constants and
     propagates their forced images; each level of the greedy generating
     sequence then tries every image of its generator in increasing order,
-    unless the generator is already imaged.  Operation and relation
-    constraints are checked incrementally, and each completed map is fully
-    re-validated before being yielded.
+    unless the generator is already imaged.  Every propagation is followed
+    by the relation check on the tuples whose entries all have images.  A
+    completed map is yielded as it stands: propagation has met every
+    argument tuple against every operation table, and the relation check
+    has seen every tuple.
 
-    With ``bijective`` only isomorphisms are yielded: bijections whose
-    inverse also respects the mode.  Refined colors are an isomorphism
+    With ``bijective`` only isomorphisms are yielded.  The root refuses
+    unequal sizes or relation tuple counts; with equal counts a bijection
+    that sends each relation into its counterpart sends it onto it, so its
+    inverse respects the mode too.  Refined colors are an isomorphism
     invariant, so partial maps that are not injective or that change an
     element's color are pruned.  Pruning removes no result, so a bijective
     stream is the other stream filtered, in the same order.
@@ -188,13 +194,19 @@ def _search(
         raise InputError("homomorphisms require structures of the same signature")
     if mode not in ("weak", "strong"):
         raise InputError(f"unknown mode {mode!r}")
+    rels = [
+        (name, ar, sorted(tuples), tuples, cod_tuples)
+        for (name, ar, tuples), cod_tuples in zip(dom.rel_views(), cod.rel_tables)
+    ]
     root = _PartialMap(dom.size)
     if _propagate(dom, cod, root, pinned) is not None:
         return
-    if _rel_conflict(dom, cod, root, mode) is not None:
+    if _relation_violation(rels, root.images, mode) is not None:
         return
     if bijective:
-        if dom.size != cod.size:
+        if dom.size != cod.size or any(
+            len(r) != len(s) for r, s in zip(dom.rel_tables, cod.rel_tables)
+        ):
             return
         cx = _refine_colors(dom)
         cy = cx if cod == dom else _refine_colors(cod)
@@ -204,11 +216,7 @@ def _search(
 
     def rec(level: int, state: _PartialMap) -> Iterator[Homomorphism]:
         if level == len(gens):
-            mapping = tuple(state.images)
-            if is_homomorphism(dom, cod, mapping, mode):
-                h = Homomorphism(dom, cod, mapping, mode)
-                if not bijective or is_homomorphism(cod, dom, h.inverse().mapping, mode):
-                    yield h
+            yield Homomorphism(dom, cod, tuple(state.images), mode)
             return
         g = gens[level]
         if state.images[g] is not None:
@@ -224,7 +232,7 @@ def _search(
             st = state.copy()
             if _propagate(dom, cod, st, [(g, v)]) is not None:
                 continue
-            if _rel_conflict(dom, cod, st, mode) is not None:
+            if _relation_violation(rels, st.images, mode) is not None:
                 continue
             if bijective and _breaks_bijection(st, start, used, cx, cy):
                 continue
@@ -354,7 +362,7 @@ class _JointContext:
         self.rel_arrays = []
         for name, ar, tuples in self.jstruct.rel_views():
             ordered = sorted(tuples)
-            self.rels.append((name, ar, tuples, ordered))
+            self.rels.append((name, ar, ordered, tuples, tuples))
             listed = np.array(ordered, dtype=np.intp).reshape(-1, ar)
             mask = np.zeros((m,) * ar, dtype=bool)
             mask[tuple(listed.T)] = True
@@ -421,9 +429,7 @@ class _JointContext:
             x, y1, y2 = conflict
             return ExtensionRefusal("not-functional", (emb[x], emb[y1], emb[y2]))
         if None not in state.images:
-            violation = _relation_violation(
-                self.rels, self.jstruct.size, state.images, self.mode
-            )
+            violation = _relation_violation(self.rels, state.images, self.mode)
             if violation is not None:
                 name, t, image, direction = violation
                 return ExtensionRefusal(
@@ -439,26 +445,6 @@ class _JointContext:
             "invariant broken: the compiled check refused a pair that "
             "propagation extends"
         )
-
-
-def _relation_violation(rels, size: int, mapping, mode: Mode):
-    """First relation violation of a total endomap, scanned deterministically.
-
-    ``rels`` holds (name, arity, tuple set, sorted tuples) per relation.
-    """
-    for name, ar, tuples, ordered in rels:
-        for t in ordered:
-            image = tuple(mapping[v] for v in t)
-            if image not in tuples:
-                return (name, t, image, "missing")
-        if mode == "strong":
-            for t in itertools.product(range(size), repeat=ar):
-                if t in tuples:
-                    continue
-                image = tuple(mapping[v] for v in t)
-                if image in tuples:
-                    return (name, t, image, "extra")
-    return None
 
 
 def joint_extension(
@@ -554,13 +540,11 @@ def find_isomorphism(
 ) -> Optional[Homomorphism]:
     """A bijective strong homomorphism with strong inverse, or None.
 
-    After cheap signature, size and relation-count checks, this is the first
-    result of the bijective homomorphism search in strong mode, which prunes
-    by injectivity and by iterated op/degree color refinement.
+    For structures of one signature this is the first result of the
+    bijective homomorphism search in strong mode, which refuses unequal
+    sizes and relation tuple counts at its root and prunes by injectivity
+    and by iterated op/degree color refinement.
     """
-    if x.sig != y.sig or x.size != y.size:
+    if x.sig != y.sig:
         return None
-    for i in range(len(x.sig.rel_symbols)):
-        if len(x.rel_tables[i]) != len(y.rel_tables[i]):
-            return None
     return next(_search(x, y, "strong", bijective=True), None)

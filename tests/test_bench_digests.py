@@ -1,0 +1,52 @@
+"""The seed-0 outputs of every benchmark workload match bench/expected.json.
+
+One pass of each workload runs in a subprocess through ``bench/workloads.py``,
+because ``fresh_library`` re-imports ``algindep`` and would otherwise split
+class identity inside this test session.  The benchmark files are only read.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+ONE_PASS = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from workloads import PASSES, WORKLOADS, Jobs, check, fresh_library, set_up
+
+report = {}
+for workload in WORKLOADS:
+    lib = fresh_library()
+    with tempfile.TemporaryDirectory() as tmp:
+        parents = set_up(lib, workload, 0, Path(tmp))
+        jobs = Jobs()
+        outcomes = check(workload, PASSES[workload](lib, parents, jobs))
+    report[workload] = {
+        "raised": jobs.raised,
+        "problems": {o.name: o.problems for o in outcomes if o.problems},
+        "digests": {o.name: o.digest for o in outcomes},
+    }
+print(json.dumps(report))
+"""
+
+
+def test_seed_0_pass_of_every_workload_matches_recorded_digests():
+    run = subprocess.run(
+        [sys.executable, "-c", ONE_PASS, str(BENCH)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout.splitlines()[-1])
+    recorded = json.loads((BENCH / "expected.json").read_text())["digests"]
+    assert sorted(report) == sorted(recorded)
+    for workload, outcome in report.items():
+        assert outcome["raised"] == 0, workload
+        assert outcome["problems"] == {}, workload
+        assert outcome["digests"] == recorded[workload], workload

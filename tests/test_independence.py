@@ -266,31 +266,46 @@ def _alternating_4():
     return induced_substructure(s4, SubUniverse(s4, even))[0]
 
 
+def _digraph_5():
+    """A loop, a 2-cycle and a path through it, and a separate edge."""
+    return graph(5, [(0, 0), (0, 1), (1, 2), (2, 1), (3, 4)])
+
+
 # sha256 of every verdict record.  The closure kernel's visit order decides
-# which collision becomes the witness, and the homomorphism search's order
-# decides which pair fails first, so a change of either order shows here.
+# which collision becomes the witness, the homomorphism search's order
+# decides which pair fails first, and the relation scan's order decides
+# which tuple names a relation refusal, so a change of any order shows here.
 @pytest.mark.parametrize(
-    "parent, hom_class, digest",
+    "parent, hom_class, mode, digest",
     [
-        (symmetric_group(4), HOM_CLASS_ALL, "e0e8411ef001399f4e307ad41b6349e8635337ee9434401f9ca2810d825613aa"),
-        (dihedral_group(6), HOM_CLASS_ALL, "2db5af1e03e374c6d0360c0d55b4f6f370b45babbf322cf72be65ff354b57263"),
-        (_alternating_4(), HOM_CLASS_ALL, "0236c97029d8c293f1d5e454369804f63a6b1b5ff12bb1a2c6e8ff59c181ce4c"),
-        (powerset_boolean_algebra(4), HOM_CLASS_ALL, "c019b2ad1439fb6c5d55c348efd58c97d01f4f5627aac6b2bcdfb5659de34385"),
-        (symmetric_group(4), HOM_CLASS_AUTO, "ab49718583af615a834e966070c0878e5c8831c43d2ab8aa5ff81abe6cbaca69"),
-        (dihedral_group(6), HOM_CLASS_AUTO, "e205e6f51ffc6b54b69f48d3d3dc043e1f8bcd0f595f50ffaa7dfa1364f393ae"),
-        (_alternating_4(), HOM_CLASS_AUTO, "de385fce59c66dfafd9ebd175ad6fc5a8e4ba75630466299ad7c56608de04346"),
-        (powerset_boolean_algebra(4), HOM_CLASS_AUTO, "4840384aae0e20c5b15aa069abc719301dd24a41124a2e36988d9470370d6bc9"),
+        (symmetric_group(4), HOM_CLASS_ALL, "weak", "e0e8411ef001399f4e307ad41b6349e8635337ee9434401f9ca2810d825613aa"),
+        (dihedral_group(6), HOM_CLASS_ALL, "weak", "2db5af1e03e374c6d0360c0d55b4f6f370b45babbf322cf72be65ff354b57263"),
+        (_alternating_4(), HOM_CLASS_ALL, "weak", "0236c97029d8c293f1d5e454369804f63a6b1b5ff12bb1a2c6e8ff59c181ce4c"),
+        (powerset_boolean_algebra(4), HOM_CLASS_ALL, "weak", "c019b2ad1439fb6c5d55c348efd58c97d01f4f5627aac6b2bcdfb5659de34385"),
+        (symmetric_group(4), HOM_CLASS_AUTO, "weak", "ab49718583af615a834e966070c0878e5c8831c43d2ab8aa5ff81abe6cbaca69"),
+        (dihedral_group(6), HOM_CLASS_AUTO, "weak", "e205e6f51ffc6b54b69f48d3d3dc043e1f8bcd0f595f50ffaa7dfa1364f393ae"),
+        (_alternating_4(), HOM_CLASS_AUTO, "weak", "de385fce59c66dfafd9ebd175ad6fc5a8e4ba75630466299ad7c56608de04346"),
+        (powerset_boolean_algebra(4), HOM_CLASS_AUTO, "weak", "4840384aae0e20c5b15aa069abc719301dd24a41124a2e36988d9470370d6bc9"),
+        # 174 "missing" refusals in weak mode; 102 "missing" and 64 "extra"
+        # in strong mode, over 961 pairs
+        (_digraph_5(), HOM_CLASS_ALL, "weak", "fd9442c0bb9ac48ea88d3bbdb2d72a1b42e6db7650912c349333a7e56597aee5"),
+        (_digraph_5(), HOM_CLASS_ALL, "strong", "e00af309253e7f773d79539133c1c8c34c1abed92ca927f8b44537ddf4df1400"),
     ],
-    ids=["S4", "D6", "A4", "BA4", "S4-auto", "D6-auto", "A4-auto", "BA4-auto"],
+    ids=[
+        "S4", "D6", "A4", "BA4", "S4-auto", "D6-auto", "A4-auto", "BA4-auto",
+        "digraph5-weak", "digraph5-strong",
+    ],
 )
-def test_subalgebra_witnesses_are_pinned(parent, hom_class, digest):
+def test_subalgebra_witnesses_are_pinned(parent, hom_class, mode, digest):
     # every ordered subuniverse pair: verdict, witness and pairs_examined
     subs = all_subuniverses(parent)
     records = [
         [
             a.members,
             b.members,
-            dataclasses.asdict(decide_subalgebra_independence(parent, a, b, hom_class)),
+            dataclasses.asdict(
+                decide_subalgebra_independence(parent, a, b, hom_class, mode)
+            ),
         ]
         for a in subs
         for b in subs

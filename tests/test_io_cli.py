@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algindep.cli import main
 from algindep.io import (
@@ -96,6 +97,110 @@ def test_cli_rejects_bool_size_with_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["decide-cong", "-s", str(path), "--a", "0", "--b", "0"]) == 2
     assert "size: expected int, got bool" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "size, arity", [(2, 100000), (3, 10**9)], ids=["size2-arity1e5", "size3-arity1e9"]
+)
+def test_cli_huge_arity_exits_2_without_building_the_power(
+    tmp_path, capsys, size, arity
+):
+    doc = {
+        "name": "huge",
+        "size": size,
+        "ops": [{"name": "f", "arity": arity, "table": list(range(size))}],
+        "rels": [],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["decide-sub", "-s", str(path), "--a", "0", "--b", "0"]) == 2
+    err = capsys.readouterr().err
+    assert f"non-total table (expected {size}**{arity} entries, got {size})" in err
+
+
+def test_cli_integer_with_too_many_digits_exits_2(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"name": "x", "size": ' + "7" * 5000 + ', "ops": [], "rels": []}')
+    assert main(["decide-sub", "-s", str(path), "--a", "0", "--b", "0"]) == 2
+    assert "value has 5000 digits" in capsys.readouterr().err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(value, path=()):
+    """Every position inside a JSON document, the root included."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, inner in items:
+        yield from _paths(inner, path + (key,))
+
+
+@st.composite
+def documents(draw):
+    """A structure document, mostly well formed, with up to three positions
+    replaced by arbitrary JSON or deleted; arities reach far past any table."""
+    size = draw(st.integers(0, 3))
+    entries = st.integers(-1, max(size, 0))
+
+    def symbols(table_key, names):
+        out = []
+        for name in draw(st.lists(st.sampled_from(names), max_size=2, unique=True)):
+            arity = draw(st.integers(-1, 3) | st.integers(4, 10**12))
+            if table_key == "table":
+                cells = size**arity if 0 <= arity <= 3 and size >= 0 else 2
+                value = draw(st.lists(entries, min_size=cells, max_size=cells))
+            else:
+                width = arity if 0 <= arity <= 3 else 2
+                value = draw(
+                    st.lists(st.lists(entries, min_size=width, max_size=width), max_size=3)
+                )
+            out.append({"name": name, "arity": arity, table_key: value})
+        return out
+
+    doc = {
+        "name": "x",
+        "size": size,
+        "ops": symbols("table", "fg"),
+        "rels": symbols("tuples", "rs"),
+    }
+    if draw(st.booleans()):
+        doc["labels"] = [str(x) for x in range(size)]
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            return draw(json_values)
+        *head, key = path
+        holder = doc
+        for step in head:
+            holder = holder[step]
+        if isinstance(holder, dict) and draw(st.booleans()):
+            del holder[key]
+        else:
+            holder[key] = draw(json_values)
+    return doc
+
+
+@given(documents())
+@settings(max_examples=300, deadline=None)
+def test_structure_from_dict_parses_or_raises_parse_error(doc):
+    try:
+        structure, name = structure_from_dict(doc)
+    except StructureParseError:
+        return
+    # the serialized form parses back to the same document
+    canonical = structure_to_dict(structure, name)
+    assert structure_to_dict(*structure_from_dict(canonical)) == canonical
 
 
 def test_parse_error_reports_line(tmp_path):

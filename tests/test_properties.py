@@ -47,6 +47,7 @@ from oracles import (
     brute_homs,
     brute_isomorphisms,
     brute_pair_closure,
+    is_map_homomorphism,
     reference_congruence_independence,
     reference_subalgebra_independence,
     relabel,
@@ -90,6 +91,41 @@ def digraphs(draw, max_size=5):
         )
     )
     return graph(n, sorted(edges))
+
+
+# zero or one operation beside relations of arity 1, 2 and 3
+MIXED_OPS = [(), (0,), (1,), (2,)]
+MIXED_RELS = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+
+
+def _mixed_structure(draw, sig, n):
+    tables = tuple(
+        tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**ar, max_size=n**ar)))
+        for _, ar in sig.op_symbols
+    )
+    rels = tuple(
+        frozenset(
+            draw(st.sets(st.tuples(*[st.integers(0, n - 1)] * ar), max_size=n**ar))
+        )
+        for _, ar in sig.rel_symbols
+    )
+    return FiniteStructure(sig, n, tables, rels)
+
+
+@st.composite
+def mixed_structure_pairs(draw, max_size=4):
+    """Two structures of one signature that mixes zero or one operation with
+    unary, binary and ternary relations."""
+    ops = tuple((f"f{i}", ar) for i, ar in enumerate(draw(st.sampled_from(MIXED_OPS))))
+    rels = tuple((f"r{ar}", ar) for ar in draw(st.sampled_from(MIXED_RELS)))
+    sig = Signature(ops, rels)
+    sizes = st.integers(1, max_size)
+    return _mixed_structure(draw, sig, draw(sizes)), _mixed_structure(draw, sig, draw(sizes))
+
+
+@st.composite
+def mixed_structures(draw, max_size=4):
+    return draw(mixed_structure_pairs(max_size=max_size))[0]
 
 
 @given(algebras_with_seed(max_size=8))
@@ -218,12 +254,14 @@ def test_hom_enumeration_matches_map_filter(structure):
     assert mine == brute_homs(structure, structure)
 
 
-@given(digraphs(max_size=4), digraphs(max_size=3))
-@settings(max_examples=25, deadline=None)
-def test_graph_hom_enumeration_matches_map_filter(g, h):
+@given(st.tuples(digraphs(max_size=4), digraphs(max_size=3)) | mixed_structure_pairs())
+@settings(max_examples=80, deadline=None)
+def test_graph_hom_enumeration_matches_map_filter(pair):
+    g, h = pair
     for mode in ("weak", "strong"):
-        mine = sorted(x.mapping for x in enumerate_homs(g, h, mode))
-        assert mine == brute_homs(g, h, mode)
+        for dom, cod in ((g, h), (g, g)):
+            mine = sorted(x.mapping for x in enumerate_homs(dom, cod, mode))
+            assert mine == brute_homs(dom, cod, mode)
 
 
 @given(algebras(max_size=5))
@@ -333,22 +371,6 @@ def test_joint_extension_agrees_with_exhaustive_search(structure, data):
                 assert extensions == []
 
 
-@given(digraphs(max_size=4))
-@settings(max_examples=25, deadline=None)
-def test_automorphism_class_matches_permutation_filter(g):
-    mine = sorted(h.mapping for h in enumerate_endos(g, "weak", HOM_CLASS_AUTO))
-    brute = []
-    for perm in itertools.permutations(range(g.size)):
-        inv = [0] * g.size
-        for i, v in enumerate(perm):
-            inv[v] = i
-        if is_homomorphism(g, g, perm, "weak") and is_homomorphism(
-            g, g, tuple(inv), "weak"
-        ):
-            brute.append(perm)
-    assert mine == sorted(brute)
-
-
 def _inverse(mapping):
     inv = [0] * len(mapping)
     for x, y in enumerate(mapping):
@@ -356,8 +378,24 @@ def _inverse(mapping):
     return tuple(inv)
 
 
+@given(digraphs(max_size=4) | mixed_structures())
+@settings(max_examples=60, deadline=None)
+def test_automorphism_class_matches_permutation_filter(g):
+    for mode in ("weak", "strong"):
+        mine = [h.mapping for h in enumerate_endos(g, mode, HOM_CLASS_AUTO)]
+        brute = [
+            perm
+            for perm in itertools.permutations(range(g.size))
+            if is_map_homomorphism(g, g, perm, mode)
+            and is_map_homomorphism(g, g, _inverse(perm), mode)
+        ]
+        assert sorted(mine) == brute
+
+
 small_structures = st.one_of(
-    algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES), digraphs(max_size=5)
+    algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES),
+    digraphs(max_size=5),
+    mixed_structures(),
 )
 
 
@@ -404,14 +442,22 @@ def test_congruence_canonicalization_roundtrip(seed):
 @st.composite
 def subalgebra_instances(draw):
     """(parent, A members, B members, mode, hom class): an algebra drawn with
-    constants or a ternary operation, or a digraph in either mode."""
-    if draw(st.booleans()):
-        parent = draw(algebras(max_size=4, shapes=SHAPES + WIDE_SHAPES))
+    constants or a ternary operation, a digraph in either mode, or a
+    structure that mixes relations of arity 1 to 3 with zero or one
+    operation, in either mode."""
+    kind = draw(st.sampled_from(["algebra", "digraph", "mixed"]))
+    if kind != "digraph":
+        if kind == "algebra":
+            parent = draw(algebras(max_size=4, shapes=SHAPES + WIDE_SHAPES))
+            mode = "weak"
+        else:
+            # three elements a side keep End(A) x End(B) small
+            parent = draw(mixed_structures(max_size=3))
+            mode = draw(st.sampled_from(["weak", "strong"]))
         subs = all_subuniverses(parent)
         assume(subs)
         a = draw(st.sampled_from(subs)).members
         b = draw(st.sampled_from(subs)).members
-        mode = "weak"
     else:
         parent = draw(digraphs(max_size=5))
         # at most three vertices a side keeps End(A) x End(B) small
@@ -428,7 +474,7 @@ def _decide(parent, a, b, mode, hom_class):
 
 
 @given(subalgebra_instances())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_subalgebra_decider_matches_per_pair_propagation_reference(instance):
     parent, a, b, mode, hom_class = instance
     expected = reference_subalgebra_independence(
