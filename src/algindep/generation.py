@@ -8,10 +8,17 @@ X x X, and the homomorphism search of ``morphisms`` on maps between two
 structures, where a collision (one element forced onto two images) refuses
 the map.  Each newly imaged element is combined with everything imaged so far
 against every operation table, so the cost of a step is proportional to the
-number of new elements times the table sizes.  The kernel's visit order fixes
+number of new elements times the table sizes.  A closure can resume from a
+closed base: its elements start out imaged and already met, so only argument
+tuples with a new element are visited.  The kernel's visit order fixes
 which collision is found first, and so which witness a refused joint
 extension reports: the order is part of the output, not an implementation
 detail.
+
+Subuniverse lattices are built by cyclic extension (Neubuser 1960, the method
+of GAP's ``LatticeSubgroups``, here for arbitrary algebras): every subuniverse
+is extended by one representative of each distinct 1-generated subuniverse
+<x>, with the closure resumed from the subuniverse as its base.
 
 Congruences use one more fact: Con(A) is a sublattice of the partition
 lattice Eq(A).  The join of two congruences is the join of their partitions,
@@ -198,15 +205,29 @@ def _propagate(dom, cod, state: _PartialMap, new_pairs, nodes=None):
 
 
 def close(
-    structure: FiniteStructure, seed: Iterable[int]
+    structure: FiniteStructure,
+    seed: Iterable[int],
+    *,
+    base: Optional[SubUniverse] = None,
 ) -> tuple[SubUniverse, WitnessDag]:
-    """Smallest subuniverse containing the seed (and all constants).
+    """Smallest subuniverse containing the seed, all constants and ``base``.
 
-    The witness DAG records one derivation per element; evaluating it with the
+    With a ``base`` the kernel resumes from it instead of from nothing:
+    ``base`` is closed, so every argument tuple inside it has been met, and
+    only the tuples that involve a new element are visited.  The witness DAG
+    lists the base's elements as generators, then the seed elements outside
+    it, then one derivation per derived element; evaluating it with the
     identity on generators reproduces the closure.
     """
     seed = sorted(set(_check_elements(structure, seed)))
     state, nodes = _PartialMap(structure.size), []
+    if base is not None:
+        if base.parent != structure:
+            raise InputError("close requires a base subuniverse of the same structure")
+        for e in base.members:
+            state.images[e] = e
+            nodes.append(DagNode(e, None, ()))
+        state.imaged.extend(base.members)
     _propagate(structure, structure, state, [(e, e) for e in seed], nodes)
     members = tuple(sorted(state.imaged))
     return SubUniverse._closed(structure, members), WitnessDag(tuple(nodes))
@@ -403,29 +424,32 @@ def all_congruences(structure: FiniteStructure, max_size: int = 12) -> list[Cong
 
 
 def all_subuniverses(structure: FiniteStructure) -> list[SubUniverse]:
-    """Every nonempty subuniverse, found by growing closures one generator at
-    a time.  Sorted by (size, members) for reproducible iteration."""
-    seen: set[tuple[int, ...]] = set()
-    frontier: list[tuple[int, ...]] = []
+    """Every nonempty subuniverse, by cyclic extension.  Sorted by (size,
+    members) for reproducible iteration.
 
-    def register(members: tuple[int, ...]):
-        if members and members not in seen:
-            seen.add(members)
-            frontier.append(members)
-
-    base, _ = close(structure, ())
-    register(base.members)
+    Each <x> is closed once, and the smallest x of each distinct <x> is its
+    representative.  Every subuniverse S found is extended by each
+    representative x outside it, closing from S as the base.  This is exact:
+    <x> = <x'> implies <S, x> = <S, x'>, so every subuniverse is reached by
+    adding representatives one at a time.
+    """
+    bottom, _ = close(structure, ())
+    found: dict[tuple[int, ...], SubUniverse] = {}
+    reps: list[int] = []
     for x in range(structure.size):
-        sub, _ = close(structure, (x,))
-        register(sub.members)
-    qi = 0
-    while qi < len(frontier):
-        current = frontier[qi]
-        qi += 1
-        inside = set(current)
-        for x in range(structure.size):
+        sub, _ = close(structure, (x,), base=bottom)
+        if found.setdefault(sub.members, sub) is sub:
+            reps.append(x)
+    # Only representatives inside S are skipped, never the other elements
+    # of <S, x>: for y in <S, x>, <S, y> can lie strictly between S and
+    # <S, x>, and skipping it is not exact (on S5 that rule found 111 of the
+    # 156 subgroups).
+    frontier = list(found.values())
+    for current in frontier:  # grows while it is scanned
+        inside = set(current.members)
+        for x in reps:
             if x not in inside:
-                sub, _ = close(structure, current + (x,))
-                register(sub.members)
-    ordered = sorted(seen, key=lambda m: (len(m), m))
-    return [SubUniverse._closed(structure, m) for m in ordered]
+                sub, _ = close(structure, (x,), base=current)
+                if found.setdefault(sub.members, sub) is sub:
+                    frontier.append(sub)
+    return sorted(frontier, key=lambda s: (len(s.members), s.members))

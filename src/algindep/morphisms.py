@@ -149,18 +149,18 @@ def generating_sequence(structure: FiniteStructure) -> tuple[int, ...]:
     """Greedy generating set: repeatedly add the element whose closure grows
     the current one the most (smallest index on ties)."""
     current, _ = close(structure, ())
-    have = set(current.members)
     gens: list[int] = []
-    while len(have) < structure.size:
+    while len(current.members) < structure.size:
+        have = set(current.members)
         best_x, best = -1, None
         for x in range(structure.size):
             if x in have:
                 continue
-            sub, _ = close(structure, sorted(have | {x}))
-            if best is None or len(sub.members) > len(best):
-                best_x, best = x, sub.members
+            sub, _ = close(structure, (x,), base=current)
+            if best is None or len(sub.members) > len(best.members):
+                best_x, best = x, sub
         gens.append(best_x)
-        have = set(best)
+        current = best
     return tuple(gens)
 
 
@@ -350,6 +350,16 @@ class _JointContext:
         if len(covered) != m:
             raise RuntimeError("invariant broken: A and B do not generate their join")
         self.constants = self.jstruct.constants()
+        self.rels = [
+            (name, ar, sorted(tuples), tuples, tuples)
+            for name, ar, tuples in self.jstruct.rel_views()
+        ]
+        # numpy allows 64 axes: a join with an arity of 64 or more is checked
+        # by ``is_homomorphism`` instead
+        sig = self.jstruct.sig
+        self.compiled = all(ar < 64 for _, ar in sig.op_symbols + sig.rel_symbols)
+        if not self.compiled:
+            return
         by_arity: dict[int, list] = {}
         for _, ar, table in self.jstruct.op_views():
             if ar > 0:
@@ -358,11 +368,8 @@ class _JointContext:
             (np.array(tables, dtype=np.intp).reshape((-1,) + (m,) * ar), _axes(ar))
             for ar, tables in sorted(by_arity.items())
         ]
-        self.rels = []
         self.rel_arrays = []
-        for name, ar, tuples in self.jstruct.rel_views():
-            ordered = sorted(tuples)
-            self.rels.append((name, ar, ordered, tuples, tuples))
+        for name, ar, ordered, _, _ in self.rels:
             listed = np.array(ordered, dtype=np.intp).reshape(-1, ar)
             mask = np.zeros((m,) * ar, dtype=bool)
             mask[tuple(listed.T)] = True
@@ -403,6 +410,8 @@ class _JointContext:
 
     def _is_endomorphism(self, g: list[int]) -> bool:
         """One gather-and-compare per operation arity, a mask per relation."""
+        if not self.compiled:
+            return is_homomorphism(self.jstruct, self.jstruct, tuple(g), self.mode)
         if any(g[c] != c for c in self.constants):
             return False
         ga = np.array(g, dtype=np.intp)

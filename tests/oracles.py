@@ -33,6 +33,17 @@ def brute_close(structure: FiniteStructure, seed) -> frozenset:
     return frozenset(members)
 
 
+def brute_subuniverses(structure: FiniteStructure) -> list[tuple[int, ...]]:
+    """Every nonempty subset its brute closure leaves unchanged, sorted by
+    (size, members)."""
+    return [
+        subset
+        for k in range(1, structure.size + 1)
+        for subset in itertools.combinations(range(structure.size), k)
+        if brute_close(structure, subset) == frozenset(subset)
+    ]
+
+
 def brute_pair_closure(structure: FiniteStructure, pairs) -> frozenset:
     found = set(pairs)
     for i, (name, ar) in enumerate(structure.sig.op_symbols):

@@ -96,6 +96,11 @@ def test_join_rejects_foreign_subuniverse():
         join(z6, SubUniverse(z4, (0, 2)), SubUniverse(z6, (0, 3)))
 
 
+def test_close_rejects_foreign_base():
+    with pytest.raises(InputError):
+        close(cyclic_group(6), [1], base=SubUniverse(cyclic_group(4), (0, 2)))
+
+
 def test_square_of_identity_pairs_is_diagonal_of_join():
     z6 = cyclic_group(6)
     square = generated_subuniverse_of_square(z6, [(3, 3), (2, 2)])

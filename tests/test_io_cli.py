@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algindep.cli import main
+from algindep.core import SubUniverse
 from algindep.io import (
     StructureParseError,
     canonical_json,
@@ -20,6 +21,8 @@ from algindep.zoo import (
     powerset_boolean_algebra,
     symmetric_group,
 )
+
+from oracles import reference_subalgebra_independence
 
 
 def run_cli(*args, cwd=None):
@@ -123,6 +126,33 @@ def test_cli_integer_with_too_many_digits_exits_2(tmp_path, capsys):
     path.write_text('{"name": "x", "size": ' + "7" * 5000 + ', "ops": [], "rels": []}')
     assert main(["decide-sub", "-s", str(path), "--a", "0", "--b", "0"]) == 2
     assert "value has 5000 digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, a, b",
+    [
+        ({"size": 1, "ops": [{"name": "f", "arity": 70, "table": [0]}], "rels": []},
+         "0", "0"),
+        ({"size": 2, "ops": [],
+          "rels": [{"name": "r", "arity": 70, "tuples": [[0] * 70, [1] * 70]}]},
+         "0", "0,1"),
+    ],
+    ids=["op-arity70", "rel-arity70"],
+)
+def test_cli_decides_arities_beyond_numpy_axes(tmp_path, capsys, doc, a, b):
+    structure, _ = structure_from_dict({"name": "wide", **doc})
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"name": "wide", **doc}))
+    expected = reference_subalgebra_independence(
+        structure,
+        SubUniverse(structure, map(int, a.split(","))),
+        SubUniverse(structure, map(int, b.split(","))),
+    )
+    code = main(["decide-sub", "-s", str(path), "--a", a, "--b", b, "--json"])
+    assert code == (0 if expected.independent else 1)
+    out = json.loads(capsys.readouterr().out)
+    assert out["verdict"] == expected.independent
+    assert out["stats"]["pairs_examined"] == expected.pairs_examined
 
 
 json_values = st.recursive(

@@ -47,6 +47,7 @@ from oracles import (
     brute_homs,
     brute_isomorphisms,
     brute_pair_closure,
+    brute_subuniverses,
     is_map_homomorphism,
     reference_congruence_independence,
     reference_subalgebra_independence,
@@ -168,13 +169,39 @@ def algebras_with_pairs(draw, max_size=4):
     return structure, draw(st.lists(pair, max_size=4))
 
 
-@given(algebras_with_seed(max_size=6, shapes=SHAPES + WIDE_SHAPES))
-@example((_late_argument_algebra(), [0]))
+@st.composite
+def algebras_with_seed_and_base(draw, max_size=6, shapes=SHAPES + WIDE_SHAPES):
+    """A structure, a seed, and no base or the closure of another subset."""
+    structure, seed = draw(algebras_with_seed(max_size=max_size, shapes=shapes))
+    other = draw(st.none() | st.sets(st.integers(0, structure.size - 1)))
+    return structure, seed, None if other is None else close(structure, other)[0]
+
+
+@given(algebras_with_seed_and_base())
+@example((_late_argument_algebra(), [0], None))
 @settings(max_examples=60, deadline=None)
 def test_close_matches_brute_closure(data):
-    structure, seed = data
-    closed, _ = close(structure, seed)
-    assert frozenset(closed.members) == brute_close(structure, seed)
+    structure, seed, base = data
+    closed, _ = close(structure, seed, base=base)
+    inside = () if base is None else base.members
+    assert frozenset(closed.members) == brute_close(structure, [*inside, *seed])
+
+
+def _between_algebra():
+    """f(2,1) = 3 and f(3,1) = 2, all else 0: <{0,2}, 1> is everything, and
+    <{0,2}, 3> = {0,2,3} lies strictly between."""
+    table = [0] * 16
+    table[9], table[13] = 3, 2
+    return FiniteStructure(Signature((("f", 2),)), 4, (tuple(table),), ())
+
+
+@given(algebras(max_size=6, shapes=SHAPES + WIDE_SHAPES) | mixed_structures())
+@example(_late_argument_algebra())
+@example(_between_algebra())
+@settings(max_examples=60, deadline=None)
+def test_all_subuniverses_matches_closed_subset_filter(structure):
+    subs = [sub.members for sub in all_subuniverses(structure)]
+    assert subs == brute_subuniverses(structure)
 
 
 @given(algebras_with_pairs())
@@ -186,19 +213,22 @@ def test_square_closure_matches_brute_pair_closure(data):
     assert generated_subuniverse_of_square(structure, pairs) == expected
 
 
-@given(algebras_with_seed(max_size=6, shapes=SHAPES + WIDE_SHAPES))
+@given(algebras_with_seed_and_base())
 @settings(max_examples=40, deadline=None)
 def test_witness_dag_identity_evaluation(data):
-    structure, seed = data
-    closed, dag = close(structure, seed)
-    values = dag.evaluate(structure, {e: e for e in seed})
+    structure, seed, base = data
+    closed, dag = close(structure, seed, base=base)
+    inside = () if base is None else base.members
+    gens = [*inside, *(e for e in seed if e not in inside)]
+    values = dag.evaluate(structure, {e: e for e in gens})
     assert set(values) == set(closed.members)
     assert all(values[e] == e for e in values)
-    # the seed alone is generators; constants are nullary-op nodes
-    assert [node.element for node in dag.generators()] == seed
+    # the base, then the seed outside it, are the generators; other
+    # constants are nullary-op nodes
+    assert [node.element for node in dag.generators()] == gens
     arity = dict(structure.sig.op_symbols)
     nullary = {node.element for node in dag.nodes if node.op and arity[node.op] == 0}
-    assert set(structure.constants()) - set(seed) <= nullary
+    assert set(structure.constants()) - set(gens) <= nullary
 
 
 @given(algebras(max_size=5), st.data())
