@@ -9,6 +9,8 @@ counterexample in a deterministic iteration order.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -18,7 +20,6 @@ from .core import (
     InputError,
     SizeLimitExceeded,
     SubUniverse,
-    induced_substructure,
 )
 from .generation import (
     all_congruences,
@@ -29,8 +30,10 @@ from .generation import (
 from .morphisms import (
     ExtensionRefusal,
     HOM_CLASS_ALL,
+    HOM_CLASSES,
     Homomorphism,
     Mode,
+    _induced,
     _JointContext,
     enumerate_endos,
     joint_extension,
@@ -81,25 +84,74 @@ class Verdict:
 
 
 class _CachedStream:
-    """Replayable view of a deterministic generator."""
+    """Replayable view of a deterministic generator, safe to share between
+    threads.
+
+    Each item is read from the generator once, under a lock, so every
+    iteration yields the same sequence.  A generator that raised is dead and
+    reports ``StopIteration`` from then on, which a replay would take for the
+    end of the stream; such a stream is marked ``broken`` instead, and an
+    iteration that reaches past the items read raises.
+    """
 
     def __init__(self, it: Iterator):
         self._it = it
         self._cache: list = []
+        self._lock = threading.Lock()
+        self.broken = False
 
     def __iter__(self):
         i = 0
-        while True:
-            if i < len(self._cache):
-                yield self._cache[i]
-            else:
-                try:
-                    item = next(self._it)
-                except StopIteration:
-                    return
-                self._cache.append(item)
-                yield item
+        while i < len(self._cache) or self._read(i):
+            yield self._cache[i]
             i += 1
+
+    def _read(self, i: int) -> bool:
+        """Make item ``i`` available; False at the end of the stream."""
+        with self._lock:
+            if i < len(self._cache):  # another iteration read it
+                return True
+            if self.broken:
+                raise RuntimeError("the stream's generator raised; it is not replayed")
+            try:
+                self._cache.append(next(self._it))
+            except StopIteration:
+                return False
+            except BaseException:
+                self.broken = True
+                raise
+            return True
+
+
+# Bound of the endomorphism stream memo, in (structure, mode, hom_class) keys.
+_ENDO_MEMO_SIZE = 256
+_endo_memo: OrderedDict = OrderedDict()
+_endo_memo_lock = threading.Lock()
+
+
+def _endos(structure: FiniteStructure, mode: Mode, hom_class: str) -> _CachedStream:
+    """The endomorphism stream of ``structure``, shared by every decision.
+
+    Keyed by the structure's value with ``mode`` and ``hom_class``: a stream
+    depends on nothing else, so subuniverses of any parent that induce equal
+    structures replay one stream.  The ``_ENDO_MEMO_SIZE`` most recently
+    used keys are kept; a broken stream is replaced, never replayed.
+    """
+    if mode not in ("weak", "strong"):
+        raise InputError(f"unknown mode {mode!r}")
+    if hom_class not in HOM_CLASSES:
+        raise InputError(f"unknown homomorphism class {hom_class!r}")
+    key = (structure, mode, hom_class)
+    with _endo_memo_lock:
+        stream = _endo_memo.get(key)
+        if stream is None or stream.broken:
+            stream = _endo_memo[key] = _CachedStream(
+                enumerate_endos(structure, mode, hom_class)
+            )
+        _endo_memo.move_to_end(key)
+        if len(_endo_memo) > _ENDO_MEMO_SIZE:
+            _endo_memo.popitem(last=False)
+    return stream
 
 
 def _graph_in_parent(hom: Homomorphism, embed) -> tuple[tuple[int, int], ...]:
@@ -121,13 +173,30 @@ def decide_subalgebra_independence(
     then costs one term evaluation along the join's derivation DAG and one
     vectorised endomorphism check, and only the refused pair runs the
     forced-image propagation that names the witness.
+
+    What depends on one subuniverse only is computed once per process and
+    replayed after that, in two private memos:
+
+    - the induced structure and embedding of A, B and the join, keyed by the
+      subuniverse (its parent by value, with the parent's labels) for the
+      1024 most recently used keys (``morphisms._INDUCED_MEMO_SIZE``);
+    - the endomorphism stream of an induced structure, keyed by the
+      structure's value with ``mode`` and ``hom_class``, for the 256 most
+      recently used keys (``_ENDO_MEMO_SIZE``).  A stream is read only as
+      far as a decision needs and kept as read, so End(A) is enumerated at
+      most once across all decisions whose sides induce equal structures.
+
+    A stream depends on its key alone, so verdicts, witnesses and
+    ``pairs_examined`` do not depend on the order of calls.  ``mode`` and
+    ``hom_class`` are checked before the memo is read, and a stream whose
+    enumeration raised is enumerated afresh, never replayed.
     """
     if a.parent != parent or b.parent != parent:
         raise InputError("subuniverses must belong to the given parent structure")
     ctx = _JointContext(parent, a, b, mode)
-    betas = _CachedStream(enumerate_endos(ctx.b_struct, mode, hom_class))
+    betas = _endos(ctx.b_struct, mode, hom_class)
     pairs = 0
-    for alpha in enumerate_endos(ctx.a_struct, mode, hom_class):
+    for alpha in _endos(ctx.a_struct, mode, hom_class):
         for beta in betas:
             pairs += 1
             result = ctx.extend(alpha, beta)
@@ -188,10 +257,10 @@ def decide_congruence_independence(
             f"join has {len(join_sub.members)} elements, over the congruence "
             f"lattice bound {max_size}"
         )
-    jstruct, jembed = induced_substructure(parent, join_sub)
+    jstruct, jembed = _induced(join_sub)
     pos = {e: i for i, e in enumerate(jembed)}
-    a_struct, a_embed = induced_substructure(parent, a)
-    b_struct, b_embed = induced_substructure(parent, b)
+    a_struct, a_embed = _induced(a)
+    b_struct, b_embed = _induced(b)
     cons_a = all_congruences(a_struct, max_size=max_size)
     cons_b = all_congruences(b_struct, max_size=max_size)
     at_a = [pos[e] for e in a_embed]  # join coordinates of A's elements

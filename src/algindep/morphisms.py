@@ -144,7 +144,6 @@ def _relation_violation(rels, images, mode: Mode):
 # enumeration
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=512)
 def generating_sequence(structure: FiniteStructure) -> tuple[int, ...]:
     """Greedy generating set: repeatedly add the element whose closure grows
     the current one the most (smallest index on ties)."""
@@ -305,13 +304,34 @@ def _axes(ar: int) -> list[tuple[int, ...]]:
     return [(-1,) + (1,) * (ar - 1 - p) for p in range(ar)]
 
 
+# Bound of the deciders' memo of induced substructures, in subuniverses.
+_INDUCED_MEMO_SIZE = 1024
+
+
+def _induced(sub: SubUniverse) -> tuple[FiniteStructure, tuple[int, ...]]:
+    """``induced_substructure(sub.parent, sub)``, memoized for the deciders.
+
+    Structures compare by value with their labels left out, so the parent's
+    labels are part of the key: the result is what ``induced_substructure``
+    returns, labels included.  The ``_INDUCED_MEMO_SIZE`` most recently used
+    keys are kept.
+    """
+    return _induced_memo(sub, sub.parent.labels)
+
+
+@lru_cache(maxsize=_INDUCED_MEMO_SIZE)
+def _induced_memo(sub: SubUniverse, labels) -> tuple[FiniteStructure, tuple[int, ...]]:
+    return induced_substructure(sub.parent, sub)
+
+
 class _JointContext:
     """Shared setup for repeated joint-extension tests on one (A, B) pair.
 
-    The join is compiled once: the join positions of A's and B's elements,
-    the applied nodes of the join's derivation DAG as (target, table, args)
-    steps in derivation order, and numpy operation tables and relation masks
-    for the endomorphism check.
+    The induced structures of A, B and the join come from the deciders'
+    memo (``_induced``).  The join is compiled once: the join positions of
+    A's and B's elements, the applied nodes of the join's derivation DAG as
+    (target, table, args) steps in derivation order, and numpy operation
+    tables and relation masks for the endomorphism check.
     """
 
     def __init__(self, parent, a: SubUniverse, b: SubUniverse, mode: Mode):
@@ -319,10 +339,10 @@ class _JointContext:
         self.mode = mode
         self.a, self.b = a, b
         self.join_sub, self.dag = join(parent, a, b)
-        self.jstruct, self.jembed = induced_substructure(parent, self.join_sub)
+        self.jstruct, self.jembed = _induced(self.join_sub)
         pos = {e: i for i, e in enumerate(self.jembed)}
-        self.a_struct, self.a_embed = induced_substructure(parent, a)
-        self.b_struct, self.b_embed = induced_substructure(parent, b)
+        self.a_struct, self.a_embed = _induced(a)
+        self.b_struct, self.b_embed = _induced(b)
         root = _PartialMap(self.jstruct.size)
         if _seed_constants(self.jstruct, self.jstruct, root) is not None:
             raise RuntimeError(
