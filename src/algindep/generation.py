@@ -377,6 +377,12 @@ def join_partitions(theta: Congruence, phi: Congruence) -> Congruence:
     return Congruence.from_assignment(root[label] for label in labels)
 
 
+class _CongruenceLattice(list):
+    """A congruence lattice as ``all_congruences`` returns it."""
+
+    meet_irreducibles: tuple[Congruence, ...] = ()
+
+
 def all_congruences(structure: FiniteStructure, max_size: int = 12) -> list[Congruence]:
     """The complete congruence lattice, sorted by ``block_of``.
 
@@ -386,6 +392,12 @@ def all_congruences(structure: FiniteStructure, max_size: int = 12) -> list[Cong
     ``cg`` calls, and {identity} is closed under ``join_partitions`` with
     them.  A principal Cg(a, b) is skipped for every congruence that already
     relates a and b, since the join would change nothing.
+
+    The returned list also carries ``meet_irreducibles``: its members with
+    exactly one upper cover, in list order.  They come from the same joins.
+    Every upper cover of theta is theta v Cg(a, b) for some pair theta does
+    not relate, so theta has exactly one when the meet of its joins lies
+    strictly above it.
 
     ``max_size`` bounds the element count and ``MAX_CONGRUENCE_LATTICE`` the
     number of congruences found; exceeding either raises
@@ -404,14 +416,17 @@ def all_congruences(structure: FiniteStructure, max_size: int = 12) -> list[Cong
         for b in range(a + 1, n):
             principals.setdefault(cg(structure, [(a, b)]), (a, b))
     found: set[Congruence] = {identity}
+    irreducible: set[Congruence] = set()
     worklist = [identity]
     while worklist:
         theta = worklist.pop()
         block_of = theta.block_of
+        joins = []
         for principal, (a, b) in principals.items():
             if block_of[a] == block_of[b]:
                 continue
             joined = join_partitions(theta, principal)
+            joins.append(joined.block_of)
             if joined not in found:
                 found.add(joined)
                 if len(found) > MAX_CONGRUENCE_LATTICE:
@@ -420,7 +435,12 @@ def all_congruences(structure: FiniteStructure, max_size: int = 12) -> list[Cong
                         f"{MAX_CONGRUENCE_LATTICE} congruences"
                     )
                 worklist.append(joined)
-    return sorted(found, key=lambda t: t.block_of)
+        # The meet's blocks are the distinct label tuples across the joins.
+        if joins and len(set(zip(*joins))) < theta.num_blocks:
+            irreducible.add(theta)
+    lattice = _CongruenceLattice(sorted(found, key=lambda t: t.block_of))
+    lattice.meet_irreducibles = tuple(t for t in lattice if t in irreducible)
+    return lattice
 
 
 def all_subuniverses(structure: FiniteStructure) -> list[SubUniverse]:

@@ -216,7 +216,7 @@ def decide_congruence_independence(
     b: SubUniverse,
     max_size: int = 12,
 ) -> Verdict:
-    """Test every congruence pair for an exact extension to the join.
+    """Decide whether every congruence pair has an exact extension to the join.
 
     For each (theta_A, theta_B) only the minimal candidate needs checking:
     any congruence of the join restricting exactly to theta_A and theta_B
@@ -227,10 +227,31 @@ def decide_congruence_independence(
 
     The minimal candidate is computed as a join: Cg(X u Y) = Cg(X) v Cg(Y),
     and the join of congruences is the join of their partitions.  So each
-    theta_A and each theta_B is lifted to a congruence of the join once with
-    ``cg``, and each pair costs one ``join_partitions``.  Its restriction to
-    each side is compared as a canonical block assignment; only a mismatch
-    runs the lexicographic scan that names the first offending element pair.
+    congruence of a side is lifted to a congruence of the join with ``cg`` at
+    most once per decision, and each pair costs one ``join_partitions``.  Its
+    restriction to each side is compared as a canonical block assignment;
+    only a mismatch runs the lexicographic scan that names the first
+    offending element pair.
+
+    Not every pair needs a check.  Restriction commutes with intersection,
+    so if psi and psi' restrict exactly to (theta_A, theta_B) and
+    (theta_A', theta_B'), then psi ^ psi' restricts exactly to their meet:
+    the pairs with an exact extension are closed under meets.  Every pair is
+    the meet of pairs (m, 1_B) and (1_A, m'), with m and m' meet-irreducible
+    (the empty meet is (1_A, 1_B)).  So the decision runs in three steps:
+
+    1. Row 0, (1_A, theta_B) for every theta_B, is scanned as in the full
+       alpha-major scan: 1_A sorts first in ``all_congruences``.  It holds
+       (1_A, 1_B) and every (1_A, m'), and most refusals fall in it.
+    2. (m, 1_B) is checked for every meet-irreducible m of Con(A).  If all
+       extend exactly, every pair does, and A and B are independent.
+    3. Otherwise the alpha-major scan resumes at row 1, so the witness is
+       still the first failing pair in that order.
+
+    ``pairs_examined`` counts the pairs the scan visited, and on an
+    independent verdict |Con A| * |Con B|, as the full scan would: every pair
+    is then decided, most of them as meets of checked pairs.  So verdicts,
+    witnesses and ``pairs_examined`` do not depend on which step decided.
 
     Pairs with |A n B| >= 2 are refused before any lattice computation:
     identity on one side and the full relation on the other cannot both
@@ -269,33 +290,58 @@ def decide_congruence_independence(
     def lift(theta, at):
         return cg(jstruct, [(at[u], at[v]) for u, v in theta.generating_pairs()])
 
+    lifts_a: dict[Congruence, Congruence] = {}  # shared by the three steps
+
+    def lift_a(theta_a):
+        lifted = lifts_a.get(theta_a)
+        if lifted is None:
+            lifted = lifts_a[theta_a] = lift(theta_a, at_a)
+        return lifted
+
     def to_parent_blocks(theta, embed):
         return tuple(tuple(embed[v] for v in block) for block in theta.blocks())
 
+    def refusal(theta_a, lifted_a, theta_b, lifted_b) -> Optional[CongruenceWitness]:
+        """The witness of a pair whose minimal extension is not exact."""
+        theta = join_partitions(lifted_a, lifted_b)
+        for theta_side, embed, at, side in (
+            (theta_a, a_embed, at_a, "a"),
+            (theta_b, b_embed, at_b, "b"),
+        ):
+            restricted = Congruence.from_assignment(theta.block_of[k] for k in at)
+            if restricted == theta_side:
+                continue
+            i, j = _first_mismatch(theta_side, restricted)
+            return CongruenceWitness(
+                to_parent_blocks(theta_a, a_embed),
+                to_parent_blocks(theta_b, b_embed),
+                side,
+                (embed[i], embed[j]),
+                theta_side.related(i, j),
+            )
+        return None
+
     lifts_b = [lift(theta_b, at_b) for theta_b in cons_b]
-    pairs = 0
-    for theta_a in cons_a:
-        lift_a = lift(theta_a, at_a)
-        for theta_b, lift_b in zip(cons_b, lifts_b):
-            pairs += 1
-            theta = join_partitions(lift_a, lift_b)
-            for theta_side, embed, at, side in (
-                (theta_a, a_embed, at_a, "a"),
-                (theta_b, b_embed, at_b, "b"),
-            ):
-                restricted = Congruence.from_assignment(theta.block_of[k] for k in at)
-                if restricted == theta_side:
-                    continue
-                i, j = _first_mismatch(theta_side, restricted)
-                witness = CongruenceWitness(
-                    to_parent_blocks(theta_a, a_embed),
-                    to_parent_blocks(theta_b, b_embed),
-                    side,
-                    (embed[i], embed[j]),
-                    theta_side.related(i, j),
-                )
-                return Verdict(False, witness, pairs)
-    return Verdict(True, None, pairs)
+
+    def scan(rows, pairs: int) -> Verdict:
+        for theta_a in rows:
+            lifted_a = lift_a(theta_a)
+            for theta_b, lifted_b in zip(cons_b, lifts_b):
+                pairs += 1
+                witness = refusal(theta_a, lifted_a, theta_b, lifted_b)
+                if witness is not None:
+                    return Verdict(False, witness, pairs)
+        return Verdict(True, None, pairs)
+
+    verdict = scan(cons_a[:1], 0)
+    if not verdict.independent:
+        return verdict
+    if all(
+        refusal(m, lift_a(m), cons_b[0], lifts_b[0]) is None
+        for m in cons_a.meet_irreducibles
+    ):
+        return Verdict(True, None, len(cons_a) * len(cons_b))
+    return scan(cons_a[1:], verdict.pairs_examined)
 
 
 def _first_mismatch(want: Congruence, got: Congruence) -> tuple[int, int]:

@@ -145,6 +145,19 @@ def brute_cg(structure, pairs) -> Congruence:
     return best
 
 
+def brute_meet_irreducibles(structure) -> list[Congruence]:
+    """The congruences of ``brute_congruences`` with exactly one upper cover,
+    the covers found by pairwise comparison."""
+    lattice = brute_congruences(structure)
+    out = []
+    for theta in lattice:
+        above = [phi for phi in lattice if _finer(theta, phi)]
+        covers = [phi for phi in above if not any(_finer(psi, phi) for psi in above)]
+        if len(covers) == 1:
+            out.append(theta)
+    return out
+
+
 def _finer(t1, t2):
     n = t1.size
     return all(

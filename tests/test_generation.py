@@ -20,12 +20,21 @@ from algindep.generation import (
 from algindep.zoo import (
     build,
     cyclic_group,
+    dihedral_group,
     empty_sig_set,
     permutation_index,
+    powerset_boolean_algebra,
+    quaternion_group,
     symmetric_group,
 )
 
-from oracles import brute_cg, brute_close, brute_congruences, brute_pair_closure
+from oracles import (
+    brute_cg,
+    brute_close,
+    brute_congruences,
+    brute_meet_irreducibles,
+    brute_pair_closure,
+)
 
 
 def test_close_z6_generated_by_2():
@@ -166,6 +175,8 @@ def test_all_congruences_of_a_set_are_all_partitions(n):
     lattice = all_congruences(empty_sig_set(n))
     assert len(lattice) == BELL[n]
     assert lattice == sorted(lattice, key=lambda t: t.block_of)
+    # the meet-irreducible partitions are the two-block ones
+    assert len(lattice.meet_irreducibles) == 2 ** (n - 1) - 1
     if n <= 6:
         assert lattice == brute_congruences(empty_sig_set(n))
 
@@ -176,6 +187,26 @@ def test_all_congruences_of_f2_4_are_its_67_subspaces():
     # congruences of a vector space are the cosets of its subspaces
     assert len(lattice) == 67
     assert lattice[0].is_full() and lattice[-1].is_identity()
+    # the meet-irreducible subspaces are the 15 hyperplanes
+    assert len(lattice.meet_irreducibles) == 15
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [
+        cyclic_group(6),
+        symmetric_group(3),
+        dihedral_group(4),
+        quaternion_group(),
+        powerset_boolean_algebra(3),
+        build("vector_space", 2, 3)[0],
+        empty_sig_set(5),
+    ],
+    ids=["Z6", "S3", "D4", "Q8", "BA3", "F2^3", "set5"],
+)
+def test_meet_irreducibles_match_cover_count(structure):
+    lattice = all_congruences(structure)
+    assert list(lattice.meet_irreducibles) == brute_meet_irreducibles(structure)
 
 
 def test_all_congruences_lattice_bound_names_the_bound(monkeypatch):

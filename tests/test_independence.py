@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -12,7 +13,7 @@ from algindep.core import (
     SubUniverse,
     induced_substructure,
 )
-from algindep.generation import all_subuniverses, close
+from algindep.generation import all_congruences, all_subuniverses, close
 from algindep.independence import (
     CongruenceWitness,
     SubalgebraWitness,
@@ -184,6 +185,35 @@ def test_congruence_decider_matches_per_pair_cg_reference(parent):
             assert decide_congruence_independence(parent, a, b) == expected
 
 
+def test_congruence_exit_paths_match_reference():
+    # S4 subgroup pairs with sides of at most 6 elements, so that the
+    # reference can filter partitions.  A refusal in row 0 (1_A against
+    # every theta_B), a refusal found by the scan resumed after
+    # certification failed, and a certified independent verdict all occur.
+    s4 = symmetric_group(4)
+    subs = [s for s in all_subuniverses(s4) if len(s.members) <= 6]
+    paths = collections.Counter()
+    for a in subs:
+        for b in subs:
+            verdict = decide_congruence_independence(s4, a, b, max_size=24)
+            assert verdict == reference_congruence_independence(s4, a, b, max_size=24)
+            if verdict.independent:
+                paths["certified"] += 1
+            elif verdict.pairs_examined:
+                row_length = len(all_congruences(induced_substructure(s4, b)[0]))
+                row = (verdict.pairs_examined - 1) // row_length
+                paths["row 0" if row == 0 else "resumed"] += 1
+    assert paths["certified"] and paths["row 0"] and paths["resumed"]
+
+
+def test_congruence_independence_of_7_and_6_element_sets():
+    # 877 * 203 pairs, certified on 63 + 203 exact-extension checks
+    s = empty_sig_set(12)
+    a = SubUniverse(s, tuple(range(7)))
+    b = SubUniverse(s, tuple(range(6, 12)))
+    assert decide_congruence_independence(s, a, b) == Verdict(True, None, 877 * 203)
+
+
 def _ternary_algebra(n, f):
     table = tuple(f(x, y, z) for x, y, z in itertools.product(range(n), repeat=3))
     return FiniteStructure(Signature((("t", 3),)), n, (table,), ())
@@ -305,6 +335,38 @@ def test_subalgebra_witnesses_are_pinned(parent, hom_class, mode, digest):
             b.members,
             dataclasses.asdict(
                 decide_subalgebra_independence(parent, a, b, hom_class, mode)
+            ),
+        ]
+        for a in subs
+        for b in subs
+    ]
+    text = json.dumps(records, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of every congruence verdict record, recorded with the full
+# |Con A| x |Con B| scan.  The first failing pair in alpha-major order is the
+# witness, and an independent verdict reports |Con A| * |Con B| pairs.
+@pytest.mark.parametrize(
+    "parent, digest",
+    [
+        (symmetric_group(4), "00026ecd2f718d3a945b27cf16f52d61ffbfb6d456f67753a6c53df427d861a3"),
+        (dihedral_group(4), "1b3c740f5ad9a34058bb9e008ba567a58b3da7c775c5f43a07abea03744e0fad"),
+        (symmetric_group(3), "9b3a7e7d7b38ad6e53deb8241894e7f6790c3b5e831011257de9f08b888f28d7"),
+        (build("vector_space", 2, 3)[0], "5fe4a402d8f44fc48411ae44301847dbbb1ace01fcfac88a45b04edd406977c9"),
+        (cyclic_group(12), "5d17d6974a93cd1d4dd86098078f9f9b04478c622115a5043aaad10269747ca4"),
+        (powerset_boolean_algebra(3), "9fce58228d34ac672da83ac24d1588250d7d9cf9879b424cf42616e1e9eb887b"),
+    ],
+    ids=["S4", "D4", "S3", "F2^3", "Z12", "BA3"],
+)
+def test_congruence_witnesses_are_pinned(parent, digest):
+    subs = all_subuniverses(parent)
+    records = [
+        [
+            a.members,
+            b.members,
+            dataclasses.asdict(
+                decide_congruence_independence(parent, a, b, max_size=parent.size)
             ),
         ]
         for a in subs

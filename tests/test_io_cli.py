@@ -280,6 +280,18 @@ def test_cli_decide_cong(tmp_path):
     assert r.returncode == 1
 
 
+def test_cli_decide_cong_json_twin_is_byte_stable(tmp_path):
+    out = tmp_path / "set5.json"
+    run_cli("gen", "empty_sig_set", "5", "-o", out)
+    r1 = run_cli("decide-cong", "-s", out, "--a", "0,1,2", "--b", "2,3,4", "--json")
+    r2 = run_cli("decide-cong", "-s", out, "--a", "0,1,2", "--b", "2,3,4", "--json")
+    assert r1.returncode == 0
+    assert r1.stdout == r2.stdout
+    payload = json.loads(r1.stdout)
+    assert payload["verdict"] is True
+    assert payload["stats"]["pairs_examined"] == 25
+
+
 def test_cli_coproduct_and_iso(tmp_path):
     z2, z3, z6 = tmp_path / "z2.json", tmp_path / "z3.json", tmp_path / "z6.json"
     cop = tmp_path / "cop.json"

@@ -46,6 +46,7 @@ from oracles import (
     brute_congruences,
     brute_homs,
     brute_isomorphisms,
+    brute_meet_irreducibles,
     brute_pair_closure,
     brute_subuniverses,
     is_map_homomorphism,
@@ -249,6 +250,13 @@ def test_cg_contains_pairs_and_is_compatible(structure, data):
 @settings(max_examples=30, deadline=None)
 def test_all_congruences_matches_partition_filter(structure):
     assert all_congruences(structure) == brute_congruences(structure)
+
+
+@given(algebras(max_size=5))
+@settings(max_examples=30, deadline=None)
+def test_meet_irreducibles_match_cover_count(structure):
+    lattice = all_congruences(structure)
+    assert list(lattice.meet_irreducibles) == brute_meet_irreducibles(structure)
 
 
 @given(algebras(max_size=5), st.data())
