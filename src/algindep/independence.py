@@ -233,25 +233,18 @@ def decide_congruence_independence(
     only a mismatch runs the lexicographic scan that names the first
     offending element pair.
 
-    Not every pair needs a check.  Restriction commutes with intersection,
-    so if psi and psi' restrict exactly to (theta_A, theta_B) and
-    (theta_A', theta_B'), then psi ^ psi' restricts exactly to their meet:
-    the pairs with an exact extension are closed under meets.  Every pair is
-    the meet of pairs (m, 1_B) and (1_A, m'), with m and m' meet-irreducible
-    (the empty meet is (1_A, 1_B)).  So the decision runs in three steps:
-
-    1. Row 0, (1_A, theta_B) for every theta_B, is scanned as in the full
-       alpha-major scan: 1_A sorts first in ``all_congruences``.  It holds
-       (1_A, 1_B) and every (1_A, m'), and most refusals fall in it.
-    2. (m, 1_B) is checked for every meet-irreducible m of Con(A).  If all
-       extend exactly, every pair does, and A and B are independent.
-    3. Otherwise the alpha-major scan resumes at row 1, so the witness is
-       still the first failing pair in that order.
-
-    ``pairs_examined`` counts the pairs the scan visited, and on an
-    independent verdict |Con A| * |Con B|, as the full scan would: every pair
-    is then decided, most of them as meets of checked pairs.  So verdicts,
-    witnesses and ``pairs_examined`` do not depend on which step decided.
+    Exact extensions are closed under meets: restriction commutes with
+    intersection, so if psi and psi' restrict exactly to (theta_A, theta_B)
+    and (theta_A', theta_B'), psi ^ psi' restricts exactly to their meet.
+    Every pair is (1_A, 1_B) or a meet of pairs (m, 1_B) and (1_A, m'), with
+    m and m' meet-irreducible.  So row 0, (1_A, theta_B) for every theta_B,
+    is scanned first as before (1_A sorts first); most refusals fall there.
+    Then (m, 1_B) is checked for each meet-irreducible m of Con(A): if all
+    extend exactly, A and B are independent.  Otherwise the scan resumes at
+    row 1, so the witness is still the first failing pair in alpha-major
+    order.  An independent verdict reports |Con A| * |Con B| pairs examined,
+    as the full scan would: every pair is decided, most as meets of checked
+    pairs.
 
     Pairs with |A n B| >= 2 are refused before any lattice computation:
     identity on one side and the full relation on the other cannot both

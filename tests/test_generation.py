@@ -204,7 +204,7 @@ def test_all_congruences_of_f2_4_are_its_67_subspaces():
     ],
     ids=["Z6", "S3", "D4", "Q8", "BA3", "F2^3", "set5"],
 )
-def test_meet_irreducibles_match_cover_count(structure):
+def test_meet_irreducibles_of_named_structures(structure):
     lattice = all_congruences(structure)
     assert list(lattice.meet_irreducibles) == brute_meet_irreducibles(structure)
 
