@@ -18,9 +18,10 @@ the unpruned stream.
 
 Joint extensions are decided by term evaluation: every element of the join
 of A and B is a term in the elements of A u B, so the images of alpha and
-beta fix gamma along the join's derivation DAG, and a vectorised check says
-whether gamma is an endomorphism.  Forced-image propagation only explains a
-refusal, naming the witness.
+beta fix gamma along the join's derivation DAG.  Numpy gathers check
+gamma's operations and set tests its relations; the strong relation rule
+lives only in ``_relation_violation``, linear in the relations' tuples.
+Forced-image propagation only explains a refusal, naming the witness.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def is_homomorphism(
     mapping: tuple[int, ...],
     mode: Mode = "weak",
 ) -> bool:
-    """Full check: every operation preserved, relations per the mode."""
+    """Full check: every operation preserved, relations per the mode
+    (``_relation_violation``)."""
     if dom.sig != cod.sig or len(mapping) != dom.size:
         return False
     if any(not (0 <= v < cod.size) for v in mapping):
@@ -83,16 +85,7 @@ def is_homomorphism(
             image = ct[flat_index(nc, (mapping[a] for a in args))]
             if mapping[dt[j]] != image:
                 return False
-    for i, (name, ar) in enumerate(dom.sig.rel_symbols):
-        dr, cr = dom.rel_tables[i], cod.rel_tables[i]
-        for t in dr:
-            if tuple(mapping[v] for v in t) not in cr:
-                return False
-        if mode == "strong":
-            for t in itertools.product(range(nd), repeat=ar):
-                if t not in dr and tuple(mapping[v] for v in t) in cr:
-                    return False
-    return True
+    return _relation_violation(_rels(dom, cod), mapping, mode) is None
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +97,29 @@ def _seed_constants(dom, cod, state):
     return _propagate(dom, cod, state, ())
 
 
+def _rels(dom: FiniteStructure, cod: FiniteStructure) -> list[tuple]:
+    """The relations as ``_relation_violation`` reads them: (name, arity,
+    sorted domain tuples, domain tuple set, codomain tuple set)."""
+    return [
+        (name, ar, sorted(tuples), tuples, cod_tuples)
+        for (name, ar, tuples), cod_tuples in zip(dom.rel_views(), cod.rel_tables)
+    ]
+
+
 def _relation_violation(rels, images, mode: Mode):
     """First relation violation among the tuples whose entries all have images.
 
-    ``rels`` holds (name, arity, sorted domain tuples, domain tuple set,
-    codomain tuple set) per relation.  Per relation, the sorted domain tuples
-    are scanned for an image outside the codomain relation ("missing"); in
-    strong mode every other tuple over the imaged elements, in lexicographic
-    order, is then scanned for an image inside it ("extra").  A violation
-    stays one as a partial map grows, so the search prunes on it; on a total
-    map the scan names a refusal's witness.
+    ``rels`` comes from ``_rels``.  Per relation, the sorted domain tuples
+    are scanned for an image outside the codomain relation ("missing").  In
+    strong mode each s in the codomain relation gives a box pre(s_0) x ...
+    x pre(s_ar-1) of sorted preimages, walked in lexicographic order up to
+    its first tuple outside the domain relation; the least of these is the
+    first "extra" tuple.  A walk takes at most one step more than the
+    domain tuples in its box, so the check costs O((|R_dom| + |R_cod|) *
+    arity).  A violation stays one as a partial map grows, so the search
+    prunes on it; on a total map the scan names a refusal's witness.
     """
-    imaged = None
+    preimages = None
     for name, ar, ordered, dom_tuples, cod_tuples in rels:
         for t in ordered:
             image = []
@@ -129,14 +133,20 @@ def _relation_violation(rels, images, mode: Mode):
                 if image not in cod_tuples:
                     return (name, t, image, "missing")
         if mode == "strong":
-            if imaged is None:
-                imaged = [u for u, iv in enumerate(images) if iv is not None]
-            for t in itertools.product(imaged, repeat=ar):
-                if t in dom_tuples:
-                    continue
-                image = tuple(images[v] for v in t)
-                if image in cod_tuples:
-                    return (name, t, image, "extra")
+            if preimages is None:
+                preimages = {}
+                for u, iv in enumerate(images):
+                    if iv is not None:
+                        preimages.setdefault(iv, []).append(u)
+            first = None
+            for s in cod_tuples:
+                for t in itertools.product(*[preimages.get(v, ()) for v in s]):
+                    if t not in dom_tuples:
+                        if first is None or t < first:
+                            first = t
+                        break
+            if first is not None:
+                return (name, first, tuple(images[v] for v in first), "extra")
     return None
 
 
@@ -193,10 +203,7 @@ def _search(
         raise InputError("homomorphisms require structures of the same signature")
     if mode not in ("weak", "strong"):
         raise InputError(f"unknown mode {mode!r}")
-    rels = [
-        (name, ar, sorted(tuples), tuples, cod_tuples)
-        for (name, ar, tuples), cod_tuples in zip(dom.rel_views(), cod.rel_tables)
-    ]
+    rels = _rels(dom, cod)
     root = _PartialMap(dom.size)
     if _propagate(dom, cod, root, pinned) is not None:
         return
@@ -330,8 +337,8 @@ class _JointContext:
     The induced structures of A, B and the join come from the deciders'
     memo (``_induced``).  The join is compiled once: the join positions of
     A's and B's elements, the applied nodes of the join's derivation DAG as
-    (target, table, args) steps in derivation order, and numpy operation
-    tables and relation masks for the endomorphism check.
+    (target, table, args) steps in derivation order, numpy operation tables
+    stacked by arity, and each relation's tuples as a set and as columns.
     """
 
     def __init__(self, parent, a: SubUniverse, b: SubUniverse, mode: Mode):
@@ -370,30 +377,19 @@ class _JointContext:
         if len(covered) != m:
             raise RuntimeError("invariant broken: A and B do not generate their join")
         self.constants = self.jstruct.constants()
-        self.rels = [
-            (name, ar, sorted(tuples), tuples, tuples)
-            for name, ar, tuples in self.jstruct.rel_views()
+        self.rels = _rels(self.jstruct, self.jstruct)
+        self.rel_columns = [
+            (tuples, list(zip(*ordered))) for _, _, ordered, tuples, _ in self.rels
         ]
-        # numpy allows 64 axes: a join with an arity of 64 or more is checked
-        # by ``is_homomorphism`` instead
-        sig = self.jstruct.sig
-        self.compiled = all(ar < 64 for _, ar in sig.op_symbols + sig.rel_symbols)
-        if not self.compiled:
-            return
+        # m**arity cells: arities numpy cannot index only occur when m = 1
         by_arity: dict[int, list] = {}
         for _, ar, table in self.jstruct.op_views():
-            if ar > 0:
+            if ar > 0 and m > 1:
                 by_arity.setdefault(ar, []).append(table)
         self.op_arrays = [  # the tables of one arity, stacked on axis 0
             (np.array(tables, dtype=np.intp).reshape((-1,) + (m,) * ar), _axes(ar))
             for ar, tables in sorted(by_arity.items())
         ]
-        self.rel_arrays = []
-        for name, ar, ordered, _, _ in self.rels:
-            listed = np.array(ordered, dtype=np.intp).reshape(-1, ar)
-            mask = np.zeros((m,) * ar, dtype=bool)
-            mask[tuple(listed.T)] = True
-            self.rel_arrays.append((mask, tuple(listed.T), _axes(ar)))
 
     def seed_pairs(self, hom: Homomorphism, at) -> list[tuple[int, int]]:
         return [(at[i], at[y]) for i, y in enumerate(hom.mapping)]
@@ -429,24 +425,20 @@ class _JointContext:
         return Homomorphism(self.jstruct, self.jstruct, tuple(g), self.mode)
 
     def _is_endomorphism(self, g: list[int]) -> bool:
-        """One gather-and-compare per operation arity, a mask per relation."""
-        if not self.compiled:
-            return is_homomorphism(self.jstruct, self.jstruct, tuple(g), self.mode)
+        """One gather-and-compare per operation arity, a set test per
+        relation, and in strong mode ``_relation_violation``."""
         if any(g[c] != c for c in self.constants):
             return False
-        ga = np.array(g, dtype=np.intp)
-        for stack, axes in self.op_arrays:
-            image = stack[(slice(None),) + tuple(ga.reshape(s) for s in axes)]
-            if (ga[stack] != image).any():
-                return False
-        for mask, columns, axes in self.rel_arrays:
-            if self.mode == "strong":
-                # tuples of R map into R, and nothing outside R does
-                if (mask[tuple(ga.reshape(s) for s in axes)] != mask).any():
+        if self.op_arrays:
+            ga = np.array(g, dtype=np.intp)
+            for stack, axes in self.op_arrays:
+                image = stack[(slice(None),) + tuple(ga.reshape(s) for s in axes)]
+                if (ga[stack] != image).any():
                     return False
-            elif not mask[tuple(ga[c] for c in columns)].all():
+        for tuples, columns in self.rel_columns:
+            if not tuples.issuperset(zip(*[map(g.__getitem__, col) for col in columns])):
                 return False
-        return True
+        return self.mode == "weak" or _relation_violation(self.rels, g, "strong") is None
 
     def _refusal(self, alpha: Homomorphism, beta: Homomorphism) -> ExtensionRefusal:
         """Name the witness of a refused pair by forced-image propagation."""

@@ -2,8 +2,10 @@
 Boolean algebras, and vector spaces over prime fields, plus their finite
 coproducts and the canonical surjection onto a join.
 
-Every builder law-checks its output (associativity, inverses, distributivity,
-and so on), so downstream code can rely on the advertised axioms.  Vector
+The builders' tables satisfy the advertised axioms (associativity,
+inverses, distributivity, and so on): the tests run the law checks below on
+every structure ``build`` accepts, and the coproducts run them on their
+inputs.  Vector
 spaces are encoded as algebras: binary addition, unary negation, one unary
 scalar symbol per field element, and the zero constant, which keeps the
 signature finite and the generic machinery applicable.
@@ -192,17 +194,18 @@ def graph(n: int, edges: Iterable[tuple[int, int]]) -> FiniteStructure:
 
 
 def _group_from_tables(n, mul_flat, inv_flat, labels):
-    s = FiniteStructure(
+    return FiniteStructure(
         GROUP_SIG, n, ((0,), tuple(inv_flat), tuple(mul_flat)), (), labels
     )
-    if not is_group(s):
-        raise InputError("built tables do not satisfy the group laws")
-    return s
+
+
+# Largest order of a cyclic or dihedral group: the table has order**2 cells.
+MAX_GROUP_ORDER = 128
 
 
 def cyclic_group(n: int) -> FiniteStructure:
-    if n < 1:
-        raise InputError("cyclic group order must be positive")
+    if not (1 <= n <= MAX_GROUP_ORDER):
+        raise InputError(f"cyclic groups are built for orders 1 to {MAX_GROUP_ORDER}")
     mul = [(i + j) % n for i in range(n) for j in range(n)]
     inv = [(-i) % n for i in range(n)]
     return _group_from_tables(n, mul, inv, tuple(str(i) for i in range(n)))
@@ -264,8 +267,10 @@ def symmetric_group(n: int) -> FiniteStructure:
 
 def dihedral_group(n: int) -> FiniteStructure:
     """Order 2n: indices 0..n-1 are rotations r^k, n..2n-1 are reflections s.r^k."""
-    if n < 1:
-        raise InputError("dihedral parameter must be positive")
+    if not (1 <= 2 * n <= MAX_GROUP_ORDER):
+        raise InputError(
+            f"dihedral groups are built for parameters 1 to {MAX_GROUP_ORDER // 2}"
+        )
     size = 2 * n
 
     def unpack(i):
@@ -347,10 +352,7 @@ def powerset_boolean_algebra(atoms: int) -> FiniteStructure:
     """Subsets of a k-element atom set, encoded as bitmasks."""
     if not (1 <= atoms <= 5):
         raise InputError("powerset Boolean algebras are built for 1 <= atoms <= 5")
-    s = _powerset_boolean(atoms)
-    if not is_boolean_algebra(s):
-        raise InputError("built tables do not satisfy the Boolean algebra laws")
-    return s
+    return _powerset_boolean(atoms)
 
 
 def vector_space(p: int, dim: int) -> FiniteStructure:
@@ -388,10 +390,7 @@ def vector_space(p: int, dim: int) -> FiniteStructure:
     tables.append(("zero", (0,)))
     sig = vector_space_sig(p)
     labels = tuple("(" + ",".join(map(str, coords(x))) + ")" for x in range(n))
-    s = FiniteStructure(sig, n, tuple(t for _, t in tables), (), labels)
-    if not is_vector_space(s, p):
-        raise InputError("built tables do not satisfy the vector space laws")
-    return s
+    return FiniteStructure(sig, n, tuple(t for _, t in tables), (), labels)
 
 
 def _parse_int(value, what):
@@ -427,7 +426,7 @@ _FAMILY_PARAMS = {
 
 
 def build(family: str, *params) -> tuple[FiniteStructure, CategoryTag]:
-    """Construct a named structure family; tables are law-checked."""
+    """Construct a named structure family from parameters checked here."""
     if family not in _FAMILY_PARAMS:
         raise InputError(f"unknown structure family {family!r}")
     want = _FAMILY_PARAMS[family]

@@ -86,6 +86,32 @@ def is_map_homomorphism(dom, cod, mapping, mode="weak") -> bool:
     return True
 
 
+def first_relation_violation(dom, cod, images, mode="weak"):
+    """First relation violation of a partial map (``None`` marks an element
+    without an image), among the tuples whose entries all have images.
+
+    Per relation: the sorted domain tuples whose image leaves the codomain
+    relation ("missing"), then in strong mode every tuple over the imaged
+    elements, in lexicographic order, that lies outside the domain relation
+    and whose image lies inside the codomain relation ("extra").
+    """
+    imaged = [u for u, iv in enumerate(images) if iv is not None]
+    for (name, ar), dr, cr in zip(dom.sig.rel_symbols, dom.rel_tables, cod.rel_tables):
+        for t in sorted(dr):
+            if all(images[v] is not None for v in t):
+                image = tuple(images[v] for v in t)
+                if image not in cr:
+                    return (name, t, image, "missing")
+        if mode == "strong":
+            for t in itertools.product(imaged, repeat=ar):
+                if t in dr:
+                    continue
+                image = tuple(images[v] for v in t)
+                if image in cr:
+                    return (name, t, image, "extra")
+    return None
+
+
 def brute_homs(dom, cod, mode="weak") -> list[tuple[int, ...]]:
     out = []
     for mapping in itertools.product(range(cod.size), repeat=dom.size):

@@ -128,27 +128,40 @@ def test_cli_integer_with_too_many_digits_exits_2(tmp_path, capsys):
     assert "value has 5000 digits" in capsys.readouterr().err
 
 
+def _diagonal(size, arity):
+    """``size`` elements and one relation {0^arity, 1^arity}."""
+    tuples = [[0] * arity, [1] * arity]
+    return {"size": size, "ops": [], "rels": [{"name": "r", "arity": arity, "tuples": tuples}]}
+
+
 @pytest.mark.parametrize(
-    "doc, a, b",
+    "doc, a, b, mode",
     [
         ({"size": 1, "ops": [{"name": "f", "arity": 70, "table": [0]}], "rels": []},
-         "0", "0"),
-        ({"size": 2, "ops": [],
-          "rels": [{"name": "r", "arity": 70, "tuples": [[0] * 70, [1] * 70]}]},
-         "0", "0,1"),
+         "0", "0", "weak"),
+        (_diagonal(2, 70), "0", "0,1", "weak"),
+        (_diagonal(3, 40), "0,1", "2", "weak"),
+        (_diagonal(3, 40), "0,1", "2", "strong"),
+        (_diagonal(2, 70), "0", "0,1", "strong"),
     ],
-    ids=["op-arity70", "rel-arity70"],
+    ids=["op-arity70", "rel-arity70", "rel-arity40", "rel-arity40-strong", "rel-arity70-strong"],
 )
-def test_cli_decides_arities_beyond_numpy_axes(tmp_path, capsys, doc, a, b):
-    structure, _ = structure_from_dict({"name": "wide", **doc})
+def test_cli_decides_arities_beyond_numpy_axes(tmp_path, capsys, doc, a, b, mode):
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"name": "wide", **doc}))
+    # the reference's strong scan costs size**arity; for {0^ar, 1^ar} the
+    # verdict is the same for every arity from 2 on, so take it at arity 3
+    if mode == "strong":
+        doc = _diagonal(doc["size"], 3)
+    structure, _ = structure_from_dict({"name": "wide", **doc})
     expected = reference_subalgebra_independence(
         structure,
         SubUniverse(structure, map(int, a.split(","))),
         SubUniverse(structure, map(int, b.split(","))),
+        mode=mode,
     )
-    code = main(["decide-sub", "-s", str(path), "--a", a, "--b", b, "--json"])
+    args = ["decide-sub", "-s", str(path), "--a", a, "--b", b, "--mode", mode, "--json"]
+    code = main(args)
     assert code == (0 if expected.independent else 1)
     out = json.loads(capsys.readouterr().out)
     assert out["verdict"] == expected.independent

@@ -35,6 +35,8 @@ from algindep.morphisms import (
     enumerate_endos,
     enumerate_homs,
     find_isomorphism,
+    _relation_violation,
+    _rels,
     is_homomorphism,
     joint_extension,
     kernel,
@@ -49,6 +51,7 @@ from oracles import (
     brute_meet_irreducibles,
     brute_pair_closure,
     brute_subuniverses,
+    first_relation_violation,
     is_map_homomorphism,
     reference_congruence_independence,
     reference_subalgebra_independence,
@@ -300,6 +303,35 @@ def test_graph_hom_enumeration_matches_map_filter(pair):
         for dom, cod in ((g, h), (g, g)):
             mine = sorted(x.mapping for x in enumerate_homs(dom, cod, mode))
             assert mine == brute_homs(dom, cod, mode)
+
+
+def _maps(cod, n, partial=False):
+    """Lists of n images in cod; with ``partial``, None marks no image."""
+    image = st.integers(0, cod.size - 1)
+    return st.lists(st.none() | image if partial else image, min_size=n, max_size=n)
+
+
+@given(mixed_structure_pairs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_is_homomorphism_matches_map_filter(pair, data):
+    g, h = pair
+    for dom, cod in ((g, h), (g, g)):
+        mapping = tuple(data.draw(_maps(cod, dom.size)))
+        for mode in ("weak", "strong"):
+            expected = is_map_homomorphism(dom, cod, mapping, mode)
+            assert is_homomorphism(dom, cod, mapping, mode) == expected
+
+
+@given(mixed_structure_pairs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_relation_violation_matches_product_scan(pair, data):
+    # the preimage-box walk names the violation the m**arity scan finds first
+    g, h = pair
+    for dom, cod in ((g, h), (g, g)):
+        images = data.draw(_maps(cod, dom.size, partial=True))
+        for mode in ("weak", "strong"):
+            expected = first_relation_violation(dom, cod, images, mode)
+            assert _relation_violation(_rels(dom, cod), images, mode) == expected
 
 
 @given(algebras(max_size=5))

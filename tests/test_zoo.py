@@ -12,6 +12,7 @@ from algindep.core import (
 from algindep.generation import join
 from algindep.morphisms import find_isomorphism, is_homomorphism, kernel
 from algindep.zoo import (
+    MAX_GROUP_ORDER,
     CategoryTag,
     build,
     canonical_quotient,
@@ -65,6 +66,33 @@ def test_build_rejects_unknown_family_and_caps():
         build("vector_space", 4, 2)  # not prime
     with pytest.raises(InputError):
         build("vector_space", 2, 7)  # 2^7 > 64
+    for family, param in (
+        ("cyclic_group", MAX_GROUP_ORDER + 1),
+        ("cyclic_group", 100000),
+        ("dihedral_group", MAX_GROUP_ORDER // 2 + 1),
+        ("dihedral_group", 0),
+    ):
+        with pytest.raises(InputError):
+            build(family, param)
+
+
+def test_every_buildable_structure_satisfies_its_laws():
+    # the builders do not law-check their own tables, so every parameter
+    # that build accepts is checked here
+    for n in range(1, MAX_GROUP_ORDER + 1):
+        assert is_abelian_group(build("cyclic_group", n)[0])
+    for n in range(1, MAX_GROUP_ORDER // 2 + 1):
+        assert is_group(build("dihedral_group", n)[0])
+    for n in range(1, 6):
+        assert is_group(build("symmetric_group", n)[0])
+    assert is_group(build("quaternion_group")[0])
+    for k in range(1, 6):
+        assert is_boolean_algebra(build("powerset_boolean_algebra", k)[0])
+    primes = [p for p in range(2, 65) if all(p % q for q in range(2, p))]
+    spaces = [(p, d) for p in primes for d in range(1, 7) if p**d <= 64]
+    assert len(spaces) == 27  # F2^1..F2^6, F3^1..F3^3, F5^1, F5^2, F7^1, F7^2, 14 more
+    for p, d in spaces:
+        assert is_vector_space(build("vector_space", p, d)[0], p)
 
 
 def test_group_law_checks():
