@@ -2,9 +2,11 @@
 
 Each criterion is one function returning a CriterionResult; ``run_all`` runs
 them all.  Expected values are either forced by the worked examples or
-recomputed here by independent brute-force oracles (map filtering, partition
-filtering, free-position enumeration) that never share code with the decision
-paths they check.
+recomputed here by brute-force oracles (map filtering, partition filtering,
+free-position enumeration).  The oracles avoid the deciders' search,
+joint-extension and lattice code, but not the rest of the library: they take
+the join from ``join`` and use ``induced_substructure``, ``is_homomorphism``,
+``is_congruence`` and ``cg``.
 """
 
 from __future__ import annotations
@@ -271,16 +273,16 @@ def criterion_groups() -> CriterionResult:
 _MAGMA_SIG = Signature(op_symbols=(("f", 2),))
 
 
-def _random_magma(rng, max_size=6) -> FiniteStructure:
-    n = rng.randint(2, max_size)
+def _random_magma(rng) -> FiniteStructure:
+    n = rng.randint(2, 6)
     table = tuple(rng.randrange(n) for _ in range(n * n))
     return FiniteStructure(_MAGMA_SIG, n, (table,), ())
 
 
-def _extensions_by_brute_force(parent, a, b, alpha, beta, budget=20000):
+def _extensions_by_brute_force(parent, a, b, alpha, beta):
     """All endomorphisms of the join restricting to alpha and beta, found by
-    enumerating the non-forced positions exhaustively.  Returns None when the
-    candidate count exceeds the budget."""
+    enumerating the non-forced positions exhaustively.  Returns None when
+    there are more than 20000 candidates."""
     join_sub, _ = join(parent, a, b)
     jstruct, jembed = induced_substructure(parent, join_sub)
     pos = {e: i for i, e in enumerate(jembed)}
@@ -293,7 +295,7 @@ def _extensions_by_brute_force(parent, a, b, alpha, beta, budget=20000):
             if fixed.setdefault(u, v) != v:
                 return []  # alpha and beta disagree on the intersection
     free = [u for u in range(jstruct.size) if u not in fixed]
-    if jstruct.size ** len(free) > budget:
+    if jstruct.size ** len(free) > 20000:
         return None
     found = []
     for values in itertools.product(range(jstruct.size), repeat=len(free)):

@@ -23,7 +23,7 @@ from .io import (
     report_from_verdict,
 )
 from .morphisms import HOM_CLASS_ALL, HOM_CLASS_AUTO, find_isomorphism
-from .zoo import CategoryTag, build, coproduct, vector_space_sig
+from .zoo import CATEGORY_KINDS, CategoryTag, build, coproduct, vector_space_sig
 
 
 def _parse_subset(text: str) -> tuple[int, ...]:
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--category",
         required=True,
-        choices=("set", "graph", "abelian_group", "group", "boolean_algebra", "vector_space"),
+        choices=CATEGORY_KINDS,
     )
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_coproduct)

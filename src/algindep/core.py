@@ -17,6 +17,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 
+# Largest universe a structure may have.  ``validate`` refuses more, so a
+# file cannot make a decider allocate per-element state for a size it only
+# declares.
+MAX_STRUCTURE_SIZE = 1 << 16
+
+
 class InputError(ValueError):
     """An argument violates an operation's precondition."""
 
@@ -111,6 +117,9 @@ def validate(structure: FiniteStructure) -> list[str]:
     n = structure.size
     if n < 1:
         diags.append(f"size must be positive, got {n}")
+        return diags
+    if n > MAX_STRUCTURE_SIZE:
+        diags.append(f"size {n} exceeds the bound of {MAX_STRUCTURE_SIZE} elements")
         return diags
     if len(structure.op_tables) != len(structure.sig.op_symbols):
         diags.append(

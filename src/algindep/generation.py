@@ -2,18 +2,19 @@
 
 One kernel, ``_propagate``, computes every closure.  It closes a partial map
 dom -> cod under forced images: once all arguments of an operation have
-images, so does its value.  ``close`` and ``join`` run it on the identity map
-of a structure, ``generated_subuniverse_of_square`` on the identity map of
-X x X, and the homomorphism search of ``morphisms`` on maps between two
-structures, where a collision (one element forced onto two images) refuses
-the map.  Each newly imaged element is combined with everything imaged so far
-against every operation table, so the cost of a step is proportional to the
-number of new elements times the table sizes.  A closure can resume from a
-closed base: its elements start out imaged and already met, so only argument
-tuples with a new element are visited.  The kernel's visit order fixes
-which collision is found first, and so which witness a refused joint
-extension reports: the order is part of the output, not an implementation
-detail.
+images, so does its value.  ``close`` runs it on the identity map of a
+structure (``join`` is ``close`` of A u B), ``generated_subuniverse_of_square``
+on the identity map of X x X, and the homomorphism search of ``morphisms`` on
+maps between two structures, where a collision (one element forced onto two
+images) refuses the map.  Each newly imaged element is combined with
+everything imaged so far against every operation table, so the cost of a
+step is proportional to the number of new elements times the table sizes.  A
+closure can resume from a closed base: its elements start out imaged and
+already met, so only argument tuples with a new element are visited.
+``close`` records one derivation per element, a ``DagNode`` named tuple.  The
+kernel's visit order fixes which collision is found first, and so which
+witness a refused joint extension reports: the order is part of the output,
+not an implementation detail.
 
 Subuniverse lattices are built by cyclic extension (Neubuser 1960, the method
 of GAP's ``LatticeSubgroups``, here for arbitrary algebras): every subuniverse
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import (
     Congruence,
@@ -48,15 +49,13 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class DagNode:
+class DagNode(NamedTuple):
     """One derivation step: a seed element, or an operation applied to
     previously derived elements."""
 
     element: int
     op: Optional[str]  # None marks a generator
     args: tuple[int, ...]
-    side: Optional[str] = None  # generator provenance in joins: "a", "b", "both"
 
 
 @dataclass(frozen=True)
@@ -236,21 +235,10 @@ def close(
 def join(
     parent: FiniteStructure, a: SubUniverse, b: SubUniverse
 ) -> tuple[SubUniverse, WitnessDag]:
-    """The subuniverse generated by the union of two subuniverses.
-
-    Generator nodes carry the side they came from ("a", "b", or "both").
-    """
+    """The subuniverse generated by two subuniverses: ``close`` of A u B."""
     if a.parent != parent or b.parent != parent:
         raise InputError("join requires subuniverses of the same parent structure")
-    aset, bset = a.member_set(), b.member_set()
-    seed = sorted(aset | bset)
-    state, nodes = _PartialMap(parent.size), []
-    _propagate(parent, parent, state, [(e, e) for e in seed], nodes)
-    for i, e in enumerate(seed):
-        side = "both" if (e in aset and e in bset) else ("a" if e in aset else "b")
-        nodes[i] = DagNode(e, None, (), side)
-    members = tuple(sorted(state.imaged))
-    return SubUniverse._closed(parent, members), WitnessDag(tuple(nodes))
+    return close(parent, a.member_set() | b.member_set())
 
 
 class _SquareTable:

@@ -92,11 +92,6 @@ def is_homomorphism(
 # forced-image propagation (the kernel lives in generation)
 # ---------------------------------------------------------------------------
 
-def _seed_constants(dom, cod, state):
-    """Constants of the domain are forced onto the constants of the codomain."""
-    return _propagate(dom, cod, state, ())
-
-
 def _rels(dom: FiniteStructure, cod: FiniteStructure) -> list[tuple]:
     """The relations as ``_relation_violation`` reads them: (name, arity,
     sorted domain tuples, domain tuple set, codomain tuple set)."""
@@ -342,20 +337,17 @@ class _JointContext:
     """
 
     def __init__(self, parent, a: SubUniverse, b: SubUniverse, mode: Mode):
-        self.parent = parent
         self.mode = mode
-        self.a, self.b = a, b
-        self.join_sub, self.dag = join(parent, a, b)
-        self.jstruct, self.jembed = _induced(self.join_sub)
+        join_sub, dag = join(parent, a, b)
+        self.jstruct, self.jembed = _induced(join_sub)
         pos = {e: i for i, e in enumerate(self.jembed)}
         self.a_struct, self.a_embed = _induced(a)
         self.b_struct, self.b_embed = _induced(b)
-        root = _PartialMap(self.jstruct.size)
-        if _seed_constants(self.jstruct, self.jstruct, root) is not None:
+        self.root = _PartialMap(self.jstruct.size)
+        if _propagate(self.jstruct, self.jstruct, self.root, ()) is not None:
             raise RuntimeError(
                 "invariant broken: the join's constants do not map to themselves"
             )
-        self.root = root
 
         m = self.jstruct.size
         self.a_at = [pos[e] for e in self.a_embed]
@@ -368,7 +360,7 @@ class _JointContext:
         tables = {name: table for name, _, table in self.jstruct.op_views()}
         covered = set(self.a_at) | set(self.b_at)
         self.steps = []
-        for node in self.dag.nodes:
+        for node in dag.nodes:
             if node.op is not None:
                 target = pos[node.element]
                 args = tuple(pos[x] for x in node.args)
@@ -376,7 +368,6 @@ class _JointContext:
                 covered.add(target)
         if len(covered) != m:
             raise RuntimeError("invariant broken: A and B do not generate their join")
-        self.constants = self.jstruct.constants()
         self.rels = _rels(self.jstruct, self.jstruct)
         self.rel_columns = [
             (tuples, list(zip(*ordered))) for _, _, ordered, tuples, _ in self.rels
@@ -390,9 +381,6 @@ class _JointContext:
             (np.array(tables, dtype=np.intp).reshape((-1,) + (m,) * ar), _axes(ar))
             for ar, tables in sorted(by_arity.items())
         ]
-
-    def seed_pairs(self, hom: Homomorphism, at) -> list[tuple[int, int]]:
-        return [(at[i], at[y]) for i, y in enumerate(hom.mapping)]
 
     def extend(self, alpha: Homomorphism, beta: Homomorphism):
         """Joint extension of endomorphisms given on the induced substructures.
@@ -426,9 +414,8 @@ class _JointContext:
 
     def _is_endomorphism(self, g: list[int]) -> bool:
         """One gather-and-compare per operation arity, a set test per
-        relation, and in strong mode ``_relation_violation``."""
-        if any(g[c] != c for c in self.constants):
-            return False
+        relation, and in strong mode ``_relation_violation``.  Constants need
+        no check: they lie in A n B, where the seeds already fix them."""
         if self.op_arrays:
             ga = np.array(g, dtype=np.intp)
             for stack, axes in self.op_arrays:
@@ -443,7 +430,9 @@ class _JointContext:
     def _refusal(self, alpha: Homomorphism, beta: Homomorphism) -> ExtensionRefusal:
         """Name the witness of a refused pair by forced-image propagation."""
         state = self.root.copy()
-        seeds = self.seed_pairs(alpha, self.a_at) + self.seed_pairs(beta, self.b_at)
+        a_at, b_at = self.a_at, self.b_at
+        seeds = [(a_at[i], a_at[y]) for i, y in enumerate(alpha.mapping)]
+        seeds += [(b_at[j], b_at[y]) for j, y in enumerate(beta.mapping)]
         conflict = _propagate(self.jstruct, self.jstruct, state, seeds)
         emb = self.jembed
         if conflict is not None:

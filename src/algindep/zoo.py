@@ -21,6 +21,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .core import (
+    MAX_STRUCTURE_SIZE,
     FiniteStructure,
     InputError,
     Signature,
@@ -176,15 +177,22 @@ def is_vector_space(structure: FiniteStructure, p: int) -> bool:
 # builders
 # ---------------------------------------------------------------------------
 
+def _check_size(n: int, what: str) -> None:
+    if n > MAX_STRUCTURE_SIZE:
+        raise InputError(f"{what} are built with at most {MAX_STRUCTURE_SIZE} elements")
+
+
 def empty_sig_set(n: int) -> FiniteStructure:
     if n < 1:
         raise InputError("a set structure needs at least one element")
+    _check_size(n, "set structures")
     return FiniteStructure(SET_SIG, n, (), (), tuple(str(i) for i in range(n)))
 
 
 def graph(n: int, edges: Iterable[tuple[int, int]]) -> FiniteStructure:
     if n < 1:
         raise InputError("a graph needs at least one vertex")
+    _check_size(n, "graphs")
     table = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -412,57 +420,39 @@ def _parse_edges(edges) -> list[tuple[int, int]]:
     return [(int(u), int(v)) for u, v in edges]
 
 
-# parameter count of every family ``build`` knows
-_FAMILY_PARAMS = {
-    "empty_sig_set": 1,
-    "cyclic_group": 1,
-    "symmetric_group": 1,
-    "dihedral_group": 1,
-    "quaternion_group": 0,
-    "powerset_boolean_algebra": 1,
-    "vector_space": 2,
-    "graph": 2,
+# every family ``build`` knows: its builder, its parameters as error
+# messages name them, and the category kind of what it builds
+_FAMILIES = {
+    "empty_sig_set": (empty_sig_set, ("size",), "set"),
+    "cyclic_group": (cyclic_group, ("order",), "abelian_group"),
+    "symmetric_group": (symmetric_group, ("degree",), "group"),
+    "dihedral_group": (dihedral_group, ("parameter",), "group"),
+    "quaternion_group": (quaternion_group, (), "group"),
+    "powerset_boolean_algebra": (
+        powerset_boolean_algebra, ("atom count",), "boolean_algebra"
+    ),
+    "vector_space": (vector_space, ("field size", "dimension"), "vector_space"),
+    "graph": (graph, ("vertex count", "edges"), "graph"),
 }
 
 
 def build(family: str, *params) -> tuple[FiniteStructure, CategoryTag]:
     """Construct a named structure family from parameters checked here."""
-    if family not in _FAMILY_PARAMS:
+    if family not in _FAMILIES:
         raise InputError(f"unknown structure family {family!r}")
-    want = _FAMILY_PARAMS[family]
-    if len(params) != want:
+    builder, names, kind = _FAMILIES[family]
+    if len(params) != len(names):
         raise InputError(
-            f"{family} takes {want} parameter{'' if want == 1 else 's'}, "
+            f"{family} takes {len(names)} parameter{'' if len(names) == 1 else 's'}, "
             f"got {len(params)}"
         )
-    if family == "empty_sig_set":
-        (n,) = params
-        return empty_sig_set(_parse_int(n, "size")), CategoryTag("set")
-    if family == "cyclic_group":
-        (n,) = params
-        return cyclic_group(_parse_int(n, "order")), CategoryTag("abelian_group")
-    if family == "symmetric_group":
-        (n,) = params
-        return symmetric_group(_parse_int(n, "degree")), CategoryTag("group")
-    if family == "dihedral_group":
-        (n,) = params
-        return dihedral_group(_parse_int(n, "parameter")), CategoryTag("group")
-    if family == "quaternion_group":
-        return quaternion_group(), CategoryTag("group")
-    if family == "powerset_boolean_algebra":
-        (k,) = params
-        return (
-            powerset_boolean_algebra(_parse_int(k, "atom count")),
-            CategoryTag("boolean_algebra"),
-        )
-    if family == "vector_space":
-        p, d = params
-        p = _parse_int(p, "field size")
-        return vector_space(p, _parse_int(d, "dimension")), CategoryTag(
-            "vector_space", p
-        )
-    n, edges = params  # the graph family
-    return graph(_parse_int(n, "vertex count"), _parse_edges(edges)), CategoryTag("graph")
+    args = [
+        _parse_edges(value) if name == "edges" else _parse_int(value, name)
+        for name, value in zip(names, params)
+    ]
+    structure = builder(*args)
+    # the field size of a vector space is its first parameter
+    return structure, CategoryTag(kind, args[0] if kind == "vector_space" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -542,46 +532,31 @@ def coproduct(
             if not is_boolean_algebra(s):
                 raise InputError("boolean_algebra coproduct needs Boolean algebras")
         ax, ay = _atoms(x), _atoms(y)
-        for s, atoms in ((x, ax), (y, ay)):
-            vee = s.op_table("join")
-            n = s.size
-            for z in range(n):
-                below = [a for a in atoms if s.op_table("meet")[a * n + z] == a]
-                total = s.op_table("zero")[0]
-                for a in below:
-                    total = vee[total * n + a]
-                if total != z:
-                    raise InputError("boolean_algebra coproduct needs atomic inputs")
-        bits = len(ax) * len(ay)
+        kx, ky = len(ax), len(ay)
+        bits = kx * ky
         if 1 << bits > MAX_BOOLEAN_COPRODUCT:
             raise SizeLimitExceeded(
                 f"Boolean coproduct would have 2^{bits} elements, over the "
                 f"bound MAX_BOOLEAN_COPRODUCT = {MAX_BOOLEAN_COPRODUCT}"
             )
         cop = _powerset_boolean(bits) if bits else _trivial_boolean()
-        meet_x, nx = x.op_table("meet"), x.size
-        meet_y, ny = y.op_table("meet"), y.size
-
-        def embed_first(a):
-            mask = 0
-            for i, p in enumerate(ax):
-                if meet_x[p * nx + a] == p:
-                    for j in range(len(ay)):
-                        mask |= 1 << (i * len(ay) + j)
-            return mask
-
-        def embed_second(b):
-            mask = 0
-            for j, q in enumerate(ay):
-                if meet_y[q * ny + b] == q:
-                    for i in range(len(ax)):
-                        mask |= 1 << (i * len(ay) + j)
-            return mask
-
-        e_a = Homomorphism(x, cop, tuple(embed_first(a) for a in range(x.size)), "strong")
-        e_b = Homomorphism(y, cop, tuple(embed_second(b) for b in range(y.size)), "strong")
+        # the atom pair (i, j) is bit i * ky + j
+        rows = [((1 << ky) - 1) << (i * ky) for i in range(kx)]
+        cols = [sum(1 << (i * ky + j) for i in range(kx)) for j in range(ky)]
+        e_a = Homomorphism(x, cop, _embed_by_atoms(x, ax, rows), "strong")
+        e_b = Homomorphism(y, cop, _embed_by_atoms(y, ay, cols), "strong")
         return cop, e_a, e_b
     raise InputError(f"unsupported category {tag.kind!r}")
+
+
+def _embed_by_atoms(structure, atoms, masks) -> tuple[int, ...]:
+    """Send each element to the union of ``masks[i]`` over the atoms i below
+    it; a finite Boolean algebra is atomic, so this determines the element."""
+    meet, n = structure.op_table("meet"), structure.size
+    return tuple(
+        sum(mask for p, mask in zip(atoms, masks) if meet[p * n + z] == p)
+        for z in range(n)
+    )
 
 
 def _trivial_boolean():
@@ -661,15 +636,11 @@ def is_rigid(g: FiniteStructure) -> bool:
     return sum(1 for _ in itertools.islice(enumerate_homs(g, g, "weak"), 2)) == 1
 
 
-def random_rigid_graph(
-    rng: random.Random,
-    min_vertices: int = 7,
-    max_vertices: int = 10,
-    max_attempts: int = 2000,
-) -> FiniteStructure:
-    """Randomized search for a rigid digraph; deterministic given the rng."""
-    for _ in range(max_attempts):
-        n = rng.randint(min_vertices, max_vertices)
+def random_rigid_graph(rng: random.Random) -> FiniteStructure:
+    """Randomized search for a rigid digraph on 7 to 10 vertices, up to 2000
+    attempts; deterministic given the rng."""
+    for _ in range(2000):
+        n = rng.randint(7, 10)
         density = rng.uniform(0.25, 0.45)
         edges = [
             (u, v)
@@ -680,7 +651,7 @@ def random_rigid_graph(
         candidate = graph(n, edges)
         if is_rigid(candidate):
             return candidate
-    raise SizeLimitExceeded(f"no rigid graph found in {max_attempts} attempts")
+    raise SizeLimitExceeded("no rigid graph found in 2000 attempts")
 
 
 def rigid_overlapping_pair(

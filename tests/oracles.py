@@ -290,7 +290,6 @@ def reference_subalgebra_independence(
         ExtensionRefusal,
         _PartialMap,
         _propagate,
-        _seed_constants,
         enumerate_endos,
     )
 
@@ -300,7 +299,7 @@ def reference_subalgebra_independence(
     a_struct, a_embed = induced_substructure(parent, a)
     b_struct, b_embed = induced_substructure(parent, b)
     root = _PartialMap(jstruct.size)
-    assert _seed_constants(jstruct, jstruct, root) is None
+    assert _propagate(jstruct, jstruct, root, ()) is None
 
     def seed_pairs(hom, embed):
         return [(pos[embed[i]], pos[embed[y]]) for i, y in enumerate(hom.mapping)]

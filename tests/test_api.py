@@ -44,7 +44,8 @@ def test_paper_key_operations_are_importable():
 
 
 @pytest.mark.parametrize(
-    "module", ["core", "generation", "morphisms", "independence", "zoo", "io", "cli"]
+    "module",
+    ["core", "generation", "morphisms", "independence", "zoo", "io", "cli", "acceptance"],
 )
 def test_module_imports_in_a_fresh_interpreter(module):
     env = dict(os.environ, PYTHONPATH=str(Path(algindep.__file__).parents[1]))

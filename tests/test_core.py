@@ -1,6 +1,7 @@
 import pytest
 
 from algindep.core import (
+    MAX_STRUCTURE_SIZE,
     Congruence,
     FiniteStructure,
     InputError,
@@ -48,6 +49,14 @@ def test_validate_non_total_table():
     s = FiniteStructure(sig, 3, ((0,) * 8,), ())
     diags = validate(s)
     assert diags and "non-total" in diags[0]
+
+
+def test_validate_bounds_the_element_count():
+    assert validate(FiniteStructure(Signature(), MAX_STRUCTURE_SIZE)) == []
+    diags = validate(FiniteStructure(Signature(), MAX_STRUCTURE_SIZE + 1))
+    assert diags == [
+        f"size {MAX_STRUCTURE_SIZE + 1} exceeds the bound of {MAX_STRUCTURE_SIZE} elements"
+    ]
 
 
 def test_is_subuniverse_z6():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algindep.cli import main
-from algindep.core import SubUniverse
+from algindep.core import MAX_STRUCTURE_SIZE, SubUniverse
 from algindep.io import (
     StructureParseError,
     canonical_json,
@@ -349,6 +349,17 @@ def test_cli_error_paths(tmp_path):
 
     r = run_cli("gen", "no_such_family", "-o", tmp_path / "x.json")
     assert r.returncode == 2
+
+    # a universe over the element bound, declared by a file or asked of gen
+    big = tmp_path / "big.json"
+    big.write_text('{"name":"big","size":1000000000,"ops":[],"rels":[]}')
+    r = run_cli("decide-sub", "-s", big, "--a", "0", "--b", "1")
+    assert r.returncode == 2
+    assert f"size 1000000000 exceeds the bound of {MAX_STRUCTURE_SIZE} elements" in r.stderr
+    for family, params in (("empty_sig_set", ()), ("graph", ("",))):
+        r = run_cli("gen", family, MAX_STRUCTURE_SIZE + 1, *params, "-o", tmp_path / "x.json")
+        assert r.returncode == 2
+        assert f"are built with at most {MAX_STRUCTURE_SIZE} elements" in r.stderr
 
     r = run_cli("gen", "symmetric_group", "3", "-o", out)
     r = run_cli(

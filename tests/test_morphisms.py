@@ -150,7 +150,7 @@ def test_joint_context_invariants_raise_explicit_errors(monkeypatch):
     with pytest.raises(RuntimeError, match="do not generate their join"):
         morphisms._JointContext(z6, a, b, "weak")
     monkeypatch.undo()
-    monkeypatch.setattr(morphisms, "_seed_constants", lambda *args: (0, 0, 1))
+    monkeypatch.setattr(morphisms, "_propagate", lambda *args: (0, 0, 1))
     with pytest.raises(RuntimeError, match="constants do not map to themselves"):
         morphisms._JointContext(z6, a, b, "weak")
 
@@ -251,7 +251,7 @@ def test_term_formula_matches_joint_extension():
             leaves = {}
             for node in dag.generators():
                 e = node.element
-                if node.side in ("a", "both"):
+                if e in a_embed:
                     leaves[e] = a_embed[alpha.mapping[a_embed.index(e)]]
                 else:
                     leaves[e] = b_embed[beta.mapping[b_embed.index(e)]]

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from algindep.core import (
+    MAX_STRUCTURE_SIZE,
     InputError,
     SizeLimitExceeded,
     SubUniverse,
@@ -71,9 +72,12 @@ def test_build_rejects_unknown_family_and_caps():
         ("cyclic_group", 100000),
         ("dihedral_group", MAX_GROUP_ORDER // 2 + 1),
         ("dihedral_group", 0),
+        ("empty_sig_set", MAX_STRUCTURE_SIZE + 1),
     ):
         with pytest.raises(InputError):
             build(family, param)
+    with pytest.raises(InputError):
+        build("graph", MAX_STRUCTURE_SIZE + 1, "")
 
 
 def test_every_buildable_structure_satisfies_its_laws():
@@ -192,6 +196,29 @@ def test_boolean_coproduct_with_trivial_algebra_collapses():
     cop, e_a, e_b = coproduct(CategoryTag("boolean_algebra"), trivial, ba4)
     assert cop.size == 1
     assert set(e_b.mapping) == {0}
+
+
+def test_boolean_coproduct_embeddings_have_the_atom_pair_closed_form():
+    # atom i of a powerset algebra is 1 << i, and the atom pair (i, j) is bit
+    # i * |atoms(y)| + j: e_a(z) holds every pair whose first atom lies below
+    # z, e_b(z) every pair whose second atom does
+    from algindep.zoo import _trivial_boolean
+
+    algebras = [_trivial_boolean()] + [powerset_boolean_algebra(k) for k in (1, 2, 3)]
+    for x in algebras:
+        for y in algebras:
+            cop, e_a, e_b = coproduct(CategoryTag("boolean_algebra"), x, y)
+            kx, ky = x.size.bit_length() - 1, y.size.bit_length() - 1
+            assert e_a.mapping == tuple(
+                sum(1 << (i * ky + j) for i in range(kx) if z >> i & 1 for j in range(ky))
+                for z in range(x.size)
+            )
+            assert e_b.mapping == tuple(
+                sum(1 << (i * ky + j) for j in range(ky) if z >> j & 1 for i in range(kx))
+                for z in range(y.size)
+            )
+            for e in (e_a, e_b):
+                assert is_homomorphism(e.dom, e.cod, e.mapping, "strong")
 
 
 def test_group_coproduct_refused():
