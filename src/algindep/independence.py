@@ -169,17 +169,21 @@ def decide_subalgebra_independence(
 
     Pairs are visited alpha-major, each stream in the deterministic
     enumeration order of the morphism module, and the first failing pair is
-    returned as the witness.  The join is compiled once for (A, B); each pair
-    then costs one term evaluation along the join's derivation DAG and one
-    vectorised endomorphism check, and only the refused pair runs the
-    forced-image propagation that names the witness.
+    returned as the witness.  Each pair costs one term evaluation along a
+    derivation of the join from A u B and one vectorised endomorphism check,
+    and only the refused pair runs the forced-image propagation that names
+    the witness.  The derivation is computed per decision, closing the join
+    from the larger side with the smaller one as seed.
 
     What depends on one subuniverse only is computed once per process and
     replayed after that, in two private memos:
 
     - the induced structure and embedding of A, B and the join, keyed by the
       subuniverse (its parent by value, with the parent's labels) for the
-      1024 most recently used keys (``morphisms._INDUCED_MEMO_SIZE``);
+      1024 most recently used keys (``morphisms._INDUCED_MEMO_SIZE``).  The
+      join's entry also carries its compiled tables: join positions, the
+      constants' root map, relation views and, from the first pair that
+      reaches the endomorphism check, the numpy operation tables;
     - the endomorphism stream of an induced structure, keyed by the
       structure's value with ``mode`` and ``hom_class``, for the 256 most
       recently used keys (``_ENDO_MEMO_SIZE``).  A stream is read only as

@@ -22,6 +22,10 @@ beta fix gamma along the join's derivation DAG.  Numpy gathers check
 gamma's operations and set tests its relations; the strong relation rule
 lives only in ``_relation_violation``, linear in the relations' tuples.
 Forced-image propagation only explains a refusal, naming the witness.
+What depends on the join alone (positions, constants, relation views, numpy
+tables) is compiled once per join and process and kept on the join's entry
+in the memo of induced structures; each decision keeps only its own sides'
+positions and a derivation of the join from A u B.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .core import (
     flat_index,
     induced_substructure,
 )
-from .generation import _PartialMap, _propagate, close, join
+from .generation import _PartialMap, _propagate, close
 
 Mode = str  # "weak" | "strong"
 
@@ -310,7 +314,16 @@ def _axes(ar: int) -> list[tuple[int, ...]]:
 _INDUCED_MEMO_SIZE = 1024
 
 
-def _induced(sub: SubUniverse) -> tuple[FiniteStructure, tuple[int, ...]]:
+class _Induced(tuple):
+    """``(structure, embed)`` as ``induced_substructure`` returns it, as the
+    deciders' memo keeps it.  The entry of a join also carries the join's
+    ``_JoinTables``, built by the first context over it, so they are kept
+    and evicted with it."""
+
+    join_tables = None
+
+
+def _induced(sub: SubUniverse) -> _Induced:
     """``induced_substructure(sub.parent, sub)``, memoized for the deciders.
 
     Structures compare by value with their labels left out, so the parent's
@@ -322,34 +335,89 @@ def _induced(sub: SubUniverse) -> tuple[FiniteStructure, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=_INDUCED_MEMO_SIZE)
-def _induced_memo(sub: SubUniverse, labels) -> tuple[FiniteStructure, tuple[int, ...]]:
-    return induced_substructure(sub.parent, sub)
+def _induced_memo(sub: SubUniverse, labels) -> _Induced:
+    return _Induced(induced_substructure(sub.parent, sub))
+
+
+class _JoinTables:
+    """What every joint extension to one join reads, whichever A and B
+    generate it: the join's induced structure and embedding, the join
+    position of each parent element, the operation tables by name, the root
+    map that images the constants, and the relations as
+    ``_relation_violation`` reads them and as (tuple set, argument columns).
+
+    The numpy operation tables are built by ``op_arrays`` when a first pair
+    reaches the endomorphism check: many decisions end at the shared-seed
+    check.  Two threads may both build them, equal either way.
+    """
+
+    __slots__ = ("struct", "embed", "pos", "tables", "root", "rels", "rel_columns", "_arrays")
+
+    def __init__(self, struct: FiniteStructure, embed: tuple[int, ...]):
+        self.struct, self.embed = struct, embed
+        self.pos = {e: i for i, e in enumerate(embed)}
+        self.tables = {name: table for name, _, table in struct.op_views()}
+        self.root = _PartialMap(struct.size)
+        if _propagate(struct, struct, self.root, ()) is not None:
+            raise RuntimeError(
+                "invariant broken: the join's constants do not map to themselves"
+            )
+        self.rels = _rels(struct, struct)
+        self.rel_columns = [
+            (tuples, list(zip(*ordered))) for _, _, ordered, tuples, _ in self.rels
+        ]
+        self._arrays = None
+
+    def op_arrays(self) -> list:
+        """The operation tables of each arity stacked on axis 0, with the
+        ``_axes`` that index them."""
+        if self._arrays is None:
+            m = self.struct.size
+            # m**arity cells: arities numpy cannot index only occur when m = 1
+            by_arity: dict[int, list] = {}
+            for _, ar, table in self.struct.op_views():
+                if ar > 0 and m > 1:
+                    by_arity.setdefault(ar, []).append(table)
+            self._arrays = [
+                (np.array(tables, dtype=np.intp).reshape((-1,) + (m,) * ar), _axes(ar))
+                for ar, tables in sorted(by_arity.items())
+            ]
+        return self._arrays
 
 
 class _JointContext:
-    """Shared setup for repeated joint-extension tests on one (A, B) pair.
+    """Setup for repeated joint-extension tests on one (A, B) pair.
 
-    The induced structures of A, B and the join come from the deciders'
-    memo (``_induced``).  The join is compiled once: the join positions of
-    A's and B's elements, the applied nodes of the join's derivation DAG as
-    (target, table, args) steps in derivation order, numpy operation tables
-    stacked by arity, and each relation's tuples as a set and as columns.
+    The join's ``_JoinTables`` are compiled once per join and kept on its
+    entry in the memo of induced structures (``_induced``), which also
+    gives A and B.  Per pair of sides only this is computed: the join
+    positions of A's and B's elements, the shared elements, and the applied
+    nodes of a derivation DAG of the join as (target, table, args) steps in
+    derivation order.  The DAG is that of ``close`` resumed from the larger
+    side with the smaller one as seed, so only argument tuples with a new
+    element are visited; its generators are exactly A u B.  Any such DAG
+    will do, since a joint extension is unique.
+
+    ``extend`` runs once per pair, so it and ``_is_endomorphism`` read plain
+    attributes bound here; the numpy tables are bound at first use.
     """
 
     def __init__(self, parent, a: SubUniverse, b: SubUniverse, mode: Mode):
         self.mode = mode
-        join_sub, dag = join(parent, a, b)
-        self.jstruct, self.jembed = _induced(join_sub)
-        pos = {e: i for i, e in enumerate(self.jembed)}
+        small, large = (a, b) if len(a.members) < len(b.members) else (b, a)
+        join_sub, dag = close(parent, small.members, base=large)
+        entry = _induced(join_sub)
+        join = entry.join_tables
+        if join is None:
+            join = entry.join_tables = _JoinTables(*entry)
+        self._join = join
+        self.jstruct, self.jembed, self.root = join.struct, join.embed, join.root
+        self.rels, self.rel_columns = join.rels, join.rel_columns
+        self.op_arrays = None
         self.a_struct, self.a_embed = _induced(a)
         self.b_struct, self.b_embed = _induced(b)
-        self.root = _PartialMap(self.jstruct.size)
-        if _propagate(self.jstruct, self.jstruct, self.root, ()) is not None:
-            raise RuntimeError(
-                "invariant broken: the join's constants do not map to themselves"
-            )
 
-        m = self.jstruct.size
+        pos, tables = join.pos, join.tables
         self.a_at = [pos[e] for e in self.a_embed]
         self.b_at = [pos[e] for e in self.b_embed]
         a_index = {e: i for i, e in enumerate(self.a_embed)}
@@ -357,30 +425,15 @@ class _JointContext:
         self.shared = [
             (j, a_index[e]) for j, e in enumerate(self.b_embed) if e in a_index
         ]
-        tables = {name: table for name, _, table in self.jstruct.op_views()}
         covered = set(self.a_at) | set(self.b_at)
         self.steps = []
         for node in dag.nodes:
             if node.op is not None:
                 target = pos[node.element]
-                args = tuple(pos[x] for x in node.args)
-                self.steps.append((target, tables[node.op], args))
+                self.steps.append((target, tables[node.op], tuple(pos[x] for x in node.args)))
                 covered.add(target)
-        if len(covered) != m:
+        if len(covered) != self.jstruct.size:
             raise RuntimeError("invariant broken: A and B do not generate their join")
-        self.rels = _rels(self.jstruct, self.jstruct)
-        self.rel_columns = [
-            (tuples, list(zip(*ordered))) for _, _, ordered, tuples, _ in self.rels
-        ]
-        # m**arity cells: arities numpy cannot index only occur when m = 1
-        by_arity: dict[int, list] = {}
-        for _, ar, table in self.jstruct.op_views():
-            if ar > 0 and m > 1:
-                by_arity.setdefault(ar, []).append(table)
-        self.op_arrays = [  # the tables of one arity, stacked on axis 0
-            (np.array(tables, dtype=np.intp).reshape((-1,) + (m,) * ar), _axes(ar))
-            for ar, tables in sorted(by_arity.items())
-        ]
 
     def extend(self, alpha: Homomorphism, beta: Homomorphism):
         """Joint extension of endomorphisms given on the induced substructures.
@@ -416,9 +469,12 @@ class _JointContext:
         """One gather-and-compare per operation arity, a set test per
         relation, and in strong mode ``_relation_violation``.  Constants need
         no check: they lie in A n B, where the seeds already fix them."""
-        if self.op_arrays:
+        op_arrays = self.op_arrays
+        if op_arrays is None:
+            op_arrays = self.op_arrays = self._join.op_arrays()
+        if op_arrays:
             ga = np.array(g, dtype=np.intp)
-            for stack, axes in self.op_arrays:
+            for stack, axes in op_arrays:
                 image = stack[(slice(None),) + tuple(ga.reshape(s) for s in axes)]
                 if (ga[stack] != image).any():
                     return False
@@ -477,8 +533,11 @@ def joint_extension(
     alpha and beta must be endomorphisms of the induced substructures of a
     and b (as produced by ``induced_substructure``); the returned gamma lives
     on the induced structure of the join, whose element i is the parent
-    element ``join(parent, a, b)[0].members[i]``.
+    element ``join(parent, a, b)[0].members[i]``.  The join's compiled tables
+    are those the deciders keep, so repeated calls compile each join once.
     """
+    if a.parent != parent or b.parent != parent:
+        raise InputError("join requires subuniverses of the same parent structure")
     if alpha.mode != beta.mode:
         raise InputError("alpha and beta must use the same relation mode")
     ctx = _JointContext(parent, a, b, alpha.mode)

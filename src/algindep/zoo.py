@@ -475,6 +475,9 @@ def _atoms(structure: FiniteStructure) -> list[int]:
 
 # largest Boolean coproduct ``coproduct`` builds, in elements
 MAX_BOOLEAN_COPRODUCT = 4096
+# largest operation table of a direct-product coproduct, in cells: the
+# binary table of Z32 + Z32 (1024 elements)
+MAX_PRODUCT_CELLS = 1 << 20
 
 
 def coproduct(
@@ -489,7 +492,10 @@ def coproduct(
     sum in the finite case); Boolean algebras take the atom-pair construction,
     where an element embeds as the union of all atom pairs below it, up to
     ``MAX_BOOLEAN_COPRODUCT`` elements.  The group tag is refused: free
-    products of nontrivial groups are infinite.
+    products of nontrivial groups are infinite.  A disjoint union has at
+    most ``MAX_STRUCTURE_SIZE`` elements and a direct product's tables at
+    most ``MAX_PRODUCT_CELLS`` cells each; larger ones are refused before
+    anything is built.
     """
     if x.sig != y.sig:
         raise InputError("coproduct requires structures of the same signature")
@@ -503,6 +509,7 @@ def coproduct(
         if x.sig != want:
             raise InputError(f"structures do not have the {tag.kind} signature")
         n = x.size + y.size
+        _check_size(n, "coproducts")
         rels = []
         for i in range(len(x.sig.rel_symbols)):
             shifted = {tuple(v + x.size for v in t) for t in y.rel_tables[i]}
@@ -512,6 +519,12 @@ def coproduct(
         e_b = Homomorphism(y, cop, tuple(range(x.size, n)), "strong")
         return cop, e_a, e_b
     if tag.kind in ("abelian_group", "vector_space"):
+        n = x.size * y.size
+        if any(n**ar > MAX_PRODUCT_CELLS for _, ar in x.sig.op_symbols):
+            raise InputError(
+                f"the {tag.kind} coproduct would have {n} elements, and an "
+                f"operation table over the bound of {MAX_PRODUCT_CELLS} cells"
+            )
         if tag.kind == "abelian_group":
             if not (is_abelian_group(x) and is_abelian_group(y)):
                 raise InputError("abelian_group coproduct needs commutative groups")

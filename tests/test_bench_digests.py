@@ -1,4 +1,5 @@
-"""The seed-0 outputs of every benchmark workload match bench/expected.json.
+"""The seed-0 outputs of every benchmark workload match bench/expected.json,
+and the traced run's cross-checks hold.
 
 One pass of each workload runs in a subprocess through ``bench/workloads.py``,
 because ``fresh_library`` re-imports ``algindep`` and would otherwise split
@@ -50,3 +51,20 @@ def test_seed_0_pass_of_every_workload_matches_recorded_digests():
         assert outcome["raised"] == 0, workload
         assert outcome["problems"] == {}, workload
         assert outcome["digests"] == recorded[workload], workload
+
+
+def test_traced_census_run_passes_its_cross_checks():
+    # extend calls equal the pairs examined, the lattice sizes found equal
+    # the expected ones, and the spans' self times add up to the traced wall
+    run = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", "census", "--seed", "0",
+         "--seconds", "1", "--trace", "1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert run.returncode == 0, run.stderr
+    assert "cross-check failed" not in run.stderr, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True, run.stderr
+    assert result["failed"] == 0

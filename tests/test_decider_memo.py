@@ -2,22 +2,26 @@
 a verdict, whatever the order of calls, and a stream is read once."""
 
 import dataclasses
+import itertools
 import sys
 import threading
 
 import pytest
 
-from algindep import independence
+from algindep import independence, morphisms
 from algindep.core import InputError, SubUniverse, induced_substructure
 from algindep.generation import all_subuniverses, close, join
 from algindep.independence import decide_subalgebra_independence
-from algindep.morphisms import HOM_CLASSES, Homomorphism, joint_extension
+from algindep.morphisms import HOM_CLASSES, Homomorphism, enumerate_endos, joint_extension
 from algindep.zoo import (
     cyclic_group,
+    dihedral_group,
     empty_sig_set,
     graph,
     permutation_index,
+    powerset_boolean_algebra,
     symmetric_group,
+    vector_space,
 )
 
 from oracles import reference_subalgebra_independence
@@ -32,19 +36,35 @@ def _reflexive_path(n):
     return graph(n, edges)
 
 
-@pytest.mark.parametrize(
-    "parent",
-    [symmetric_group(3), empty_sig_set(4), _reflexive_path(4)],
-    ids=["S3", "set4", "reflexive-path4"],
-)
-def test_verdicts_do_not_depend_on_call_order(parent, cold_memos):
-    # every ordered subuniverse pair in both modes and both hom classes,
+def _graph5():
+    return graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 0), (2, 4)])
+
+
+# Groups, spaces and Boolean algebras have no relations, so one mode suffices.
+ORDER_CASES = [
+    (symmetric_group(3), MODES),
+    (empty_sig_set(4), MODES),
+    (_reflexive_path(4), MODES),
+    (symmetric_group(4), ("weak",)),
+    (dihedral_group(6), ("weak",)),
+    (vector_space(2, 3), ("weak",)),
+    (powerset_boolean_algebra(3), ("weak",)),
+    (_graph5(), MODES),
+]
+ORDER_IDS = ["S3", "set4", "reflexive-path4", "S4", "D6", "F2^3", "BA3", "graph5"]
+
+
+@pytest.mark.parametrize("parent, modes", ORDER_CASES, ids=ORDER_IDS)
+def test_verdicts_do_not_depend_on_call_order(parent, modes, cold_memos):
+    # every ordered subuniverse pair in the modes and both hom classes,
     # forward on a cold and then a warm memo, backward on a warm and then a
-    # cold one: each run equals the per-pair propagation reference
+    # cold one: each run equals the per-pair propagation reference, whether
+    # the join's tables were compiled for this pair, for its reverse, or for
+    # another pair with the same join
     subs = all_subuniverses(parent)
     keys = [
         (a, b, hom_class, mode)
-        for mode in MODES
+        for mode in modes
         for hom_class in HOM_CLASSES
         for a in subs
         for b in subs
@@ -57,6 +77,51 @@ def test_verdicts_do_not_depend_on_call_order(parent, cold_memos):
             cold_memos()
         for k in order:
             assert decide_subalgebra_independence(parent, *k) == expected[k]
+
+
+@pytest.mark.parametrize("parent, modes", ORDER_CASES[3:], ids=ORDER_IDS[3:])
+def test_joint_extension_is_the_same_on_cold_and_warm_memos(parent, modes, cold_memos):
+    # the first two endomorphisms of each side, every ordered subuniverse
+    # pair: gamma (or the refusal) computed on empty memos, then again with
+    # every join compiled
+    subs = all_subuniverses(parent)
+    calls = []
+    for mode in modes:
+        for a in subs:
+            for b in subs:
+                ends = []
+                for sub in (a, b):
+                    struct, _ = induced_substructure(parent, sub)
+                    ends.append(list(itertools.islice(enumerate_endos(struct, mode), 2)))
+                calls += [(a, b, alpha, beta) for alpha in ends[0] for beta in ends[1]]
+    cold = []
+    for call in calls:
+        cold_memos()
+        cold.append(joint_extension(parent, *call))
+    assert any(isinstance(g, Homomorphism) for g in cold)
+    assert any(not isinstance(g, Homomorphism) for g in cold)
+    assert [joint_extension(parent, *call) for call in calls] == cold
+
+
+def test_join_tables_stay_within_the_memo_bound(cold_memos):
+    # more distinct joins than the memo keeps: the oldest entries, with
+    # their compiled tables, are evicted, and a recompiled join decides alike
+    s11 = empty_sig_set(11)
+    pairs = [
+        (SubUniverse(s11, members), SubUniverse(s11, members[:1]))
+        for k in range(2, 12)
+        for members in itertools.combinations(range(11), k)
+    ][: morphisms._INDUCED_MEMO_SIZE + 100]
+    first = [decide_subalgebra_independence(s11, *pair) for pair in pairs[:3]]
+    for pair in pairs:
+        morphisms._JointContext(s11, *pair, "weak")
+    info = morphisms._induced_memo.cache_info()
+    assert info.maxsize == morphisms._INDUCED_MEMO_SIZE == 1024
+    assert info.currsize == info.maxsize
+    for (join, side), verdict in zip(pairs[:3], first):
+        assert morphisms._induced(join).join_tables is None  # evicted: a fresh entry
+        assert decide_subalgebra_independence(s11, join, side) == verdict
+        assert morphisms._induced(join).join_tables is not None
 
 
 def test_census_of_a_5_set_opens_one_stream_per_size(monkeypatch):

@@ -124,10 +124,12 @@ def test_joint_extension_identity_pair_gives_identity():
     assert gamma.mapping == tuple(range(6))
 
 
-def test_joint_context_invariants_raise_explicit_errors(monkeypatch):
-    # explicit errors, not asserts, so that they also hold under python -O
+def test_joint_context_invariants_raise_explicit_errors(monkeypatch, cold_memos):
+    # explicit errors, not asserts, so that they also hold under python -O;
+    # the join's tables are compiled once per process, so each provoked
+    # invariant starts from empty memos
     from algindep import morphisms
-    from algindep.generation import WitnessDag
+    from algindep.generation import WitnessDag, close
 
     z6 = cyclic_group(6)
     a = SubUniverse(z6, (0, 3))
@@ -142,14 +144,16 @@ def test_joint_context_invariants_raise_explicit_errors(monkeypatch):
         ctx.extend(alpha, beta)
     monkeypatch.undo()
 
-    def truncated_join(parent, a, b):
-        sub, dag = join(parent, a, b)
+    def truncated_close(*args, **kwargs):
+        sub, dag = close(*args, **kwargs)
         return sub, WitnessDag(dag.nodes[:-1])
 
-    monkeypatch.setattr(morphisms, "join", truncated_join)
+    cold_memos()
+    monkeypatch.setattr(morphisms, "close", truncated_close)
     with pytest.raises(RuntimeError, match="do not generate their join"):
         morphisms._JointContext(z6, a, b, "weak")
     monkeypatch.undo()
+    cold_memos()
     monkeypatch.setattr(morphisms, "_propagate", lambda *args: (0, 0, 1))
     with pytest.raises(RuntimeError, match="constants do not map to themselves"):
         morphisms._JointContext(z6, a, b, "weak")

@@ -177,6 +177,35 @@ def test_boolean_coproduct_bound_is_a_module_constant(monkeypatch):
         coproduct(CategoryTag("boolean_algebra"), ba4, ba4)
 
 
+def test_disjoint_union_coproducts_are_bounded_by_the_element_count():
+    half = MAX_STRUCTURE_SIZE // 2
+    for kind, make in (("set", empty_sig_set), ("graph", lambda n: graph(n, [(0, 1)]))):
+        x = make(half)
+        cop, _, _ = coproduct(CategoryTag(kind), x, x)
+        assert cop.size == MAX_STRUCTURE_SIZE
+        with pytest.raises(InputError, match=f"at most {MAX_STRUCTURE_SIZE} elements"):
+            coproduct(CategoryTag(kind), x, make(half + 1))
+
+
+def test_product_coproducts_are_bounded_before_any_cell_is_built(monkeypatch):
+    from algindep import zoo
+
+    built = []
+    monkeypatch.setattr(zoo, "direct_product", lambda x, y: built.append((x, y)) or x)
+    # Z32 + Z32, a binary table of exactly MAX_PRODUCT_CELLS cells, reaches the build
+    z32 = cyclic_group(32)
+    coproduct(CategoryTag("abelian_group"), z32, z32)
+    assert len(built) == 1
+    for tag, x, y in (
+        (CategoryTag("abelian_group"), z32, cyclic_group(33)),
+        (CategoryTag("abelian_group"), cyclic_group(128), cyclic_group(128)),
+        (CategoryTag("vector_space", 2), vector_space(2, 6), vector_space(2, 5)),
+    ):
+        with pytest.raises(InputError, match="over the bound of 1048576 cells"):
+            coproduct(tag, x, y)
+    assert len(built) == 1
+
+
 def test_boolean_coproduct_beyond_the_family_cap():
     ba8 = powerset_boolean_algebra(3)
     ba4 = powerset_boolean_algebra(2)
