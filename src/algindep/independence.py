@@ -176,14 +176,14 @@ def decide_subalgebra_independence(
     from the larger side with the smaller one as seed.
 
     What depends on one subuniverse only is computed once per process and
-    replayed after that, in two private memos:
+    replayed after that, in three private memos:
 
     - the induced structure and embedding of A, B and the join, keyed by the
       subuniverse (its parent by value, with the parent's labels) for the
-      1024 most recently used keys (``morphisms._INDUCED_MEMO_SIZE``).  The
-      join's entry also carries its compiled tables: join positions, the
-      constants' root map, relation views and, from the first pair that
-      reaches the endomorphism check, the numpy operation tables;
+      1024 most recently used keys (``morphisms._INDUCED_MEMO_SIZE``);
+    - the join's compiled tables (``morphisms._join_tables``), with the same
+      key and bound: join positions, the constants' root map, relation views
+      and the numpy operation tables;
     - the endomorphism stream of an induced structure, keyed by the
       structure's value with ``mode`` and ``hom_class``, for the 256 most
       recently used keys (``_ENDO_MEMO_SIZE``).  A stream is read only as

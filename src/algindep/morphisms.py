@@ -23,9 +23,9 @@ gamma's operations and set tests its relations; the strong relation rule
 lives only in ``_relation_violation``, linear in the relations' tuples.
 Forced-image propagation only explains a refusal, naming the witness.
 What depends on the join alone (positions, constants, relation views, numpy
-tables) is compiled once per join and process and kept on the join's entry
-in the memo of induced structures; each decision keeps only its own sides'
-positions and a derivation of the join from A u B.
+tables) is compiled once per join and process and kept in a memo keyed by
+the join; each decision keeps only its own sides' positions and a
+derivation of the join from A u B.
 """
 
 from __future__ import annotations
@@ -310,20 +310,12 @@ def _axes(ar: int) -> list[tuple[int, ...]]:
     return [(-1,) + (1,) * (ar - 1 - p) for p in range(ar)]
 
 
-# Bound of the deciders' memo of induced substructures, in subuniverses.
+# Bound of each of the deciders' memos keyed by subuniverse: induced
+# substructures and join tables.
 _INDUCED_MEMO_SIZE = 1024
 
 
-class _Induced(tuple):
-    """``(structure, embed)`` as ``induced_substructure`` returns it, as the
-    deciders' memo keeps it.  The entry of a join also carries the join's
-    ``_JoinTables``, built by the first context over it, so they are kept
-    and evicted with it."""
-
-    join_tables = None
-
-
-def _induced(sub: SubUniverse) -> _Induced:
+def _induced(sub: SubUniverse) -> tuple[FiniteStructure, tuple[int, ...]]:
     """``induced_substructure(sub.parent, sub)``, memoized for the deciders.
 
     Structures compare by value with their labels left out, so the parent's
@@ -335,23 +327,21 @@ def _induced(sub: SubUniverse) -> _Induced:
 
 
 @lru_cache(maxsize=_INDUCED_MEMO_SIZE)
-def _induced_memo(sub: SubUniverse, labels) -> _Induced:
-    return _Induced(induced_substructure(sub.parent, sub))
+def _induced_memo(sub: SubUniverse, labels) -> tuple[FiniteStructure, tuple[int, ...]]:
+    return induced_substructure(sub.parent, sub)
 
 
 class _JoinTables:
     """What every joint extension to one join reads, whichever A and B
     generate it: the join's induced structure and embedding, the join
     position of each parent element, the operation tables by name, the root
-    map that images the constants, and the relations as
-    ``_relation_violation`` reads them and as (tuple set, argument columns).
-
-    The numpy operation tables are built by ``op_arrays`` when a first pair
-    reaches the endomorphism check: many decisions end at the shared-seed
-    check.  Two threads may both build them, equal either way.
+    map that images the constants, the relations as ``_relation_violation``
+    reads them and as (tuple set, argument columns), and the numpy operation
+    tables of each arity stacked on axis 0, with the ``_axes`` that index
+    them.
     """
 
-    __slots__ = ("struct", "embed", "pos", "tables", "root", "rels", "rel_columns", "_arrays")
+    __slots__ = ("struct", "embed", "pos", "tables", "root", "rels", "rel_columns", "op_arrays")
 
     def __init__(self, struct: FiniteStructure, embed: tuple[int, ...]):
         self.struct, self.embed = struct, embed
@@ -366,31 +356,30 @@ class _JoinTables:
         self.rel_columns = [
             (tuples, list(zip(*ordered))) for _, _, ordered, tuples, _ in self.rels
         ]
-        self._arrays = None
+        m = struct.size
+        # m**arity cells: arities numpy cannot index only occur when m = 1
+        by_arity: dict[int, list] = {}
+        for _, ar, table in struct.op_views():
+            if ar > 0 and m > 1:
+                by_arity.setdefault(ar, []).append(table)
+        self.op_arrays = [
+            (np.array(tables, dtype=np.intp).reshape((-1,) + (m,) * ar), _axes(ar))
+            for ar, tables in sorted(by_arity.items())
+        ]
 
-    def op_arrays(self) -> list:
-        """The operation tables of each arity stacked on axis 0, with the
-        ``_axes`` that index them."""
-        if self._arrays is None:
-            m = self.struct.size
-            # m**arity cells: arities numpy cannot index only occur when m = 1
-            by_arity: dict[int, list] = {}
-            for _, ar, table in self.struct.op_views():
-                if ar > 0 and m > 1:
-                    by_arity.setdefault(ar, []).append(table)
-            self._arrays = [
-                (np.array(tables, dtype=np.intp).reshape((-1,) + (m,) * ar), _axes(ar))
-                for ar, tables in sorted(by_arity.items())
-            ]
-        return self._arrays
+
+@lru_cache(maxsize=_INDUCED_MEMO_SIZE)
+def _join_tables(sub: SubUniverse, labels) -> _JoinTables:
+    """The compiled tables of a join, keyed like ``_induced``."""
+    return _JoinTables(*_induced(sub))
 
 
 class _JointContext:
     """Setup for repeated joint-extension tests on one (A, B) pair.
 
-    The join's ``_JoinTables`` are compiled once per join and kept on its
-    entry in the memo of induced structures (``_induced``), which also
-    gives A and B.  Per pair of sides only this is computed: the join
+    The join's ``_JoinTables`` are compiled once per join and process and
+    kept in their own memo (``_join_tables``); the induced structures of A
+    and B come from ``_induced``.  Per pair of sides only this is computed: the join
     positions of A's and B's elements, the shared elements, and the applied
     nodes of a derivation DAG of the join as (target, table, args) steps in
     derivation order.  The DAG is that of ``close`` resumed from the larger
@@ -399,21 +388,17 @@ class _JointContext:
     will do, since a joint extension is unique.
 
     ``extend`` runs once per pair, so it and ``_is_endomorphism`` read plain
-    attributes bound here; the numpy tables are bound at first use.
+    attributes bound here.
     """
 
     def __init__(self, parent, a: SubUniverse, b: SubUniverse, mode: Mode):
         self.mode = mode
         small, large = (a, b) if len(a.members) < len(b.members) else (b, a)
         join_sub, dag = close(parent, small.members, base=large)
-        entry = _induced(join_sub)
-        join = entry.join_tables
-        if join is None:
-            join = entry.join_tables = _JoinTables(*entry)
-        self._join = join
+        join = _join_tables(join_sub, parent.labels)
         self.jstruct, self.jembed, self.root = join.struct, join.embed, join.root
         self.rels, self.rel_columns = join.rels, join.rel_columns
-        self.op_arrays = None
+        self.op_arrays = join.op_arrays
         self.a_struct, self.a_embed = _induced(a)
         self.b_struct, self.b_embed = _induced(b)
 
@@ -469,12 +454,9 @@ class _JointContext:
         """One gather-and-compare per operation arity, a set test per
         relation, and in strong mode ``_relation_violation``.  Constants need
         no check: they lie in A n B, where the seeds already fix them."""
-        op_arrays = self.op_arrays
-        if op_arrays is None:
-            op_arrays = self.op_arrays = self._join.op_arrays()
-        if op_arrays:
+        if self.op_arrays:
             ga = np.array(g, dtype=np.intp)
-            for stack, axes in op_arrays:
+            for stack, axes in self.op_arrays:
                 image = stack[(slice(None),) + tuple(ga.reshape(s) for s in axes)]
                 if (ga[stack] != image).any():
                     return False

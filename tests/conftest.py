@@ -8,6 +8,7 @@ from algindep import independence, morphisms
 def _clear_memos() -> None:
     independence._endo_memo.clear()
     morphisms._induced_memo.cache_clear()
+    morphisms._join_tables.cache_clear()
 
 
 @pytest.fixture(autouse=True)

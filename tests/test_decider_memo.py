@@ -115,13 +115,13 @@ def test_join_tables_stay_within_the_memo_bound(cold_memos):
     first = [decide_subalgebra_independence(s11, *pair) for pair in pairs[:3]]
     for pair in pairs:
         morphisms._JointContext(s11, *pair, "weak")
-    info = morphisms._induced_memo.cache_info()
+    info = morphisms._join_tables.cache_info()
     assert info.maxsize == morphisms._INDUCED_MEMO_SIZE == 1024
     assert info.currsize == info.maxsize
     for (join, side), verdict in zip(pairs[:3], first):
-        assert morphisms._induced(join).join_tables is None  # evicted: a fresh entry
+        misses = morphisms._join_tables.cache_info().misses
         assert decide_subalgebra_independence(s11, join, side) == verdict
-        assert morphisms._induced(join).join_tables is not None
+        assert morphisms._join_tables.cache_info().misses == misses + 1  # recompiled
 
 
 def test_census_of_a_5_set_opens_one_stream_per_size(monkeypatch):
