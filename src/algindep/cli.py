@@ -27,10 +27,21 @@ from .zoo import CATEGORY_KINDS, CategoryTag, build, coproduct, vector_space_sig
 
 
 def _parse_subset(text: str) -> tuple[int, ...]:
+    # every part must be an index: an empty part, as in "0,,1" or "", is refused
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise InputError(f"subsets are comma-separated element indices, got {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _infer_tag(kind: str, structure) -> CategoryTag:
@@ -128,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized batteries")
     parser.add_argument(
         "--max-size",
-        type=int,
+        type=_positive_int,
         default=12,
         help="size bound for congruence lattice enumeration",
     )

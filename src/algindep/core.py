@@ -72,6 +72,23 @@ class FiniteStructure:
     rel_tables: tuple[frozenset, ...] = ()
     labels: Optional[tuple[str, ...]] = field(default=None, compare=False)
 
+    def __hash__(self) -> int:
+        # the deciders' memos hash structures on every lookup, so the hash
+        # of the compared fields is computed once and kept on the instance
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash((self.sig, self.size, self.op_tables, self.rel_tables))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes, so a pickle leaves the
+        # stored hash behind
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def op_index(self, name: str) -> int:
         for i, (n, _) in enumerate(self.sig.op_symbols):
             if n == name:

@@ -170,10 +170,12 @@ def decide_subalgebra_independence(
     Pairs are visited alpha-major, each stream in the deterministic
     enumeration order of the morphism module, and the first failing pair is
     returned as the witness.  Each pair costs one term evaluation along a
-    derivation of the join from A u B and one vectorised endomorphism check,
-    and only the refused pair runs the forced-image propagation that names
-    the witness.  The derivation is computed per decision, closing the join
-    from the larger side with the smaller one as seed.
+    derivation of the join from A u B and one vectorised check of what
+    neither side settles (only agreement on A n B when one side contains
+    the other), and only the refused pair runs the forced-image propagation
+    that names the witness.  On incomparable sides the derivation is
+    computed per decision, closing the join from the larger side with the
+    smaller one as seed.
 
     What depends on one subuniverse only is computed once per process and
     replayed after that, in three private memos:

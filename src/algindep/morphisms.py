@@ -18,14 +18,20 @@ the unpruned stream.
 
 Joint extensions are decided by term evaluation: every element of the join
 of A and B is a term in the elements of A u B, so the images of alpha and
-beta fix gamma along the join's derivation DAG.  Numpy gathers check
-gamma's operations and set tests its relations; the strong relation rule
-lives only in ``_relation_violation``, linear in the relations' tuples.
-Forced-image propagation only explains a refusal, naming the witness.
-What depends on the join alone (positions, constants, relation views, numpy
-tables) is compiled once per join and process and kept in a memo keyed by
-the join; each decision keeps only its own sides' positions and a
-derivation of the join from A u B.
+beta fix gamma along the join's derivation DAG.  A pair checks only what its
+two sides leave open.  gamma agrees with alpha on A, and alpha is an
+endomorphism of A's induced structure, so every operation cell and relation
+tuple inside A is already preserved (reflected too, in strong mode); the
+same holds for B.  When one side contains the other the join is the larger
+side and agreement on the shared elements decides.  Otherwise numpy gathers
+check gamma's operations, set tests check the relation tuples that lie in
+neither side, and in strong mode ``_relation_violation``, linear in the
+relations' tuples, checks every tuple, since its preimage boxes mix the
+sides.  Forced-image propagation only explains a refusal, naming the
+witness.  What depends on the join alone (positions, constants, relation
+views, numpy tables) is compiled once per join and process and kept in a
+memo keyed by the join; each decision keeps only its own sides' positions,
+a derivation of the join from A u B and the tuples that mix the sides.
 """
 
 from __future__ import annotations
@@ -336,12 +342,11 @@ class _JoinTables:
     generate it: the join's induced structure and embedding, the join
     position of each parent element, the operation tables by name, the root
     map that images the constants, the relations as ``_relation_violation``
-    reads them and as (tuple set, argument columns), and the numpy operation
-    tables of each arity stacked on axis 0, with the ``_axes`` that index
-    them.
+    reads them, and the numpy operation tables of each arity stacked on
+    axis 0, with the ``_axes`` that index them.
     """
 
-    __slots__ = ("struct", "embed", "pos", "tables", "root", "rels", "rel_columns", "op_arrays")
+    __slots__ = ("struct", "embed", "pos", "tables", "root", "rels", "op_arrays")
 
     def __init__(self, struct: FiniteStructure, embed: tuple[int, ...]):
         self.struct, self.embed = struct, embed
@@ -353,9 +358,6 @@ class _JoinTables:
                 "invariant broken: the join's constants do not map to themselves"
             )
         self.rels = _rels(struct, struct)
-        self.rel_columns = [
-            (tuples, list(zip(*ordered))) for _, _, ordered, tuples, _ in self.rels
-        ]
         m = struct.size
         # m**arity cells: arities numpy cannot index only occur when m = 1
         by_arity: dict[int, list] = {}
@@ -379,26 +381,37 @@ class _JointContext:
 
     The join's ``_JoinTables`` are compiled once per join and process and
     kept in their own memo (``_join_tables``); the induced structures of A
-    and B come from ``_induced``.  Per pair of sides only this is computed: the join
-    positions of A's and B's elements, the shared elements, and the applied
-    nodes of a derivation DAG of the join as (target, table, args) steps in
-    derivation order.  The DAG is that of ``close`` resumed from the larger
-    side with the smaller one as seed, so only argument tuples with a new
-    element are visited; its generators are exactly A u B.  Any such DAG
-    will do, since a joint extension is unique.
+    and B come from ``_induced``.  Per pair of sides only this is computed:
+    the join positions of A's and B's elements, the shared elements, whether
+    one side contains the other, and otherwise the applied nodes of a
+    derivation DAG of the join as (target, table, args) steps in derivation
+    order, and the argument columns of the relation tuples that lie in
+    neither side.  The DAG is that of ``close`` resumed from the larger side
+    with the smaller one as seed, so only argument tuples with a new element
+    are visited; its generators are exactly A u B.  Any such DAG will do,
+    since a joint extension is unique.  When the smaller side lies inside
+    the larger one, the join is the larger side, with no steps, and
+    ``close`` is not run.
 
-    ``extend`` runs once per pair, so it and ``_is_endomorphism`` read plain
-    attributes bound here.
+    A tuple inside A is settled by alpha: gamma agrees with alpha there, and
+    alpha maps A's relation tuples into the relation (and, in strong mode,
+    no other tuple of A into it), so only tuples that mix the sides can
+    still fail the weak rule.  ``extend`` runs once per pair, so it and
+    ``_is_endomorphism`` read plain attributes bound here.
     """
 
     def __init__(self, parent, a: SubUniverse, b: SubUniverse, mode: Mode):
         self.mode = mode
         small, large = (a, b) if len(a.members) < len(b.members) else (b, a)
-        join_sub, dag = close(parent, small.members, base=large)
+        self.comparable = large.member_set().issuperset(small.members)
+        if self.comparable:
+            join_sub, nodes = large, ()
+        else:
+            join_sub, dag = close(parent, small.members, base=large)
+            nodes = dag.nodes
         join = _join_tables(join_sub, parent.labels)
         self.jstruct, self.jembed, self.root = join.struct, join.embed, join.root
-        self.rels, self.rel_columns = join.rels, join.rel_columns
-        self.op_arrays = join.op_arrays
+        self.rels, self.op_arrays = join.rels, join.op_arrays
         self.a_struct, self.a_embed = _induced(a)
         self.b_struct, self.b_embed = _induced(b)
 
@@ -410,9 +423,18 @@ class _JointContext:
         self.shared = [
             (j, a_index[e]) for j, e in enumerate(self.b_embed) if e in a_index
         ]
-        covered = set(self.a_at) | set(self.b_at)
+        in_a, in_b = set(self.a_at), set(self.b_at)
+        self.rel_columns = []
+        if not self.comparable:
+            for _, _, ordered, tuples, _ in self.rels:
+                mixed = [
+                    t for t in ordered if not (in_a.issuperset(t) or in_b.issuperset(t))
+                ]
+                if mixed:
+                    self.rel_columns.append((tuples, list(zip(*mixed))))
+        covered = in_a | in_b
         self.steps = []
-        for node in dag.nodes:
+        for node in nodes:
             if node.op is not None:
                 target = pos[node.element]
                 self.steps.append((target, tables[node.op], tuple(pos[x] for x in node.args)))
@@ -427,8 +449,11 @@ class _JointContext:
         and every other join element is the value of its DAG step on the
         images of its arguments.  A joint extension exists iff the seeds
         agree on A n B and this map is an endomorphism of the join in the
-        relation mode.  Only a refusal runs the forced-image propagation,
-        which names the witness.
+        relation mode.  On comparable sides agreement alone decides, as the
+        map is the larger side's endomorphism; otherwise ``_is_endomorphism``
+        checks what neither side settles.  Returns the map as the list of
+        join positions of the images, or the ``ExtensionRefusal``; only a
+        refusal runs the forced-image propagation, which names the witness.
         """
         am, bm = alpha.mapping, beta.mapping
         a_at, b_at = self.a_at, self.b_at
@@ -446,14 +471,18 @@ class _JointContext:
             for x in args:
                 idx = idx * m + g[x]
             g[target] = table[idx]
-        if not self._is_endomorphism(g):
+        if not self.comparable and not self._is_endomorphism(g):
             return self._refusal(alpha, beta)
-        return Homomorphism(self.jstruct, self.jstruct, tuple(g), self.mode)
+        return g
 
     def _is_endomorphism(self, g: list[int]) -> bool:
-        """One gather-and-compare per operation arity, a set test per
-        relation, and in strong mode ``_relation_violation``.  Constants need
-        no check: they lie in A n B, where the seeds already fix them."""
+        """Is ``g``, which agrees with alpha on A and beta on B, an
+        endomorphism of the join?  One gather-and-compare per operation
+        arity over the whole join, a set test per relation over the tuples
+        that mix A and B (a tuple inside one side is settled by that side's
+        endomorphism), and in strong mode ``_relation_violation`` over every
+        tuple, as a preimage box can mix the sides.  Constants need no
+        check: they lie in A n B, where the seeds already fix them."""
         if self.op_arrays:
             ga = np.array(g, dtype=np.intp)
             for stack, axes in self.op_arrays:
@@ -531,7 +560,10 @@ def joint_extension(
             )
         if not is_homomorphism(hom.dom, hom.cod, hom.mapping, hom.mode):
             raise InputError("map is not a homomorphism in the requested mode")
-    return ctx.extend(alpha, beta)
+    result = ctx.extend(alpha, beta)
+    if isinstance(result, ExtensionRefusal):
+        return result
+    return Homomorphism(ctx.jstruct, ctx.jstruct, tuple(result), alpha.mode)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import pytest
 
 from algindep.core import (
@@ -179,3 +182,18 @@ def test_labels_do_not_affect_equality():
     a = empty_sig_set(3)
     b = FiniteStructure(a.sig, 3, (), (), ("x", "y", "z"))
     assert a == b
+
+
+def test_structure_hash_is_kept_and_copies_are_hashed_afresh():
+    z6 = cyclic_group(6)
+    labelled = dataclasses.replace(z6, labels=tuple("abcdef"))
+    assert hash(labelled) == hash(z6) == hash(cyclic_group(6))
+    # a copy with other tables must not inherit the stored hash
+    g = graph(3, [(0, 1)])
+    assert hash(g) == hash(g)
+    other = dataclasses.replace(g, rel_tables=(frozenset({(1, 2)}),))
+    assert other != g
+    assert hash(other) == hash(graph(3, [(1, 2)])) != hash(g)
+    # the stored hash is no field and does not travel in a pickle
+    assert list(dataclasses.asdict(g)) == ["sig", "size", "op_tables", "rel_tables", "labels"]
+    assert "_hash" not in pickle.loads(pickle.dumps(g)).__dict__

@@ -13,7 +13,7 @@ from algindep.core import (
     SubUniverse,
     induced_substructure,
 )
-from algindep.generation import all_congruences, all_subuniverses, close
+from algindep.generation import all_congruences, all_subuniverses, close, join
 from algindep.independence import (
     CongruenceWitness,
     SubalgebraWitness,
@@ -24,7 +24,15 @@ from algindep.independence import (
     decide_subalgebra_independence,
     group_diagnostics,
 )
-from algindep.morphisms import HOM_CLASS_ALL, HOM_CLASS_AUTO, HOM_CLASSES, Homomorphism
+from algindep.morphisms import (
+    HOM_CLASS_ALL,
+    HOM_CLASS_AUTO,
+    HOM_CLASSES,
+    ExtensionRefusal,
+    Homomorphism,
+    _JointContext,
+    enumerate_endos,
+)
 from algindep.zoo import (
     build,
     cyclic_group,
@@ -41,6 +49,8 @@ from algindep.zoo import (
 
 from oracles import (
     brute_congruences,
+    brute_pair_closure,
+    is_map_homomorphism,
     reference_congruence_independence,
     reference_subalgebra_independence,
 )
@@ -284,6 +294,65 @@ def test_subalgebra_decider_on_graphs_matches_reference(mode):
                 else:
                     outcomes.add("independent")
     assert {"independent", "not-functional", "relation"} <= outcomes
+
+
+def _z6_with_relation():
+    """Z6 with r = {(0, 3), (1, 4), (2, 5)}: (0, 3) lies inside the subgroup
+    {0, 3}, while (1, 4) and (2, 5) mix it with {0, 2, 4}."""
+    z6 = cyclic_group(6)
+    sig = Signature(z6.sig.op_symbols, (("r", 2),))
+    return FiniteStructure(sig, 6, z6.op_tables, (frozenset({(0, 3), (1, 4), (2, 5)}),))
+
+
+@pytest.mark.parametrize("hom_class", HOM_CLASSES)
+@pytest.mark.parametrize("mode", ["weak", "strong"])
+def test_joint_context_refuses_exactly_the_maps_the_oracle_rejects(mode, hom_class):
+    # the trimmed check against the brute-force one on the whole join: a
+    # pair extends iff the subuniverse of join x join generated by the
+    # graphs of alpha and beta is a function (false when the seeds disagree
+    # on A n B) that is an endomorphism of the join
+    cases = list(_graph_cases())
+    cases.append((_z6_with_relation(), [(0,), (0, 3), (0, 2, 4), tuple(range(6))]))
+    seen = set()
+    for parent, subsets in cases:
+        subs = [SubUniverse(parent, s) for s in subsets]
+        for a in subs:
+            for b in subs:
+                ctx = _JointContext(parent, a, b, mode)
+                seen.add("comparable" if ctx.comparable else "incomparable")
+                j, j_embed = induced_substructure(parent, join(parent, a, b)[0])
+                pos = {e: i for i, e in enumerate(j_embed)}
+                a_struct, a_embed = induced_substructure(parent, a)
+                b_struct, b_embed = induced_substructure(parent, b)
+                betas = list(enumerate_endos(b_struct, mode, hom_class))
+                for alpha in enumerate_endos(a_struct, mode, hom_class):
+                    for beta in betas:
+                        seeds = {
+                            (pos[embed[x]], pos[embed[y]])
+                            for hom, embed in ((alpha, a_embed), (beta, b_embed))
+                            for x, y in enumerate(hom.mapping)
+                        }
+                        square = brute_pair_closure(j, seeds)
+                        images = dict(square)
+                        g = tuple(images[x] for x in range(j.size))
+                        extends = len(images) == len(square) and is_map_homomorphism(
+                            j, j, g, mode
+                        )
+                        result = ctx.extend(alpha, beta)
+                        if extends:
+                            assert result == list(g)
+                            seen.add("extends")
+                            continue
+                        assert isinstance(result, ExtensionRefusal)
+                        if result.reason == "relation":
+                            t = set(result.detail[1])
+                            mixed = not (t <= set(a.members) or t <= set(b.members))
+                            seen.add((result.detail[3], mixed))
+                        else:
+                            seen.add(result.reason)
+    assert {"comparable", "incomparable", "extends", "not-functional"} <= seen
+    # a weak violation that only a tuple mixing the sides shows
+    assert ("missing", True) in seen
 
 
 def _alternating_4():

@@ -430,6 +430,75 @@ def test_cli_gen_with_wrong_parameter_count_exits_2(tmp_path, capsys, params, me
     assert not out.exists()
 
 
+_HUGE = "9" * 5000
+# the rest of a decider's arguments; "Z6" stands for a file of Z6
+_ON_Z6 = ["-s", "Z6", "--b", "0,2,4"]
+_CONG = ["decide-cong", "--a", "0,3", *_ON_Z6]
+_SUB = ["decide-sub", "--a", "0,3", *_ON_Z6]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(argv, message, id=" ".join(a[:12] for a in argv if a not in _ON_Z6))
+        for argv, message in [
+            # gen: family, parameters and parameter count
+            (["gen", "no_such_family"], "unknown structure family 'no_such_family'"),
+            (["gen", ""], "unknown structure family ''"),
+            (["gen", "cyclic_group", "a"], "order must be an integer, got 'a'"),
+            (["gen", "cyclic_group", "1.5"], "order must be an integer"),
+            (["gen", "cyclic_group", _HUGE], "order must be an integer"),
+            (["gen", "cyclic_group", "-3"], "built for orders 1 to 128"),
+            (["gen", "symmetric_group", "0"], "built for 1 <= n <= 5"),
+            (["gen", "dihedral_group", "-1"], "built for parameters 1 to 64"),
+            (["gen", "powerset_boolean_algebra", "40"], "built for 1 <= atoms <= 5"),
+            (["gen", "vector_space", "4", "2"], "4 is not prime"),
+            (["gen", "vector_space", "2", "-1"], "built for dim >= 1"),
+            (["gen", "graph", "3", "0-5"], "edge (0,5) out of range for 3 vertices"),
+            (["gen", "graph", "3", "0-1,,"], "edge endpoint must be an integer, got ''"),
+            (["gen", "graph", "-2", ""], "a graph needs at least one vertex"),
+            (["gen", "empty_sig_set", "0"], "a set structure needs at least one element"),
+            (["gen", "vector_space", "2", "2", "2"], "vector_space takes 2 parameters, got 3"),
+            # subsets
+            (["decide-sub", "--a", "-1", *_ON_Z6], "element -1 out of range"),
+            (["decide-sub", "--a", "9" * 30, *_ON_Z6], "out of range for universe 0..5"),
+            (["decide-sub", "--a", _HUGE, *_ON_Z6], "comma-separated element indices"),
+            (["decide-sub", "--a", "0,,1", *_ON_Z6], "got '0,,1'"),
+            (["decide-sub", "--a", "0,3,", *_ON_Z6], "got '0,3,'"),
+            (["decide-sub", "--a", "", *_ON_Z6], "got ''"),
+            (["decide-cong", "--a", ",", *_ON_Z6], "got ','"),
+            (["decide-cong", "--a", "0;3", *_ON_Z6], "got '0;3'"),
+            (["decide-sub", "--a", "1", *_ON_Z6], "subset [1] is not closed"),
+            # options
+            (["--max-size", "-5", *_CONG], "--max-size: must be a positive integer, got -5"),
+            (["--max-size", "0", *_CONG], "--max-size: must be a positive integer, got 0"),
+            (["--max-size", "x", *_CONG], "--max-size: invalid int value: 'x'"),
+            (["--seed", "x", "paper-suite"], "--seed: invalid int value: 'x'"),
+            ([*_SUB, "--mode", "odd"], "argument --mode: invalid choice: 'odd'"),
+            ([*_SUB, "--homs", "x"], "argument --homs: invalid choice: 'x'"),
+            (["no-such-command"], "argument command: invalid choice"),
+            ([], "the following arguments are required: command"),
+        ]
+    ],
+)
+def test_cli_malformed_arguments_exit_2_with_one_error_line(tmp_path, capsys, argv, message):
+    z6 = tmp_path / "z6.json"
+    dump_structure(cyclic_group(6), z6, name="z6")
+    out = tmp_path / "x.json"
+    argv = [str(z6) if arg == "Z6" else arg for arg in argv]
+    if argv[:1] == ["gen"]:
+        argv += ["-o", str(out)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses before any command runs
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_vector_space_category_inference(tmp_path):
     f3 = tmp_path / "f3.json"
     run_cli("gen", "vector_space", "3", "1", "-o", f3)

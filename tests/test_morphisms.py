@@ -22,6 +22,7 @@ from algindep.zoo import (
     powerset_boolean_algebra,
     quaternion_group,
     symmetric_group,
+    vector_space,
 )
 
 from oracles import brute_homs, brute_isomorphisms, element_orders
@@ -192,6 +193,45 @@ def test_joint_extension_matches_generated_square():
         for i, y in enumerate(gamma.mapping)
     }
     assert square == graph_of_gamma
+
+
+_Z6, _F2_3 = cyclic_group(6), vector_space(2, 3)
+_TWO_EDGES = graph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+_NEG6 = (0, 5, 4, 3, 2, 1)
+
+
+# gamma as joint_extension returned it before extend stopped building it
+@pytest.mark.parametrize(
+    "parent, a, b, alpha, beta, mode, gamma",
+    [
+        # incomparable sides, then comparable ones with either side larger
+        (_Z6, (0, 3), (0, 2, 4), (0, 1), (0, 2, 1), "weak", _NEG6),
+        (_Z6, (0, 2, 4), tuple(range(6)), (0, 2, 1), _NEG6, "weak", _NEG6),
+        (_Z6, tuple(range(6)), (0, 3), _NEG6, (0, 1), "weak", _NEG6),
+        (_F2_3, (0, 1), (0, 2), (0, 0), (0, 1), "weak", (0, 0, 2, 2)),
+        (_F2_3, (0, 1, 2, 3), (0, 3), (0, 2, 1, 3), (0, 1), "weak", (0, 2, 1, 3)),
+        (_F2_3, (0, 1), (0, 2, 4, 6), (0, 1), (0, 3, 2, 1), "weak", (0, 1, 6, 7, 4, 5, 2, 3)),
+        (_TWO_EDGES, (0, 1), (2, 3), (1, 0), (0, 1), "strong", (1, 0, 2, 3)),
+        (_TWO_EDGES, (0, 1), (0, 1, 2, 3), (1, 0), (1, 0, 3, 2), "strong", (1, 0, 3, 2)),
+    ],
+)
+def test_joint_extension_gamma_is_pinned(parent, a, b, alpha, beta, mode, gamma):
+    a, b = SubUniverse(parent, a), SubUniverse(parent, b)
+    a_struct, _ = induced_substructure(parent, a)
+    b_struct, _ = induced_substructure(parent, b)
+    join_struct, _ = induced_substructure(parent, join(parent, a, b)[0])
+    alpha = Homomorphism(a_struct, a_struct, alpha, mode)
+    beta = Homomorphism(b_struct, b_struct, beta, mode)
+    assert joint_extension(parent, a, b, alpha, beta) == Homomorphism(
+        join_struct, join_struct, gamma, mode
+    )
+    # an endpoint that is no endomorphism of its induced side
+    other = empty_sig_set(5)
+    foreign = Homomorphism(other, other, tuple(range(5)), mode)
+    with pytest.raises(InputError, match="extension endpoints"):
+        joint_extension(parent, a, b, foreign, beta)
+    with pytest.raises(InputError, match="extension endpoints"):
+        joint_extension(parent, a, b, alpha, foreign)
 
 
 def test_joint_extension_validates_inputs():
