@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import InputError, SizeLimitExceeded, SubUniverse
+from .core import InputError, SizeLimitExceeded, SubUniverse, _excerpt
 from .independence import (
     decide_congruence_independence,
     decide_subalgebra_independence,
@@ -31,16 +31,24 @@ def _parse_subset(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise InputError(f"subsets are comma-separated element indices, got {text!r}")
+        raise InputError(
+            f"subsets are comma-separated element indices, got {_excerpt(text)}"
+        )
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_excerpt(text)}")
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    value = _int(text)
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {_excerpt(value)}"
+        )
     return value
 
 
@@ -136,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="algindep",
         description="decide subalgebra and congruence independence of finite structures",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized batteries")
+    parser.add_argument("--seed", type=_int, default=0, help="seed for randomized batteries")
     parser.add_argument(
         "--max-size",
         type=_positive_int,

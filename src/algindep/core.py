@@ -27,6 +27,16 @@ class InputError(ValueError):
     """An argument violates an operation's precondition."""
 
 
+def _excerpt(value, limit: int = 32) -> str:
+    """A refused value as an error message shows it: its repr, or, when the
+    value's text is longer than ``limit``, its first ``limit`` characters
+    and its length."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= limit:
+        return repr(value)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
+
+
 class SizeLimitExceeded(RuntimeError):
     """An exhaustive computation would exceed its configured size bound."""
 

@@ -10,16 +10,21 @@ images) refuses the map.  Each newly imaged element is combined with
 everything imaged so far against every operation table, so the cost of a
 step is proportional to the number of new elements times the table sizes.  A
 closure can resume from a closed base: its elements start out imaged and
-already met, so only argument tuples with a new element are visited.
-``close`` records one derivation per element, a ``DagNode`` named tuple.  The
-kernel's visit order fixes which collision is found first, and so which
-witness a refused joint extension reports: the order is part of the output,
-not an implementation detail.
+already met, so only argument tuples with a new element are visited.  A
+closure of the identity map cannot collide, so it stops as soon as every
+element is imaged.  ``close`` records one derivation per element, a
+``DagNode`` named tuple, unless its caller reads only the subuniverse and
+passes ``derivation=False``.  The kernel's visit order fixes which collision
+is found first, and so which witness a refused joint extension reports: the
+order is part of the output, not an implementation detail.
 
 Subuniverse lattices are built by cyclic extension (Neubuser 1960, the method
 of GAP's ``LatticeSubgroups``, here for arbitrary algebras): every subuniverse
 is extended by one representative of each distinct 1-generated subuniverse
-<x>, with the closure resumed from the subuniverse as its base.
+<x>, with the closure resumed from the subuniverse as its base.  Closure is
+monotone, so if <S, x> = U and S <= T <= U with x outside T, then <T, x> = U
+is already known and is not closed again.  U was found when <S, x> was, so
+skipping the close loses no subuniverse.
 
 Congruences use one more fact: Con(A) is a sublattice of the partition
 lattice Eq(A).  The join of two congruences is the join of their partitions,
@@ -112,7 +117,7 @@ class _PartialMap:
         return out
 
 
-def _propagate(dom, cod, state: _PartialMap, new_pairs, nodes=None):
+def _propagate(dom, cod, state: _PartialMap, new_pairs, nodes=None, full=None):
     """The closure kernel: extend a partial map by every image it forces.
 
     The new pairs are assigned first, then each constant of ``dom`` is sent
@@ -127,7 +132,11 @@ def _propagate(dom, cod, state: _PartialMap, new_pairs, nodes=None):
     A subuniverse closure is this kernel run on the identity map, with
     ``cod`` = ``dom`` and each seed mapped to itself.  When ``nodes`` is a
     list, one ``DagNode`` is appended per newly imaged element: a generator
-    for a new pair, the operation and its arguments otherwise.
+    for a new pair, the operation and its arguments otherwise.  An identity
+    map cannot collide, so its closure passes ``full`` = ``dom.size`` and
+    the kernel stops once every element is imaged: nothing is left to force.
+    A map between structures still has collisions to find then, and passes
+    no ``full``.
     """
     images, imaged = state.images, state.imaged
     nd, nc = dom.size, cod.size
@@ -145,7 +154,7 @@ def _propagate(dom, cod, state: _PartialMap, new_pairs, nodes=None):
                 nodes.append(DagNode(v, name, ()))
         elif cur != w:
             return (v, cur, w)
-    while qi < len(imaged):
+    while qi < len(imaged) != full:
         x = imaged[qi]
         qi += 1
         fx = images[x]
@@ -208,7 +217,8 @@ def close(
     seed: Iterable[int],
     *,
     base: Optional[SubUniverse] = None,
-) -> tuple[SubUniverse, WitnessDag]:
+    derivation: bool = True,
+) -> tuple[SubUniverse, Optional[WitnessDag]]:
     """Smallest subuniverse containing the seed, all constants and ``base``.
 
     With a ``base`` the kernel resumes from it instead of from nothing:
@@ -216,20 +226,27 @@ def close(
     only the tuples that involve a new element are visited.  The witness DAG
     lists the base's elements as generators, then the seed elements outside
     it, then one derivation per derived element; evaluating it with the
-    identity on generators reproduces the closure.
+    identity on generators reproduces the closure.  With
+    ``derivation=False`` no node is built and None is returned in place of
+    the DAG; the subuniverse is the same.
     """
     seed = sorted(set(_check_elements(structure, seed)))
-    state, nodes = _PartialMap(structure.size), []
+    state = _PartialMap(structure.size)
+    nodes = [] if derivation else None
     if base is not None:
         if base.parent != structure:
             raise InputError("close requires a base subuniverse of the same structure")
         for e in base.members:
             state.images[e] = e
-            nodes.append(DagNode(e, None, ()))
+        if derivation:
+            nodes.extend(DagNode(e, None, ()) for e in base.members)
         state.imaged.extend(base.members)
-    _propagate(structure, structure, state, [(e, e) for e in seed], nodes)
+    _propagate(
+        structure, structure, state, [(e, e) for e in seed], nodes, full=structure.size
+    )
     members = tuple(sorted(state.imaged))
-    return SubUniverse._closed(structure, members), WitnessDag(tuple(nodes))
+    sub = SubUniverse._closed(structure, members)
+    return sub, WitnessDag(tuple(nodes)) if derivation else None
 
 
 def join(
@@ -277,7 +294,7 @@ def generated_subuniverse_of_square(
     tables = tuple(_SquareTable(table, n, ar) for _, ar, table in parent.op_views())
     square = FiniteStructure(parent.sig, n * n, tables)
     state = _PartialMap(square.size)
-    _propagate(square, square, state, [(p, p) for p in sorted(seed)])
+    _propagate(square, square, state, [(p, p) for p in sorted(seed)], full=square.size)
     return frozenset(divmod(p, n) for p in state.imaged)
 
 
@@ -440,24 +457,61 @@ def all_subuniverses(structure: FiniteStructure) -> list[SubUniverse]:
     representative x outside it, closing from S as the base.  This is exact:
     <x> = <x'> implies <S, x> = <S, x'>, so every subuniverse is reached by
     adding representatives one at a time.
+
+    Closes that monotonicity decides are skipped.  If <S, x> = U and
+    S <= T <= U with x outside T, then <T, x> = U, because closure is
+    monotone: T u {x} lies between S u {x} and U.  So each extended S keeps
+    ``known``, which maps every representative x outside S to <S, x>; the
+    closed bottom <> keeps x -> <x>.  A subuniverse T with <S, y> = T takes
+    over each entry x -> U of that S with x outside T and y in U (which is
+    T <= U, since T = <S, y>), and closes only the representatives it did
+    not take over.  The U of an entry was found when the entry was made, so
+    the lattice and its order are unchanged; only the closes are fewer.
     """
-    bottom, _ = close(structure, ())
-    found: dict[tuple[int, ...], SubUniverse] = {}
+    bottom, _ = close(structure, (), derivation=False)
+    subs: list[SubUniverse] = []  # in the order found, which is the order extended
+    index: dict[tuple[int, ...], int] = {}  # members -> position in subs
+    inside: list[set] = []  # the members of subs[k], built once
+    # until subs[k] is extended: (known of S, y) with <S, y> = subs[k], one y per S
+    links: list = []
+
+    def position(sub: SubUniverse) -> int:
+        k = index.setdefault(sub.members, len(subs))
+        if k == len(subs):
+            subs.append(sub)
+            inside.append(set(sub.members))
+            links.append([])
+        return k
+
     reps: list[int] = []
+    known_bottom: dict[int, int] = {}
     for x in range(structure.size):
-        sub, _ = close(structure, (x,), base=bottom)
-        if found.setdefault(sub.members, sub) is sub:
+        sub, _ = close(structure, (x,), base=bottom, derivation=False)
+        k = len(subs)
+        if position(sub) == k:
             reps.append(x)
-    # Only representatives inside S are skipped, never the other elements
-    # of <S, x>: for y in <S, x>, <S, y> can lie strictly between S and
-    # <S, x>, and skipping it is not exact (on S5 that rule found 111 of the
-    # 156 subgroups).
-    frontier = list(found.values())
-    for current in frontier:  # grows while it is scanned
-        inside = set(current.members)
+            known_bottom[x] = k
+            links[k].append((known_bottom, x))
+    # Besides the closes that monotonicity decides, only representatives
+    # inside S are skipped, never the other elements of <S, x>: for y in
+    # <S, x>, <S, y> can lie strictly between S and <S, x>, and skipping it
+    # is not exact (on S5 that rule found 111 of the 156 subgroups).
+    for j, current in enumerate(subs):  # subs grows while it is scanned
+        members = inside[j]
+        known: dict[int, int] = {}
+        for parent_known, y in links[j]:
+            for x, k in parent_known.items():
+                if x not in members and y in inside[k]:
+                    known[x] = k
+        links[j] = None  # extended: a link made later would not be read
         for x in reps:
-            if x not in inside:
-                sub, _ = close(structure, (x,), base=current)
-                if found.setdefault(sub.members, sub) is sub:
-                    frontier.append(sub)
-    return sorted(frontier, key=lambda s: (len(s.members), s.members))
+            if x in members:
+                continue
+            k = known.get(x)
+            if k is None:
+                sub, _ = close(structure, (x,), base=current, derivation=False)
+                k = known[x] = position(sub)
+            pending = links[k]
+            if pending is not None and (not pending or pending[-1][0] is not known):
+                pending.append((known, x))
+    return sorted(subs, key=lambda s: (len(s.members), s.members))

@@ -162,7 +162,7 @@ def _relation_violation(rels, images, mode: Mode):
 def generating_sequence(structure: FiniteStructure) -> tuple[int, ...]:
     """Greedy generating set: repeatedly add the element whose closure grows
     the current one the most (smallest index on ties)."""
-    current, _ = close(structure, ())
+    current, _ = close(structure, (), derivation=False)
     gens: list[int] = []
     while len(current.members) < structure.size:
         have = set(current.members)
@@ -170,7 +170,7 @@ def generating_sequence(structure: FiniteStructure) -> tuple[int, ...]:
         for x in range(structure.size):
             if x in have:
                 continue
-            sub, _ = close(structure, (x,), base=current)
+            sub, _ = close(structure, (x,), base=current, derivation=False)
             if best is None or len(sub.members) > len(best.members):
                 best_x, best = x, sub
         gens.append(best_x)

@@ -27,6 +27,7 @@ from .core import (
     Signature,
     SizeLimitExceeded,
     SubUniverse,
+    _excerpt,
     direct_product,
     induced_substructure,
     validate,
@@ -405,7 +406,7 @@ def _parse_int(value, what):
     try:
         return int(value)
     except (TypeError, ValueError):
-        raise InputError(f"{what} must be an integer, got {value!r}") from None
+        raise InputError(f"{what} must be an integer, got {_excerpt(value)}") from None
 
 
 def _parse_edges(edges) -> list[tuple[int, int]]:
@@ -439,7 +440,7 @@ _FAMILIES = {
 def build(family: str, *params) -> tuple[FiniteStructure, CategoryTag]:
     """Construct a named structure family from parameters checked here."""
     if family not in _FAMILIES:
-        raise InputError(f"unknown structure family {family!r}")
+        raise InputError(f"unknown structure family {_excerpt(family)}")
     builder, names, kind = _FAMILIES[family]
     if len(params) != len(names):
         raise InputError(

@@ -4,6 +4,10 @@ Everything here prefers exhaustive scans over cleverness and shares no code
 with the algorithms it is checking: closures are naive fixpoints over full
 re-scans, congruence lattices come from filtering all partitions, and
 homomorphisms and isomorphisms come from filtering all maps or permutations.
+The one exception is ``cyclic_extension_subuniverses``, plain cyclic
+extension through ``generation.close``: it checks that ``all_subuniverses``
+skips closes without changing its output, which the closed-subset filter
+cannot reach beyond a few elements.
 """
 
 from __future__ import annotations
@@ -377,3 +381,29 @@ def relabel(structure, perm):
         for name, ar, tuples in structure.rel_views()
     )
     return FiniteStructure(structure.sig, n, tuple(ops), rels)
+
+
+def cyclic_extension_subuniverses(structure):
+    """Every nonempty subuniverse by cyclic extension with no close skipped:
+    each subuniverse found is closed with every representative outside it.
+    Sorted by (size, members), as ``all_subuniverses`` returns them.  Calls
+    go through the module attribute ``generation.close``, so a test can
+    count them."""
+    from algindep import generation
+
+    bottom, _ = generation.close(structure, ())
+    found = {}
+    reps = []
+    for x in range(structure.size):
+        sub, _ = generation.close(structure, (x,), base=bottom)
+        if found.setdefault(sub.members, sub) is sub:
+            reps.append(x)
+    frontier = list(found.values())
+    for current in frontier:  # grows while it is scanned
+        inside = set(current.members)
+        for x in reps:
+            if x not in inside:
+                sub, _ = generation.close(structure, (x,), base=current)
+                if found.setdefault(sub.members, sub) is sub:
+                    frontier.append(sub)
+    return sorted(frontier, key=lambda s: (len(s.members), s.members))

@@ -1,5 +1,5 @@
 """The seed-0 outputs of every benchmark workload match bench/expected.json,
-and the traced run's cross-checks hold.
+and the cross-checks of a traced census and lattice run hold.
 
 One pass of each workload runs in a subprocess through ``bench/workloads.py``,
 because ``fresh_library`` re-imports ``algindep`` and would otherwise split
@@ -12,11 +12,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 ONE_PASS = """
 import json, sys, tempfile
 from pathlib import Path
+
+import pytest
 sys.path.insert(0, sys.argv[1])
 from workloads import PASSES, WORKLOADS, Jobs, check, fresh_library, set_up
 
@@ -53,11 +57,12 @@ def test_seed_0_pass_of_every_workload_matches_recorded_digests():
         assert outcome["digests"] == recorded[workload], workload
 
 
-def test_traced_census_run_passes_its_cross_checks():
+@pytest.mark.parametrize("workload", ["census", "lattice"])
+def test_traced_run_passes_its_cross_checks(workload):
     # extend calls equal the pairs examined, the lattice sizes found equal
     # the expected ones, and the spans' self times add up to the traced wall
     run = subprocess.run(
-        [sys.executable, str(BENCH / "run.py"), "--workload", "census", "--seed", "0",
+        [sys.executable, str(BENCH / "run.py"), "--workload", workload, "--seed", "0",
          "--seconds", "1", "--trace", "1"],
         capture_output=True,
         text=True,

@@ -6,6 +6,7 @@ from algindep.core import (
     InputError,
     SizeLimitExceeded,
     SubUniverse,
+    induced_substructure,
     is_subuniverse,
 )
 from algindep.generation import (
@@ -22,10 +23,13 @@ from algindep.zoo import (
     cyclic_group,
     dihedral_group,
     empty_sig_set,
+    graph,
     permutation_index,
+    permutations_of,
     powerset_boolean_algebra,
     quaternion_group,
     symmetric_group,
+    vector_space,
 )
 
 from oracles import (
@@ -34,7 +38,9 @@ from oracles import (
     brute_congruences,
     brute_meet_irreducibles,
     brute_pair_closure,
+    cyclic_extension_subuniverses,
 )
+from test_properties import _between_algebra, _late_argument_algebra
 
 
 def test_close_z6_generated_by_2():
@@ -251,3 +257,61 @@ def test_all_subuniverses_z6_are_the_divisor_subgroups():
 def test_all_subuniverses_pure_set_are_all_nonempty_subsets():
     s = empty_sig_set(4)
     assert len(all_subuniverses(s)) == 15
+
+
+def _alternating_4():
+    s4 = symmetric_group(4)
+    even = [
+        i
+        for i, p in enumerate(permutations_of(4))
+        if sum(p[u] > p[v] for u in range(4) for v in range(u + 1, 4)) % 2 == 0
+    ]
+    return induced_substructure(s4, SubUniverse(s4, even))[0]
+
+
+_LATTICE_CASES = {
+    # the parents of the census benchmark workload
+    "S4": lambda: symmetric_group(4),
+    "D6": lambda: dihedral_group(6),
+    "A4": _alternating_4,
+    "Q8": quaternion_group,
+    "Z12": lambda: cyclic_group(12),
+    "BA4": lambda: powerset_boolean_algebra(4),
+    "F2^3": lambda: vector_space(2, 3),
+    "F3^2": lambda: vector_space(3, 2),
+    "set5": lambda: empty_sig_set(5),
+    "D12": lambda: dihedral_group(12),
+    "BA5": lambda: powerset_boolean_algebra(5),
+    "F2^4": lambda: vector_space(2, 4),
+    "graph5": lambda: graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 0), (2, 4)]),
+    "between": _between_algebra,
+    "late_argument": _late_argument_algebra,
+}
+
+
+@pytest.mark.parametrize("name", _LATTICE_CASES)
+def test_all_subuniverses_matches_plain_cyclic_extension(name):
+    structure = _LATTICE_CASES[name]()
+    subs = [s.members for s in all_subuniverses(structure)]
+    assert subs == [s.members for s in cyclic_extension_subuniverses(structure)]
+
+
+def test_all_subuniverses_skips_closes_that_monotonicity_decides(monkeypatch):
+    calls = []
+    original = generation.close
+    monkeypatch.setattr(
+        generation, "close", lambda *args, **kw: calls.append(1) or original(*args, **kw)
+    )
+
+    def closes(lattice, structure) -> int:
+        calls.clear()
+        lattice(structure)
+        return len(calls)
+
+    d12 = dihedral_group(12)
+    assert closes(all_subuniverses, d12) < closes(cyclic_extension_subuniverses, d12)
+    # In a vector space <S, x> = S + <x> covers S, so nothing lies strictly
+    # between them and no close is decided in advance, except the extensions
+    # of the bottom {0}: <{0}, x> = <x>, closed before any is extended.
+    f2_4 = vector_space(2, 4)
+    assert closes(all_subuniverses, f2_4) == closes(cyclic_extension_subuniverses, f2_4) - 15

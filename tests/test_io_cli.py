@@ -431,6 +431,8 @@ def test_cli_gen_with_wrong_parameter_count_exits_2(tmp_path, capsys, params, me
 
 
 _HUGE = "9" * 5000
+# how a message shows _HUGE: a prefix and the length, not 5000 digits
+_HUGE_SHOWN = f"{_HUGE[:32]!r}... (5000 characters)"
 # the rest of a decider's arguments; "Z6" stands for a file of Z6
 _ON_Z6 = ["-s", "Z6", "--b", "0,2,4"]
 _CONG = ["decide-cong", "--a", "0,3", *_ON_Z6]
@@ -447,7 +449,10 @@ _SUB = ["decide-sub", "--a", "0,3", *_ON_Z6]
             (["gen", ""], "unknown structure family ''"),
             (["gen", "cyclic_group", "a"], "order must be an integer, got 'a'"),
             (["gen", "cyclic_group", "1.5"], "order must be an integer"),
-            (["gen", "cyclic_group", _HUGE], "order must be an integer"),
+            (["gen", "cyclic_group", _HUGE], f"order must be an integer, got {_HUGE_SHOWN}"),
+            (["gen", "graph", "3", f"0-{_HUGE}"],
+             f"edge endpoint must be an integer, got {_HUGE_SHOWN}"),
+            (["gen", _HUGE], f"unknown structure family {_HUGE_SHOWN}"),
             (["gen", "cyclic_group", "-3"], "built for orders 1 to 128"),
             (["gen", "symmetric_group", "0"], "built for 1 <= n <= 5"),
             (["gen", "dihedral_group", "-1"], "built for parameters 1 to 64"),
@@ -462,7 +467,7 @@ _SUB = ["decide-sub", "--a", "0,3", *_ON_Z6]
             # subsets
             (["decide-sub", "--a", "-1", *_ON_Z6], "element -1 out of range"),
             (["decide-sub", "--a", "9" * 30, *_ON_Z6], "out of range for universe 0..5"),
-            (["decide-sub", "--a", _HUGE, *_ON_Z6], "comma-separated element indices"),
+            (["decide-sub", "--a", _HUGE, *_ON_Z6], f"element indices, got {_HUGE_SHOWN}"),
             (["decide-sub", "--a", "0,,1", *_ON_Z6], "got '0,,1'"),
             (["decide-sub", "--a", "0,3,", *_ON_Z6], "got '0,3,'"),
             (["decide-sub", "--a", "", *_ON_Z6], "got ''"),
@@ -473,7 +478,10 @@ _SUB = ["decide-sub", "--a", "0,3", *_ON_Z6]
             (["--max-size", "-5", *_CONG], "--max-size: must be a positive integer, got -5"),
             (["--max-size", "0", *_CONG], "--max-size: must be a positive integer, got 0"),
             (["--max-size", "x", *_CONG], "--max-size: invalid int value: 'x'"),
+            (["--max-size", _HUGE, *_CONG], f"--max-size: invalid int value: {_HUGE_SHOWN}"),
+            (["--max-size", "-" + "9" * 4000, *_CONG], "positive integer, got '-9999"),
             (["--seed", "x", "paper-suite"], "--seed: invalid int value: 'x'"),
+            (["--seed", _HUGE, "paper-suite"], f"--seed: invalid int value: {_HUGE_SHOWN}"),
             ([*_SUB, "--mode", "odd"], "argument --mode: invalid choice: 'odd'"),
             ([*_SUB, "--homs", "x"], "argument --homs: invalid choice: 'x'"),
             (["no-such-command"], "argument command: invalid choice"),
@@ -494,7 +502,8 @@ def test_cli_malformed_arguments_exit_2_with_one_error_line(tmp_path, capsys, ar
         code = exc.code
     err = capsys.readouterr().err
     assert code == 2
-    assert sum("error:" in line for line in err.splitlines()) == 1
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and len(errors[0]) <= 200
     assert message in err and "Traceback" not in err
     assert not out.exists()
 

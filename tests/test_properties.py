@@ -222,6 +222,8 @@ def test_square_closure_matches_brute_pair_closure(data):
 def test_witness_dag_identity_evaluation(data):
     structure, seed, base = data
     closed, dag = close(structure, seed, base=base)
+    # the same subuniverse without a derivation, and None in place of the DAG
+    assert close(structure, seed, base=base, derivation=False) == (closed, None)
     inside = () if base is None else base.members
     gens = [*inside, *(e for e in seed if e not in inside)]
     values = dag.evaluate(structure, {e: e for e in gens})
