@@ -139,8 +139,17 @@ def _emit(report: Report, as_json: bool) -> None:
         sys.stdout.write(report.text())
 
 
+class _Parser(argparse.ArgumentParser):
+    def _check_value(self, action, value):  # a refused choice shown through _excerpt
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(str, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {_excerpt(value)} (choose from {choices})"
+            )
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="algindep",
         description="decide subalgebra and congruence independence of finite structures",
     )

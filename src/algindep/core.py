@@ -346,14 +346,18 @@ class Congruence:
 
     @staticmethod
     def from_assignment(values: Iterable[int]) -> "Congruence":
-        """Canonicalize an arbitrary labelling into first-occurrence numbering."""
+        """Canonicalize an arbitrary labelling into first-occurrence numbering,
+        which the constructor would only scan again."""
         relabel: dict[int, int] = {}
         out = []
         for v in values:
             if v not in relabel:
                 relabel[v] = len(relabel)
             out.append(relabel[v])
-        return Congruence(tuple(out))
+        theta = object.__new__(Congruence)
+        object.__setattr__(theta, "block_of", tuple(out))
+        object.__setattr__(theta, "_num_blocks", len(relabel))
+        return theta
 
     @staticmethod
     def from_blocks(size: int, blocks: Iterable[Iterable[int]]) -> "Congruence":

@@ -20,11 +20,12 @@ order is part of the output, not an implementation detail.
 
 Subuniverse lattices are built by cyclic extension (Neubuser 1960, the method
 of GAP's ``LatticeSubgroups``, here for arbitrary algebras): every subuniverse
-is extended by one representative of each distinct 1-generated subuniverse
-<x>, with the closure resumed from the subuniverse as its base.  Closure is
-monotone, so if <S, x> = U and S <= T <= U with x outside T, then <T, x> = U
-is already known and is not closed again.  U was found when <S, x> was, so
-skipping the close loses no subuniverse.
+S is extended by one representative of each distinct 1-generated subuniverse
+<x>, with the closure resumed from S as its base.  Elements that translate
+into each other give one extension: if a unary operation, or a binary one
+with an argument fixed in S, sends x to y and another sends y back to x, then
+<S, x> = <S, y>, and only one of them is closed.  In groups these classes are
+unions of double cosets SxS, in vector spaces unions of cosets x + S.
 
 Congruences use one more fact: Con(A) is a sublattice of the partition
 lattice Eq(A).  The join of two congruences is the join of their partitions,
@@ -453,65 +454,48 @@ def all_subuniverses(structure: FiniteStructure) -> list[SubUniverse]:
     members) for reproducible iteration.
 
     Each <x> is closed once, and the smallest x of each distinct <x> is its
-    representative.  Every subuniverse S found is extended by each
-    representative x outside it, closing from S as the base.  This is exact:
+    representative.  Every subuniverse S found is extended by the
+    representatives x outside it, closing from S as the base.  This is exact:
     <x> = <x'> implies <S, x> = <S, x'>, so every subuniverse is reached by
     adding representatives one at a time.
 
-    Closes that monotonicity decides are skipped.  If <S, x> = U and
-    S <= T <= U with x outside T, then <T, x> = U, because closure is
-    monotone: T u {x} lies between S u {x} and U.  So each extended S keeps
-    ``known``, which maps every representative x outside S to <S, x>; the
-    closed bottom <> keeps x -> <x>.  A subuniverse T with <S, y> = T takes
-    over each entry x -> U of that S with x outside T and y in U (which is
-    T <= U, since T = <S, y>), and closes only the representatives it did
-    not take over.  The U of an entry was found when the entry was made, so
-    the lattice and its order are unchanged; only the closes are fewer.
+    Only the first representative of each class of mutually translatable
+    elements is closed.  A translation by S is a unary operation, or a binary
+    one with an argument fixed in S.  If one sends x to y and another sends y
+    back to x, then <S, x> = <S, y>; such x and y are merged with union-find.
+    A one-way step merges nothing, since <S, y> can lie strictly below
+    <S, x>; other arities merge nothing either.  The rule is exact.
     """
+    n = structure.size
     bottom, _ = close(structure, (), derivation=False)
-    subs: list[SubUniverse] = []  # in the order found, which is the order extended
-    index: dict[tuple[int, ...], int] = {}  # members -> position in subs
-    inside: list[set] = []  # the members of subs[k], built once
-    # until subs[k] is extended: (known of S, y) with <S, y> = subs[k], one y per S
-    links: list = []
-
-    def position(sub: SubUniverse) -> int:
-        k = index.setdefault(sub.members, len(subs))
-        if k == len(subs):
-            subs.append(sub)
-            inside.append(set(sub.members))
-            links.append([])
-        return k
-
+    found: dict[tuple[int, ...], SubUniverse] = {}
     reps: list[int] = []
-    known_bottom: dict[int, int] = {}
-    for x in range(structure.size):
+    for x in range(n):
         sub, _ = close(structure, (x,), base=bottom, derivation=False)
-        k = len(subs)
-        if position(sub) == k:
+        if found.setdefault(sub.members, sub) is sub:
             reps.append(x)
-            known_bottom[x] = k
-            links[k].append((known_bottom, x))
-    # Besides the closes that monotonicity decides, only representatives
-    # inside S are skipped, never the other elements of <S, x>: for y in
-    # <S, x>, <S, y> can lie strictly between S and <S, x>, and skipping it
-    # is not exact (on S5 that rule found 111 of the 156 subgroups).
-    for j, current in enumerate(subs):  # subs grows while it is scanned
-        members = inside[j]
-        known: dict[int, int] = {}
-        for parent_known, y in links[j]:
-            for x, k in parent_known.items():
-                if x not in members and y in inside[k]:
-                    known[x] = k
-        links[j] = None  # extended: a link made later would not be read
+    unary = [table for _, ar, table in structure.op_views() if ar == 1]
+    binary = [table for _, ar, table in structure.op_views() if ar == 2]
+    subs = list(found.values())
+    for current in subs:  # grows while it is scanned
+        members = current.member_set()
+        outside = [x for x in range(n) if x not in members]
+        # each translation by S as its image table; s fixed left is a row,
+        # s fixed right a column
+        images = unary + [t[s * n : s * n + n] for t in binary for s in current.members]
+        images += [t[s::n] for t in binary for s in current.members]
+        steps = {x * n + image[x] for image in images for x in outside}  # x * n + y
+        classes = _UnionFind(n)
+        for step in steps:
+            x, y = divmod(step, n)
+            if x < y and y * n + x in steps:
+                classes.union(x, y)
+        first: dict[int, int] = {}  # class -> its first representative outside S
         for x in reps:
-            if x in members:
-                continue
-            k = known.get(x)
-            if k is None:
-                sub, _ = close(structure, (x,), base=current, derivation=False)
-                k = known[x] = position(sub)
-            pending = links[k]
-            if pending is not None and (not pending or pending[-1][0] is not known):
-                pending.append((known, x))
+            if x not in members:
+                first.setdefault(classes.find(x), x)
+        for x in first.values():
+            sub, _ = close(structure, (x,), base=current, derivation=False)
+            if found.setdefault(sub.members, sub) is sub:
+                subs.append(sub)
     return sorted(subs, key=lambda s: (len(s.members), s.members))

@@ -4,17 +4,19 @@ Everything here prefers exhaustive scans over cleverness and shares no code
 with the algorithms it is checking: closures are naive fixpoints over full
 re-scans, congruence lattices come from filtering all partitions, and
 homomorphisms and isomorphisms come from filtering all maps or permutations.
-The one exception is ``cyclic_extension_subuniverses``, plain cyclic
-extension through ``generation.close``: it checks that ``all_subuniverses``
-skips closes without changing its output, which the closed-subset filter
-cannot reach beyond a few elements.
+The partition filter is the acceptance battery's own brute force, which no
+fast path uses.  The one exception is ``cyclic_extension_subuniverses``,
+plain cyclic extension through ``generation.close``: it checks that
+``all_subuniverses`` skips closes without changing its output, which the
+closed-subset filter cannot reach beyond a few elements.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from algindep.core import Congruence, FiniteStructure, flat_index, is_congruence
+from algindep.acceptance import _brute_congruences
+from algindep.core import Congruence, FiniteStructure, flat_index
 
 
 def brute_close(structure: FiniteStructure, seed) -> frozenset:
@@ -143,26 +145,10 @@ def _inverse(perm):
     return tuple(inv)
 
 
-def all_partitions(n):
-    """Restricted-growth strings: every partition of 0..n-1 exactly once."""
-
-    def rec(prefix, maxb):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for b in range(maxb + 2):
-            yield from rec(prefix + [b], max(maxb, b))
-
-    yield from rec([], -1)
-
-
 def brute_congruences(structure) -> list[Congruence]:
-    out = []
-    for assignment in all_partitions(structure.size):
-        theta = Congruence.from_assignment(assignment)
-        if is_congruence(structure, theta):
-            out.append(theta)
-    return sorted(out, key=lambda t: t.block_of)
+    """Every partition that is a congruence, sorted by ``block_of``: the
+    acceptance battery's filter of all partitions."""
+    return sorted(_brute_congruences(structure), key=lambda t: t.block_of)
 
 
 def brute_cg(structure, pairs) -> Congruence:

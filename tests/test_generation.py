@@ -40,7 +40,7 @@ from oracles import (
     brute_pair_closure,
     cyclic_extension_subuniverses,
 )
-from test_properties import _between_algebra, _late_argument_algebra
+from test_properties import _between_algebra, _late_argument_algebra, _two_chain_algebra
 
 
 def test_close_z6_generated_by_2():
@@ -286,6 +286,7 @@ _LATTICE_CASES = {
     "graph5": lambda: graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 0), (2, 4)]),
     "between": _between_algebra,
     "late_argument": _late_argument_algebra,
+    "two_chains": _two_chain_algebra,
 }
 
 
@@ -296,7 +297,7 @@ def test_all_subuniverses_matches_plain_cyclic_extension(name):
     assert subs == [s.members for s in cyclic_extension_subuniverses(structure)]
 
 
-def test_all_subuniverses_skips_closes_that_monotonicity_decides(monkeypatch):
+def test_all_subuniverses_closes_one_element_per_class(monkeypatch):
     calls = []
     original = generation.close
     monkeypatch.setattr(
@@ -310,8 +311,10 @@ def test_all_subuniverses_skips_closes_that_monotonicity_decides(monkeypatch):
 
     d12 = dihedral_group(12)
     assert closes(all_subuniverses, d12) < closes(cyclic_extension_subuniverses, d12)
-    # In a vector space <S, x> = S + <x> covers S, so nothing lies strictly
-    # between them and no close is decided in advance, except the extensions
-    # of the bottom {0}: <{0}, x> = <x>, closed before any is extended.
+    # In F2^4 the translations by a subspace S are x -> x + s, so the classes
+    # outside S are its 16/|S| - 1 nonzero cosets, one close each; the bottom
+    # and the 16 subuniverses <x> take 1 + 16 closes before any extension.
     f2_4 = vector_space(2, 4)
-    assert closes(all_subuniverses, f2_4) == closes(cyclic_extension_subuniverses, f2_4) - 15
+    per_class = sum(16 // len(s) - 1 for s in all_subuniverses(f2_4))
+    assert per_class == 240
+    assert closes(all_subuniverses, f2_4) == 1 + 16 + per_class

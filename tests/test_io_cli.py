@@ -485,6 +485,11 @@ _SUB = ["decide-sub", "--a", "0,3", *_ON_Z6]
             ([*_SUB, "--mode", "odd"], "argument --mode: invalid choice: 'odd'"),
             ([*_SUB, "--homs", "x"], "argument --homs: invalid choice: 'x'"),
             (["no-such-command"], "argument command: invalid choice"),
+            ([_HUGE], f"argument command: invalid choice: {_HUGE_SHOWN}"),
+            ([*_SUB, "--mode", _HUGE], f"argument --mode: invalid choice: {_HUGE_SHOWN}"),
+            ([*_SUB, "--homs", _HUGE], f"argument --homs: invalid choice: {_HUGE_SHOWN}"),
+            (["coproduct", "-s", "Z6", "-s", "Z6", "--category", _HUGE],
+             f"argument --category: invalid choice: {_HUGE_SHOWN}"),
             ([], "the following arguments are required: command"),
         ]
     ],

@@ -199,9 +199,17 @@ def _between_algebra():
     return FiniteStructure(Signature((("f", 2),)), 4, (tuple(table),), ())
 
 
+def _two_chain_algebra():
+    """f = (1, 1, 3, 3): the chains 0 -> 1 and 2 -> 3.  From {1}, f sends 2
+    to 3 but nothing sends 3 back, and <{1}, 3> = {1, 3} lies strictly below
+    <{1}, 2> = {1, 2, 3}."""
+    return FiniteStructure(Signature((("f", 1),)), 4, ((1, 1, 3, 3),), ())
+
+
 @given(algebras(max_size=6, shapes=SHAPES + WIDE_SHAPES) | mixed_structures())
 @example(_late_argument_algebra())
 @example(_between_algebra())
+@example(_two_chain_algebra())
 @settings(max_examples=60, deadline=None)
 def test_all_subuniverses_matches_closed_subset_filter(structure):
     subs = [sub.members for sub in all_subuniverses(structure)]
