@@ -354,9 +354,16 @@ class Congruence:
             if v not in relabel:
                 relabel[v] = len(relabel)
             out.append(relabel[v])
+        return Congruence._canonical(tuple(out), len(relabel))
+
+    @staticmethod
+    def _canonical(block_of: tuple[int, ...], num_blocks: int) -> "Congruence":
+        """A partition the library numbered itself.  ``block_of`` must already
+        be in first-occurrence form with ``num_blocks`` blocks; unlike the
+        constructor, this does not check it again."""
         theta = object.__new__(Congruence)
-        object.__setattr__(theta, "block_of", tuple(out))
-        object.__setattr__(theta, "_num_blocks", len(relabel))
+        object.__setattr__(theta, "block_of", block_of)
+        object.__setattr__(theta, "_num_blocks", num_blocks)
         return theta
 
     @staticmethod

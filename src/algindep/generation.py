@@ -35,7 +35,10 @@ Cg(X u Y) = Cg(X) v Cg(Y), and every congruence is a join of principal ones
 Cg(a, b).  ``all_congruences`` uses this (Freese's method, "Computing
 congruences efficiently", Algebra Universalis 59, 2008): it calls ``cg`` once
 per pair of elements and then closes under partition joins with the
-principal congruences.
+principal congruences.  If theta relates a with a' and b with b', then
+theta v Cg(a, b) = theta v Cg(a', b'), so each congruence is joined once per
+pair of its blocks, with Cg of their first elements, or once per principal
+congruence when there are no more of those.
 """
 
 from __future__ import annotations
@@ -319,6 +322,19 @@ class _UnionFind:
         self.parent[rb] = ra
         return True
 
+    def numbering(self) -> tuple[list[int], int]:
+        """Each element's class number, by first occurrence, and the class
+        count.  Links point to smaller elements, so one pass suffices."""
+        number: list[int] = []
+        count = 0
+        for x, up in enumerate(self.parent):
+            if up == x:
+                number.append(count)
+                count += 1
+            else:
+                number.append(number[up])
+        return number, count
+
 
 def cg(
     structure: FiniteStructure, pairs: Iterable[tuple[int, int]]
@@ -327,7 +343,9 @@ def cg(
 
     Union-find merging with propagation: every merged pair is pushed through
     all one-variable translations of every operation, and the resulting image
-    pairs are merged in turn, to a fixpoint.
+    pairs are merged in turn, to a fixpoint.  A binary operation's
+    translations are its rows and columns, sliced once per call; the columns
+    are dropped when they equal the rows, as in a commutative operation.
     """
     n = structure.size
     uf = _UnionFind(n)
@@ -335,27 +353,32 @@ def cg(
     for x, y in pairs:
         _check_elements(structure, (x, y))
         queue.append((x, y))
-    ops = [(ar, table) for _, ar, table in structure.op_views() if ar >= 1]
+    unary, lines, wide = [], [], []
+    for _, ar, table in structure.op_views():
+        if ar == 1:
+            unary.append(table)
+        elif ar == 2:
+            rows = [table[s * n : s * n + n] for s in range(n)]
+            cols = [table[s::n] for s in range(n)]
+            lines += [rows] if cols == rows else [rows, cols]
+        elif ar > 2:
+            wide.append((ar, table))
     while queue:
         a, b = queue.pop()
         if not uf.union(a, b):
             continue
-        for ar, table in ops:
-            if ar == 1:
-                queue.append((table[a], table[b]))
-            elif ar == 2:
-                for c in range(n):
-                    queue.append((table[a * n + c], table[b * n + c]))
-                    queue.append((table[c * n + a], table[c * n + b]))
-            else:
-                for p in range(ar):
-                    for rest in itertools.product(range(n), repeat=ar - 1):
-                        u = rest[:p] + (a,) + rest[p:]
-                        v = rest[:p] + (b,) + rest[p:]
-                        queue.append(
-                            (table[flat_index(n, u)], table[flat_index(n, v)])
-                        )
-    return Congruence.from_assignment(uf.find(x) for x in range(n))
+        for table in unary:
+            queue.append((table[a], table[b]))
+        for line in lines:
+            queue.extend(zip(line[a], line[b]))
+        for ar, table in wide:
+            for p in range(ar):
+                for rest in itertools.product(range(n), repeat=ar - 1):
+                    u = rest[:p] + (a,) + rest[p:]
+                    v = rest[:p] + (b,) + rest[p:]
+                    queue.append((table[flat_index(n, u)], table[flat_index(n, v)]))
+    number, count = uf.numbering()
+    return Congruence._canonical(tuple(number), count)
 
 
 # Default bound on the number of congruences ``all_congruences`` may find.
@@ -367,20 +390,23 @@ def join_partitions(theta: Congruence, phi: Congruence) -> Congruence:
     """Join in the partition lattice: the transitive closure of theta u phi.
 
     On congruences of one structure this is their join in Con(A), because
-    Con(A) is a sublattice of Eq(A).
+    Con(A) is a sublattice of Eq(A).  Theta's blocks are merged with
+    union-find.  A root is the smallest theta label of its class and theta
+    numbers its blocks by first occurrence, so numbering the roots in order
+    is canonical and needs no constructor check.
     """
-    if theta.size != phi.size:
+    labels, phi_of = theta.block_of, phi.block_of
+    if len(labels) != len(phi_of):
         raise InputError("partitions of different sets cannot be joined")
-    labels, k = theta.block_of, theta.num_blocks
-    uf = _UnionFind(k)
+    uf = _UnionFind(theta.num_blocks)
     first: list[int] = []  # theta's label of the first element of each phi block
-    for e, blk in enumerate(phi.block_of):
+    for label, blk in zip(labels, phi_of):
         if blk == len(first):
-            first.append(labels[e])
+            first.append(label)
         else:
-            uf.union(first[blk], labels[e])
-    root = [uf.find(label) for label in range(k)]
-    return Congruence.from_assignment(root[label] for label in labels)
+            uf.union(first[blk], label)
+    new, count = uf.numbering()  # canonical number of each theta label
+    return Congruence._canonical(tuple(map(new.__getitem__, labels)), count)
 
 
 class _CongruenceLattice(list):
@@ -394,10 +420,15 @@ def all_congruences(structure: FiniteStructure, max_size: int = 12) -> list[Cong
 
     Every congruence is the join of the principal congruences Cg(a, b) of
     its related pairs, and joins of congruences are joins of partitions.  So
-    the distinct principal congruences are computed once, with n(n-1)/2
-    ``cg`` calls, and {identity} is closed under ``join_partitions`` with
-    them.  A principal Cg(a, b) is skipped for every congruence that already
-    relates a and b, since the join would change nothing.
+    the principal congruences are computed once, with n(n-1)/2 ``cg``
+    calls, and {identity} is closed under ``join_partitions`` with them.  The
+    upper joins of theta need only one principal per pair of theta-blocks:
+    if theta relates a with a' and b with b', then theta v Cg(a, b) contains
+    (a', a), (a, b) and (b, b'), so it equals theta v Cg(a', b').  A theta
+    with k blocks is therefore joined with Cg of the first elements of each
+    pair of blocks, C(k, 2) joins, when that is fewer than the distinct
+    principals; otherwise with each principal it does not contain.  Both
+    give the same set of joins.
 
     The returned list also carries ``meet_irreducibles``: its members with
     exactly one upper cover, in list order.  They come from the same joins.
@@ -417,24 +448,27 @@ def all_congruences(structure: FiniteStructure, max_size: int = 12) -> list[Cong
             f"structure size {n} exceeds the congruence lattice bound {max_size}"
         )
     identity = Congruence.identity(n)
+    pair_cg = {(a, b): cg(structure, [(a, b)]) for a in range(n) for b in range(a + 1, n)}
     principals: dict[Congruence, tuple[int, int]] = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            principals.setdefault(cg(structure, [(a, b)]), (a, b))
-    found: set[Congruence] = {identity}
-    irreducible: set[Congruence] = set()
+    for pair, principal in pair_cg.items():
+        principals.setdefault(principal, pair)
+    found = {identity.block_of: identity}
+    irreducible: set[tuple[int, ...]] = set()
     worklist = [identity]
     while worklist:
         theta = worklist.pop()
-        block_of = theta.block_of
+        block_of, k = theta.block_of, theta.num_blocks
+        if k * (k - 1) // 2 < len(principals):
+            firsts = list(map(block_of.index, range(k)))  # first element of each block
+            uppers = [pair_cg[a, b] for i, a in enumerate(firsts) for b in firsts[i + 1 :]]
+        else:
+            uppers = [p for p, (a, b) in principals.items() if block_of[a] != block_of[b]]
         joins = []
-        for principal, (a, b) in principals.items():
-            if block_of[a] == block_of[b]:
-                continue
+        for principal in uppers:
             joined = join_partitions(theta, principal)
             joins.append(joined.block_of)
-            if joined not in found:
-                found.add(joined)
+            if joined.block_of not in found:
+                found[joined.block_of] = joined
                 if len(found) > MAX_CONGRUENCE_LATTICE:
                     raise SizeLimitExceeded(
                         f"congruence lattice exceeds the lattice bound of "
@@ -442,10 +476,10 @@ def all_congruences(structure: FiniteStructure, max_size: int = 12) -> list[Cong
                     )
                 worklist.append(joined)
         # The meet's blocks are the distinct label tuples across the joins.
-        if joins and len(set(zip(*joins))) < theta.num_blocks:
-            irreducible.add(theta)
-    lattice = _CongruenceLattice(sorted(found, key=lambda t: t.block_of))
-    lattice.meet_irreducibles = tuple(t for t in lattice if t in irreducible)
+        if joins and len(set(zip(*joins))) < k:
+            irreducible.add(block_of)
+    lattice = _CongruenceLattice(found[key] for key in sorted(found))
+    lattice.meet_irreducibles = tuple(t for t in lattice if t.block_of in irreducible)
     return lattice
 
 

@@ -208,7 +208,7 @@ class Report:
 def report_from_verdict(verdict: Verdict, flavor: str) -> Report:
     lines = []
     head = "independent" if verdict.independent else "not independent"
-    lines.append(f"{head}; {verdict.pairs_examined} {flavor} pairs checked")
+    lines.append(f"{head}; {verdict.pairs_examined} {flavor} pairs decided")
     w = verdict.witness
     if isinstance(w, SubalgebraWitness):
         lines.append("witness alpha: " + ", ".join(_render_map(w.alpha)))

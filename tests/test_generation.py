@@ -3,7 +3,9 @@ import pytest
 from algindep import generation
 from algindep.core import (
     Congruence,
+    FiniteStructure,
     InputError,
+    Signature,
     SizeLimitExceeded,
     SubUniverse,
     induced_substructure,
@@ -149,6 +151,33 @@ def test_cg_z6_principal_congruences():
     assert cg(z6, [(0, 1)]).is_full()
 
 
+def _s3_product():
+    """S3 with its product only: without the inverse, whose translations
+    turn rows into columns, a congruence must be closed under the columns."""
+    s3 = symmetric_group(3)
+    return FiniteStructure(Signature((("mul", 2),)), 6, (s3.op_table("mul"),))
+
+
+@pytest.mark.parametrize(
+    "structure, commutative",
+    [(symmetric_group(3), False), (_s3_product(), False), (cyclic_group(6), True)],
+    ids=["S3", "S3-product", "Z6"],
+)
+def test_cg_matches_brute_on_every_pair(structure, commutative):
+    # cg pushes a merged pair through the rows and columns of each binary
+    # table, and drops the columns when they equal the rows
+    n = structure.size
+    binary = [t for _, ar, t in structure.op_views() if ar == 2]
+    assert binary
+    assert all(
+        ([t[s::n] for s in range(n)] == [t[s * n : s * n + n] for s in range(n)]) == commutative
+        for t in binary
+    )
+    for a in range(n):
+        for b in range(n):
+            assert cg(structure, [(a, b)]) == brute_cg(structure, [(a, b)])
+
+
 def test_all_congruences_z6_matches_divisor_lattice():
     z6 = cyclic_group(6)
     lattice = all_congruences(z6)
@@ -184,6 +213,25 @@ def test_all_congruences_of_a_set_are_all_partitions(n):
     assert len(lattice.meet_irreducibles) == 2 ** (n - 1) - 1
     if n <= 6:
         assert lattice == brute_congruences(empty_sig_set(n))
+
+
+def test_all_congruences_joins_once_per_pair_of_blocks(monkeypatch):
+    calls = []
+    original = generation.join_partitions
+    monkeypatch.setattr(
+        generation, "join_partitions", lambda *args: calls.append(1) or original(*args)
+    )
+    set6 = empty_sig_set(6)
+    lattice = all_congruences(set6)
+    # A partition with k blocks is joined once per pair of blocks, C(k, 2)
+    # times; the identity, whose C(6, 2) = 15 pairs are not fewer than the 15
+    # principals, once per principal.  Sum over k of S(6, k) * C(k, 2):
+    # 31 + 270 + 390 + 150 + 15 joins.  One join per principal not below each
+    # partition would take 2265.
+    assert len(calls) == 856
+    assert len(lattice) == 203 and lattice == brute_congruences(set6)
+    assert len(lattice.meet_irreducibles) == 31
+    assert list(lattice.meet_irreducibles) == brute_meet_irreducibles(set6)
 
 
 def test_all_congruences_of_f2_4_are_its_67_subspaces():

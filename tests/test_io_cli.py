@@ -259,7 +259,7 @@ def test_cli_gen_and_decide_sub(tmp_path):
     assert r.returncode == 0, r.stderr
     r = run_cli("decide-sub", "-s", out, "--a", "0,3", "--b", "0,2,4")
     assert r.returncode == 0
-    assert r.stdout.startswith("independent; 6 hom pairs checked")
+    assert r.stdout.startswith("independent; 6 hom pairs decided")
 
 
 def test_cli_decide_sub_witness_and_exit_code(tmp_path):

@@ -245,7 +245,14 @@ def test_witness_dag_identity_evaluation(data):
     assert set(structure.constants()) - set(gens) <= nullary
 
 
-@given(algebras(max_size=5), st.data())
+def _checked(theta: Congruence) -> Congruence:
+    """The same partition built through the constructor's canonical-form check."""
+    checked = Congruence(theta.block_of)
+    assert checked.num_blocks == theta.num_blocks
+    return checked
+
+
+@given(algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES), st.data())
 @settings(max_examples=40, deadline=None)
 def test_cg_contains_pairs_and_is_compatible(structure, data):
     n = structure.size
@@ -255,24 +262,44 @@ def test_cg_contains_pairs_and_is_compatible(structure, data):
         )
     )
     theta = cg(structure, pairs)
+    assert theta == _checked(theta)
     assert all(theta.related(a, b) for a, b in pairs)
     assert is_congruence(structure, theta)
 
 
-@given(algebras(max_size=5))
+@given(algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES))
 @settings(max_examples=30, deadline=None)
 def test_all_congruences_matches_partition_filter(structure):
     assert all_congruences(structure) == brute_congruences(structure)
 
 
-@given(algebras(max_size=5))
+@given(algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES))
 @settings(max_examples=30, deadline=None)
 def test_meet_irreducibles_match_cover_count(structure):
     lattice = all_congruences(structure)
     assert list(lattice.meet_irreducibles) == brute_meet_irreducibles(structure)
 
 
-@given(algebras(max_size=5), st.data())
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(*[st.lists(st.integers(0, n - 1), min_size=n, max_size=n)] * 2)
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_join_partitions_is_canonical(labellings):
+    theta, phi = map(Congruence.from_assignment, labellings)
+    joined = join_partitions(theta, phi)
+    assert joined == _checked(joined)
+    # the transitive closure of theta u phi, merging element classes pair by pair
+    classes = list(range(theta.size))
+    for rel in (theta, phi):
+        for a, b in rel.generating_pairs():
+            ra, rb = classes[a], classes[b]
+            classes = [ra if c == rb else c for c in classes]
+    assert joined == Congruence.from_assignment(classes)
+
+
+@given(algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES), st.data())
 @settings(max_examples=40, deadline=None)
 def test_cg_of_union_is_partition_join(structure, data):
     n = structure.size
