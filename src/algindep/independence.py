@@ -172,8 +172,9 @@ def decide_subalgebra_independence(
     returned as the witness.  Each pair costs one term evaluation along a
     derivation of the join from A u B and one vectorised check of what
     neither side settles (only agreement on A n B when one side contains
-    the other), and only the refused pair runs the forced-image propagation
-    that names the witness.  On incomparable sides the derivation is
+    the other).  A disagreement on A n B names its own witness, and only a
+    pair refused by the vectorised check runs the forced-image propagation
+    that names it.  On incomparable sides the derivation is
     computed per decision, closing the join from the larger side with the
     smaller one as seed.
 

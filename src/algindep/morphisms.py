@@ -23,15 +23,17 @@ two sides leave open.  gamma agrees with alpha on A, and alpha is an
 endomorphism of A's induced structure, so every operation cell and relation
 tuple inside A is already preserved (reflected too, in strong mode); the
 same holds for B.  When one side contains the other the join is the larger
-side and agreement on the shared elements decides.  Otherwise numpy gathers
-check gamma's operations, set tests check the relation tuples that lie in
-neither side, and in strong mode ``_relation_violation``, linear in the
-relations' tuples, checks every tuple, since its preimage boxes mix the
-sides.  Forced-image propagation only explains a refusal, naming the
-witness.  What depends on the join alone (positions, constants, relation
-views, numpy tables) is compiled once per join and process and kept in a
-memo keyed by the join; each decision keeps only its own sides' positions,
-a derivation of the join from A u B and the tuples that mix the sides.
+side and agreement on the shared elements decides.  Otherwise one numpy
+``take`` per argument position gathers gamma's image of each operation
+table, set tests check the relation tuples that lie in neither side, and in
+strong mode ``_relation_violation``, linear in the relations' tuples,
+checks every tuple, since its preimage boxes mix the sides.  A disagreement
+on A n B is its own witness; forced-image propagation runs only to name the
+witness of a refusal by that check.  What depends on the join alone
+(positions, constants, relation views, numpy tables) is compiled once per
+join and process and kept in a memo keyed by the join; each decision keeps
+only its own sides' positions, a derivation of the join from A u B and the
+tuples that mix the sides.
 """
 
 from __future__ import annotations
@@ -310,12 +312,6 @@ class ExtensionRefusal:
     detail: tuple
 
 
-def _axes(ar: int) -> list[tuple[int, ...]]:
-    """Shapes that put a vector on axis p of an ar-dimensional grid, so
-    ``table[tuple(v.reshape(s) for s in _axes(ar))]`` is table at v x ... x v."""
-    return [(-1,) + (1,) * (ar - 1 - p) for p in range(ar)]
-
-
 # Bound of each of the deciders' memos keyed by subuniverse: induced
 # substructures and join tables.
 _INDUCED_MEMO_SIZE = 1024
@@ -343,7 +339,7 @@ class _JoinTables:
     position of each parent element, the operation tables by name, the root
     map that images the constants, the relations as ``_relation_violation``
     reads them, and the numpy operation tables of each arity stacked on
-    axis 0, with the ``_axes`` that index them.
+    axis 0, each stack with its arity.
     """
 
     __slots__ = ("struct", "embed", "pos", "tables", "root", "rels", "op_arrays")
@@ -365,7 +361,7 @@ class _JoinTables:
             if ar > 0 and m > 1:
                 by_arity.setdefault(ar, []).append(table)
         self.op_arrays = [
-            (np.array(tables, dtype=np.intp).reshape((-1,) + (m,) * ar), _axes(ar))
+            (np.array(tables, dtype=np.intp).reshape((-1,) + (m,) * ar), ar)
             for ar, tables in sorted(by_arity.items())
         ]
 
@@ -383,7 +379,8 @@ class _JointContext:
     kept in their own memo (``_join_tables``); the induced structures of A
     and B come from ``_induced``.  Per pair of sides only this is computed:
     the join positions of A's and B's elements, the shared elements, whether
-    one side contains the other, and otherwise the applied nodes of a
+    one side contains the other and whether anything is left open for
+    ``_is_endomorphism``, and otherwise the applied nodes of a
     derivation DAG of the join as (target, table, args) steps in derivation
     order, and the argument columns of the relation tuples that lie in
     neither side.  The DAG is that of ``close`` resumed from the larger side
@@ -432,6 +429,9 @@ class _JointContext:
                 ]
                 if mixed:
                     self.rel_columns.append((tuples, list(zip(*mixed))))
+        self.left_open = not self.comparable and bool(
+            self.op_arrays or self.rel_columns or mode == "strong"
+        )
         covered = in_a | in_b
         self.steps = []
         for node in nodes:
@@ -451,15 +451,19 @@ class _JointContext:
         agree on A n B and this map is an endomorphism of the join in the
         relation mode.  On comparable sides agreement alone decides, as the
         map is the larger side's endomorphism; otherwise ``_is_endomorphism``
-        checks what neither side settles.  Returns the map as the list of
-        join positions of the images, or the ``ExtensionRefusal``; only a
-        refusal runs the forced-image propagation, which names the witness.
+        checks what neither side settles, if anything is left open.  Returns
+        the map as the list of join positions of the images, or the
+        ``ExtensionRefusal``.  alpha fixes the closure of the constants, which
+        the root images, so propagation's first collision would be the first
+        shared element, in B's order, whose seeds disagree: it is named here,
+        and only a refusal by ``_is_endomorphism`` runs ``_refusal``.
         """
         am, bm = alpha.mapping, beta.mapping
         a_at, b_at = self.a_at, self.b_at
         for j, i in self.shared:
             if b_at[bm[j]] != a_at[am[i]]:
-                return self._refusal(alpha, beta)
+                emb_a, emb_b = self.a_embed, self.b_embed
+                return ExtensionRefusal("not-functional", (emb_b[j], emb_a[am[i]], emb_b[bm[j]]))
         m = self.jstruct.size
         g = [0] * m
         for i, y in enumerate(am):
@@ -471,23 +475,28 @@ class _JointContext:
             for x in args:
                 idx = idx * m + g[x]
             g[target] = table[idx]
-        if not self.comparable and not self._is_endomorphism(g):
+        if self.left_open and not self._is_endomorphism(g):
             return self._refusal(alpha, beta)
         return g
 
     def _is_endomorphism(self, g: list[int]) -> bool:
         """Is ``g``, which agrees with alpha on A and beta on B, an
-        endomorphism of the join?  One gather-and-compare per operation
-        arity over the whole join, a set test per relation over the tuples
-        that mix A and B (a tuple inside one side is settled by that side's
-        endomorphism), and in strong mode ``_relation_violation`` over every
-        tuple, as a preimage box can mix the sides.  Constants need no
-        check: they lie in A n B, where the seeds already fix them."""
+        endomorphism of the join?  Per operation arity, the stacked tables
+        are gathered through g with one ``take`` per argument axis and
+        compared with g applied to the tables, over the whole join; a set
+        test per relation over the tuples that mix A and B (a tuple inside
+        one side is settled by that side's endomorphism), and in strong mode
+        ``_relation_violation`` over every tuple, as a preimage box can mix
+        the sides.  Constants need no check: they lie in A n B, where the
+        seeds already fix them."""
         if self.op_arrays:
             ga = np.array(g, dtype=np.intp)
-            for stack, axes in self.op_arrays:
-                image = stack[(slice(None),) + tuple(ga.reshape(s) for s in axes)]
-                if (ga[stack] != image).any():
+            for stack, ar in self.op_arrays:
+                image = stack
+                for axis in range(1, ar + 1):
+                    image = image.take(ga, axis=axis)
+                # equal shapes: the bytes differ iff a cell does; no ufunc reduction
+                if ga.take(stack).tobytes() != image.tobytes():
                     return False
         for tuples, columns in self.rel_columns:
             if not tuples.issuperset(zip(*[map(g.__getitem__, col) for col in columns])):

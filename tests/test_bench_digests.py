@@ -57,7 +57,7 @@ def test_seed_0_pass_of_every_workload_matches_recorded_digests():
         assert outcome["digests"] == recorded[workload], workload
 
 
-@pytest.mark.parametrize("workload", ["census", "lattice"])
+@pytest.mark.parametrize("workload", ["census", "deep-pairs", "lattice"])
 def test_traced_run_passes_its_cross_checks(workload):
     # extend calls equal the pairs examined, the lattice sizes found equal
     # the expected ones, and the spans' self times add up to the traced wall

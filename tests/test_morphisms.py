@@ -174,6 +174,45 @@ def test_joint_extension_refusal_on_overlapping_sets():
     assert refusal.detail[0] == 1  # the witness sits on the shared element
 
 
+@pytest.mark.parametrize(
+    "parent, mode",
+    [
+        (empty_sig_set(4), "weak"),
+        (symmetric_group(3), "weak"),
+        (powerset_boolean_algebra(3), "weak"),
+        (graph(4, [(0, 1), (1, 0), (2, 3), (3, 2)]), "strong"),
+    ],
+    ids=["set4", "S3", "BA3", "two-edges"],
+)
+def test_disagreement_on_shared_elements_names_the_propagation_witness(parent, mode):
+    # extend names a disagreement on A n B without propagation; the
+    # propagation in _refusal stays the oracle for that witness
+    from algindep import morphisms
+
+    subs = all_subuniverses(parent)
+    disagreeing = 0
+    for a in subs:
+        for b in subs:
+            shared = sorted(a.member_set() & b.member_set())
+            if not shared:
+                continue
+            ctx = morphisms._JointContext(parent, a, b, mode)
+            a_index = {e: i for i, e in enumerate(ctx.a_embed)}
+            b_index = {e: j for j, e in enumerate(ctx.b_embed)}
+            betas = list(enumerate_endos(ctx.b_struct, mode))
+            for alpha in enumerate_endos(ctx.a_struct, mode):
+                for beta in betas:
+                    if all(
+                        ctx.a_embed[alpha.mapping[a_index[e]]]
+                        == ctx.b_embed[beta.mapping[b_index[e]]]
+                        for e in shared
+                    ):
+                        continue
+                    disagreeing += 1
+                    assert ctx.extend(alpha, beta) == ctx._refusal(alpha, beta)
+    assert disagreeing > 0
+
+
 def test_joint_extension_matches_generated_square():
     z6 = cyclic_group(6)
     a = SubUniverse(z6, (0, 3))

@@ -433,7 +433,7 @@ def test_product_projections_on_graphs_weak_but_not_strong():
     assert not is_homomorphism(product, chain, proj, "strong")
 
 
-@given(algebras(max_size=5), st.data())
+@given(algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES), st.data())
 @settings(max_examples=30, deadline=None)
 def test_joint_extension_agrees_with_exhaustive_search(structure, data):
     subs = all_subuniverses(structure)
@@ -476,6 +476,27 @@ def test_joint_extension_agrees_with_exhaustive_search(structure, data):
                 assert extensions == [gamma.mapping]
             else:
                 assert extensions == []
+
+
+@given(algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES), st.data())
+@settings(max_examples=40, deadline=None)
+def test_compiled_endomorphism_check_matches_is_homomorphism(structure, data):
+    # the per-axis gathers against the cell-by-cell check, on endomorphisms
+    # and on arbitrary maps that fix the constants, as the seeds do
+    from algindep import morphisms
+
+    subs = all_subuniverses(structure)
+    assume(subs)
+    a = data.draw(st.sampled_from(subs))
+    b = data.draw(st.sampled_from(subs))
+    ctx = morphisms._JointContext(structure, a, b, "weak")
+    m = ctx.jstruct.size
+    endos = [list(h.mapping) for h in itertools.islice(enumerate_endos(ctx.jstruct), 20)]
+    arbitrary = st.lists(st.integers(0, m - 1), min_size=m, max_size=m).map(
+        lambda g: [x if y is None else y for x, y in zip(g, ctx.root.images)]
+    )
+    g = data.draw(st.sampled_from(endos) | arbitrary)
+    assert ctx._is_endomorphism(g) == is_homomorphism(ctx.jstruct, ctx.jstruct, tuple(g))
 
 
 def _inverse(mapping):
