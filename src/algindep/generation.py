@@ -33,17 +33,22 @@ the transitive closure of their union, which ``join_partitions`` computes
 with union-find and no propagation through the operations.  Consequently
 Cg(X u Y) = Cg(X) v Cg(Y), and every congruence is a join of principal ones
 Cg(a, b).  ``all_congruences`` uses this (Freese's method, "Computing
-congruences efficiently", Algebra Universalis 59, 2008): it calls ``cg`` once
-per pair of elements and then closes under partition joins with the
-principal congruences.  If theta relates a with a' and b with b', then
-theta v Cg(a, b) = theta v Cg(a', b'), so each congruence is joined once per
-pair of its blocks, with Cg of their first elements, or once per principal
-congruence when there are no more of those.
+congruences efficiently", Algebra Universalis 59, 2008): it computes the
+principal congruences and then closes under partition joins with them.  If
+theta relates a with a' and b with b', then theta v Cg(a, b) =
+theta v Cg(a', b'), so each congruence is joined once per pair of its
+blocks, with Cg of their first elements, or once per principal congruence
+when there are no more of those.  When every basic translation permutes or
+is constant, the pairs of distinct elements that ``cg(a, b)`` reaches are
+images of (a, b) under permutations whose inverses are their powers, so they
+share its principal congruence and make no ``cg`` call of their own.
+Lattices are memoized by the structure's value.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
@@ -337,7 +342,7 @@ class _UnionFind:
 
 
 def cg(
-    structure: FiniteStructure, pairs: Iterable[tuple[int, int]]
+    structure: FiniteStructure, pairs: Iterable[tuple[int, int]], *, reached=None
 ) -> Congruence:
     """Smallest congruence containing the given pairs.
 
@@ -346,10 +351,15 @@ def cg(
     pairs are merged in turn, to a fixpoint.  A binary operation's
     translations are its rows and columns, sliced once per call; the columns
     are dropped when they equal the rows, as in a commutative operation.
+
+    A ``reached`` list serves as the first-in, first-out queue, so on return
+    it holds every pair (p(a), p(b)) pushed for a given (a, b), p a
+    composition of basic translations.
     """
     n = structure.size
     uf = _UnionFind(n)
-    queue: list[tuple[int, int]] = []
+    queue: list[tuple[int, int]] = [] if reached is None else reached
+    head = len(queue)
     for x, y in pairs:
         _check_elements(structure, (x, y))
         queue.append((x, y))
@@ -363,8 +373,9 @@ def cg(
             lines += [rows] if cols == rows else [rows, cols]
         elif ar > 2:
             wide.append((ar, table))
-    while queue:
-        a, b = queue.pop()
+    while head < len(queue):
+        a, b = queue[head]
+        head += 1
         if not uf.union(a, b):
             continue
         for table in unary:
@@ -415,71 +426,117 @@ class _CongruenceLattice(list):
     meet_irreducibles: tuple[Congruence, ...] = ()
 
 
+# Bound of the lattice memo, in congruences over all its entries.
+_LATTICE_MEMO_CONGRUENCES = 50_000
+_lattice_memo: dict = {}  # structure -> (lattice, meet-irreducibles), oldest use first
+_lattice_memo_lock = threading.Lock()
+
+
+def _translations_permute(structure: FiniteStructure) -> bool:
+    """No arity above 2, and each unary table and each row and column of a
+    binary one is a permutation or constant."""
+    n = structure.size
+    for _, ar, table in structure.op_views():
+        if ar > 2:
+            return False
+        width = n**ar // n  # rows: 1 for a unary table, n for a binary one
+        for s in range(width):
+            for line in (table[s * n : s * n + n], table[s::width]):
+                if len(set(line)) not in (1, n):
+                    return False
+    return True
+
+
 def all_congruences(structure: FiniteStructure, max_size: int = 12) -> list[Congruence]:
-    """The complete congruence lattice, sorted by ``block_of``.
+    """The complete congruence lattice, sorted by ``block_of``, with its
+    meet-irreducible members, in list order, as ``meet_irreducibles``.
 
-    Every congruence is the join of the principal congruences Cg(a, b) of
-    its related pairs, and joins of congruences are joins of partitions.  So
-    the principal congruences are computed once, with n(n-1)/2 ``cg``
-    calls, and {identity} is closed under ``join_partitions`` with them.  The
-    upper joins of theta need only one principal per pair of theta-blocks:
-    if theta relates a with a' and b with b', then theta v Cg(a, b) contains
-    (a', a), (a, b) and (b, b'), so it equals theta v Cg(a', b').  A theta
-    with k blocks is therefore joined with Cg of the first elements of each
-    pair of blocks, C(k, 2) joins, when that is fewer than the distinct
-    principals; otherwise with each principal it does not contain.  Both
-    give the same set of joins.
-
-    The returned list also carries ``meet_irreducibles``: its members with
-    exactly one upper cover, in list order.  They come from the same joins.
-    Every upper cover of theta is theta v Cg(a, b) for some pair theta does
-    not relate, so theta has exactly one when the meet of its joins lies
-    strictly above it.
-
-    ``max_size`` bounds the element count and ``MAX_CONGRUENCE_LATTICE`` the
-    number of congruences found; exceeding either raises
-    ``SizeLimitExceeded``.  Partition filtering would visit
-    Bell(n) partitions whatever the lattice, so it is kept only as a test
-    oracle.
+    {identity} is closed under ``join_partitions`` with the principal
+    congruences Cg(a, b), one join per pair of blocks of each congruence.
+    Each Cg(a, b) takes one ``cg`` call, unless ``_translations_permute``
+    holds and an earlier call reached (a, b): that call's pairs are images
+    of its own pair under permutations whose inverses are their powers, so
+    they generate the same congruence.  F2^4 takes 15 calls instead of 120,
+    S4 4 instead of 276.  Lattices are memoized by structure value, as
+    tuples, within ``_LATTICE_MEMO_CONGRUENCES`` congruences, and each call
+    returns a new list.  Exceeding ``max_size`` elements or
+    ``MAX_CONGRUENCE_LATTICE`` congruences raises ``SizeLimitExceeded``, on
+    a memo hit too.
     """
     n = structure.size
     if n > max_size:
         raise SizeLimitExceeded(
             f"structure size {n} exceeds the congruence lattice bound {max_size}"
         )
-    identity = Congruence.identity(n)
-    pair_cg = {(a, b): cg(structure, [(a, b)]) for a in range(n) for b in range(a + 1, n)}
-    principals: dict[Congruence, tuple[int, int]] = {}
-    for pair, principal in pair_cg.items():
-        principals.setdefault(principal, pair)
-    found = {identity.block_of: identity}
-    irreducible: set[tuple[int, ...]] = set()
-    worklist = [identity]
-    while worklist:
-        theta = worklist.pop()
-        block_of, k = theta.block_of, theta.num_blocks
-        if k * (k - 1) // 2 < len(principals):
-            firsts = list(map(block_of.index, range(k)))  # first element of each block
-            uppers = [pair_cg[a, b] for i, a in enumerate(firsts) for b in firsts[i + 1 :]]
-        else:
-            uppers = [p for p, (a, b) in principals.items() if block_of[a] != block_of[b]]
-        joins = []
-        for principal in uppers:
-            joined = join_partitions(theta, principal)
-            joins.append(joined.block_of)
-            if joined.block_of not in found:
-                found[joined.block_of] = joined
-                if len(found) > MAX_CONGRUENCE_LATTICE:
-                    raise SizeLimitExceeded(
-                        f"congruence lattice exceeds the lattice bound of "
-                        f"{MAX_CONGRUENCE_LATTICE} congruences"
-                    )
-                worklist.append(joined)
-        # The meet's blocks are the distinct label tuples across the joins.
-        if joins and len(set(zip(*joins))) < k:
-            irreducible.add(block_of)
-    lattice = _CongruenceLattice(found[key] for key in sorted(found))
-    lattice.meet_irreducibles = tuple(t for t in lattice if t.block_of in irreducible)
+    with _lattice_memo_lock:
+        entry = _lattice_memo.pop(structure, None)  # put back last below
+    if entry is None:
+        # When every basic translation permutes or is constant, each pair
+        # (c, d), c != d, that cg(a, b) reaches is (p(a), p(b)) for a
+        # composition p of permuting translations.  p's inverse is a power
+        # of p, so (a, b) is reached from (c, d) too: Cg(c, d) = Cg(a, b).
+        reuse = _translations_permute(structure)
+        known: dict[int, Congruence] = {}  # c * n + d -> Cg(c, d)
+        pair_cg: dict[tuple[int, int], Congruence] = {}
+        for a in range(n):
+            for b in range(a + 1, n):
+                principal = known.get(a * n + b)
+                if principal is None:
+                    reached = [] if reuse else None
+                    principal = cg(structure, [(a, b)], reached=reached)
+                    for c, d in reached or ():
+                        known[c * n + d] = known[d * n + c] = principal
+                pair_cg[a, b] = principal
+        principals: dict[Congruence, tuple[int, int]] = {}
+        for pair, principal in pair_cg.items():
+            principals.setdefault(principal, pair)
+        # theta v Cg(a, b) = theta v Cg(a', b') when theta relates a with a'
+        # and b with b', so theta is joined with Cg of the first elements of
+        # each pair of its blocks, or with each principal it does not
+        # contain when that is fewer: the same set of joins.  Every upper
+        # cover of theta is one of them, so theta is meet-irreducible when
+        # their meet lies strictly above it.
+        identity = Congruence.identity(n)
+        found = {identity.block_of: identity}
+        irreducible: set[tuple[int, ...]] = set()
+        worklist = [identity]
+        while worklist:
+            theta = worklist.pop()
+            block_of, k = theta.block_of, theta.num_blocks
+            if k * (k - 1) // 2 < len(principals):
+                firsts = list(map(block_of.index, range(k)))  # first element of each block
+                uppers = [pair_cg[a, b] for i, a in enumerate(firsts) for b in firsts[i + 1 :]]
+            else:
+                uppers = [p for p, (a, b) in principals.items() if block_of[a] != block_of[b]]
+            joins = []
+            for principal in uppers:
+                joined = join_partitions(theta, principal)
+                joins.append(joined.block_of)
+                if joined.block_of not in found:
+                    found[joined.block_of] = joined
+                    if len(found) > MAX_CONGRUENCE_LATTICE:  # raised below
+                        worklist.clear()
+                        break
+                    worklist.append(joined)
+            # The meet's blocks are the distinct label tuples across the joins.
+            if joins and len(set(zip(*joins))) < k:
+                irreducible.add(block_of)
+        cons = tuple(found[key] for key in sorted(found))
+        entry = cons, tuple(t for t in cons if t.block_of in irreducible)
+    if len(entry[0]) > MAX_CONGRUENCE_LATTICE:
+        raise SizeLimitExceeded(
+            f"congruence lattice exceeds the lattice bound of "
+            f"{MAX_CONGRUENCE_LATTICE} congruences"
+        )
+    with _lattice_memo_lock:
+        _lattice_memo[structure] = entry
+        held = 0
+        for cons, _ in _lattice_memo.values():
+            held += len(cons)
+        while held > _LATTICE_MEMO_CONGRUENCES:
+            held -= len(_lattice_memo.pop(next(iter(_lattice_memo)))[0])
+    lattice = _CongruenceLattice(entry[0])
+    lattice.meet_irreducibles = entry[1]
     return lattice
 
 

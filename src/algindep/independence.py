@@ -238,7 +238,7 @@ def decide_congruence_independence(
     most once per decision, and each pair costs one ``join_partitions``.  Its
     restriction to each side is compared as a canonical block assignment;
     only a mismatch runs the lexicographic scan that names the first
-    offending element pair.
+    offending element pair.  A side that is the whole join lifts as itself.
 
     Exact extensions are closed under meets: restriction commutes with
     intersection, so if psi and psi' restrict exactly to (theta_A, theta_B)
@@ -288,6 +288,8 @@ def decide_congruence_independence(
     at_b = [pos[e] for e in b_embed]
 
     def lift(theta, at):
+        if len(at) == jstruct.size:  # the side is the join: theta is its own lift
+            return theta
         return cg(jstruct, [(at[u], at[v]) for u, v in theta.generating_pairs()])
 
     lifts_a: dict[Congruence, Congruence] = {}  # shared by the three steps

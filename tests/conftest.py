@@ -2,10 +2,11 @@
 
 import pytest
 
-from algindep import independence, morphisms
+from algindep import generation, independence, morphisms
 
 
 def _clear_memos() -> None:
+    generation._lattice_memo.clear()
     independence._endo_memo.clear()
     morphisms._induced_memo.cache_clear()
     morphisms._join_tables.cache_clear()

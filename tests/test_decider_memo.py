@@ -8,9 +8,9 @@ import threading
 
 import pytest
 
-from algindep import independence, morphisms
+from algindep import generation, independence, morphisms
 from algindep.core import InputError, SubUniverse, induced_substructure
-from algindep.generation import all_subuniverses, close, join
+from algindep.generation import all_congruences, all_subuniverses, close, join
 from algindep.independence import decide_subalgebra_independence
 from algindep.morphisms import HOM_CLASSES, Homomorphism, enumerate_endos, joint_extension
 from algindep.zoo import (
@@ -251,5 +251,46 @@ def test_threads_sharing_cold_memos_get_the_sequential_verdicts(cold_memos):
                 t.join(timeout=120)
             assert not any(t.is_alive() for t in threads)
             assert all(r == expected for r in results)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threads_sharing_the_lattice_memo_get_the_sequential_lattices(
+    monkeypatch, cold_memos
+):
+    # more threads than cores fill and evict the congruence lattice memo at
+    # once; a lost update would return a wrong lattice or leave the memo
+    # over its bound
+    structures = [empty_sig_set(n) for n in range(1, 7)]
+    structures += [symmetric_group(3), dihedral_group(4), vector_space(2, 3)]
+
+    def lattices():
+        return [(list(t), t.meet_irreducibles) for t in map(all_congruences, structures)]
+
+    expected = lattices()
+    bound = 250  # under the 303 congruences of all nine lattices
+    monkeypatch.setattr(generation, "_LATTICE_MEMO_CONGRUENCES", bound)
+    workers = 6
+    start = threading.Barrier(workers)
+
+    def work(w):
+        start.wait()
+        results[w] = lattices()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            cold_memos()
+            results = [None] * workers
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert all(r == expected for r in results)
+            held = sum(len(cons) for cons, _ in generation._lattice_memo.values())
+            assert 0 < held <= bound
     finally:
         sys.setswitchinterval(interval)

@@ -234,6 +234,82 @@ def test_all_congruences_joins_once_per_pair_of_blocks(monkeypatch):
     assert list(lattice.meet_irreducibles) == brute_meet_irreducibles(set6)
 
 
+def _count_cg_calls(monkeypatch):
+    calls = []
+    original = generation.cg
+    monkeypatch.setattr(
+        generation, "cg", lambda *args, **kw: calls.append(1) or original(*args, **kw)
+    )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "structure, size_bound, cg_calls",
+    [
+        (build("vector_space", 2, 4)[0], 16, 15),
+        (symmetric_group(4), 24, 4),
+        (powerset_boolean_algebra(3), 12, 28),
+        (empty_sig_set(6), 12, 15),
+    ],
+    ids=["F2^4", "S4", "BA3", "set6"],
+)
+def test_all_congruences_reuses_principals_of_reached_pairs(
+    monkeypatch, cold_memos, structure, size_bound, cg_calls
+):
+    # F2^4 and S4 translate every pair by permutations: one cg call per
+    # class of translatable pairs, 15 cosets of 2-element subspaces and 4
+    # conjugacy classes.  BA3's translations x v s and x ^ s are neither
+    # permutations nor constant, and set6 has no operations to translate
+    # by: one call per pair.
+    calls = _count_cg_calls(monkeypatch)
+    lattice = all_congruences(structure, max_size=size_bound)
+    assert len(calls) == cg_calls
+    # against the same lattice with the reuse turned off
+    cold_memos()
+    monkeypatch.setattr(generation, "_translations_permute", lambda structure: False)
+    calls.clear()
+    plain = all_congruences(structure, max_size=size_bound)
+    n = structure.size
+    assert len(calls) == n * (n - 1) // 2
+    assert lattice == plain
+    assert lattice.meet_irreducibles == plain.meet_irreducibles
+
+
+def test_all_congruences_of_s5_takes_one_cg_call_per_conjugacy_class(monkeypatch):
+    calls = _count_cg_calls(monkeypatch)
+    lattice = all_congruences(symmetric_group(5), max_size=120)
+    # identity, cosets of A5, full; 7140 pairs in 6 classes
+    assert len(lattice) == 3
+    assert len(calls) <= 6
+
+
+def test_all_congruences_memo_returns_a_fresh_lattice(monkeypatch):
+    calls = _count_cg_calls(monkeypatch)
+    d4 = dihedral_group(4)
+    first = all_congruences(d4)
+    made = len(calls)
+    first.append(None)
+    second = all_congruences(dihedral_group(4))
+    assert len(calls) == made  # a hit by value makes no cg call
+    assert second == first[:-1] and second is not first
+    assert second.meet_irreducibles == first.meet_irreducibles
+    # a hit still enforces both bounds
+    with pytest.raises(SizeLimitExceeded):
+        all_congruences(d4, max_size=7)
+    monkeypatch.setattr(generation, "MAX_CONGRUENCE_LATTICE", 5)
+    with pytest.raises(SizeLimitExceeded, match="lattice bound of 5 congruences"):
+        all_congruences(d4)
+
+
+def test_lattice_memo_keeps_the_most_recent_lattices_within_its_bound(monkeypatch):
+    monkeypatch.setattr(generation, "_LATTICE_MEMO_CONGRUENCES", 60)
+    for n in (5, 3):  # 52 + 5 congruences
+        all_congruences(empty_sig_set(n))
+    assert [s.size for s in generation._lattice_memo] == [5, 3]
+    all_congruences(empty_sig_set(4))  # 15 more: the 5-element set's lattice goes
+    assert [s.size for s in generation._lattice_memo] == [3, 4]
+
+
 def test_all_congruences_of_f2_4_are_its_67_subspaces():
     f2_4, _ = build("vector_space", 2, 4)
     lattice = all_congruences(f2_4, max_size=16)

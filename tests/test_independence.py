@@ -195,6 +195,23 @@ def test_congruence_decider_matches_per_pair_cg_reference(parent):
             assert decide_congruence_independence(parent, a, b) == expected
 
 
+def test_congruence_decider_lifts_a_side_that_is_the_join_as_itself(monkeypatch):
+    # Con(F2^3) has 16 members; only the one congruence of {0} is lifted by cg
+    from algindep import independence
+
+    f2_3 = build("vector_space", 2, 3)[0]
+    whole, zero = SubUniverse(f2_3, tuple(range(8))), SubUniverse(f2_3, (0,))
+    lifts = []
+    original = independence.cg
+    monkeypatch.setattr(independence, "cg", lambda *args: lifts.append(1) or original(*args))
+    for a, b in ((whole, zero), (zero, whole)):
+        lifts.clear()
+        verdict = decide_congruence_independence(f2_3, a, b)
+        assert verdict == reference_congruence_independence(f2_3, a, b)
+        assert verdict == Verdict(True, None, 16)
+        assert len(lifts) == 1
+
+
 def test_congruence_exit_paths_match_reference():
     # S4 subgroup pairs with sides of at most 6 elements, so that the
     # reference can filter partitions.  A refusal in row 0 (1_A against

@@ -1,6 +1,7 @@
 """Law-style properties over randomized structures."""
 
 import itertools
+import math
 
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -131,6 +132,51 @@ def mixed_structure_pairs(draw, max_size=4):
 @st.composite
 def mixed_structures(draw, max_size=4):
     return draw(mixed_structure_pairs(max_size=max_size))[0]
+
+
+@st.composite
+def conservative_algebras(draw, max_size=5):
+    """One binary operation with f(x, y) in {x, y}: every subset is a
+    subuniverse, so incomparable sides, whose mixed products the joint
+    extension must check, are common."""
+    n = draw(st.integers(1, max_size))
+    table = tuple(draw(st.sampled_from((x, y))) for x in range(n) for y in range(n))
+    return FiniteStructure(Signature((("f", 2),)), n, (table,), ())
+
+
+def _isotope_of_cyclic(draw, k):
+    """A Latin square isotopic to Z_k, (x, y) -> s(p(x) + r(y) mod k) for
+    drawn permutations p, r and s: a quasigroup, rarely associative."""
+    p, r, t = (draw(st.permutations(range(k))) for _ in range(3))
+    return [[t[(p[x] + r[y]) % k] for y in range(k)] for x in range(k)]
+
+
+@st.composite
+def quasigroups(draw, max_size=9):
+    """Relabelled products of one or two isotopes of Z2-Z4, sometimes with a
+    constant unary operation.  Every row and column of the product is a
+    permutation, so every basic translation permutes or is constant: the
+    case in which ``all_congruences`` reuses principal congruences."""
+    orders = draw(
+        st.lists(st.integers(2, 4), min_size=1, max_size=2).filter(
+            lambda ks: math.prod(ks) <= max_size
+        )
+    )
+    squares = [_isotope_of_cyclic(draw, k) for k in orders]
+    elements = list(itertools.product(*map(range, orders)))
+    n = len(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    mul = tuple(
+        index[tuple(sq[a][b] for sq, a, b in zip(squares, u, v))]
+        for u in elements
+        for v in elements
+    )
+    ops, tables = [("mul", 2)], [mul]
+    if draw(st.booleans()):
+        ops.append(("c", 1))
+        tables.append((draw(st.integers(0, n - 1)),) * n)
+    structure = FiniteStructure(Signature(tuple(ops)), n, tuple(tables), ())
+    return relabel(structure, draw(st.permutations(range(n))))
 
 
 @given(algebras_with_seed(max_size=8))
@@ -277,6 +323,19 @@ def test_all_congruences_matches_partition_filter(structure):
 @settings(max_examples=30, deadline=None)
 def test_meet_irreducibles_match_cover_count(structure):
     lattice = all_congruences(structure)
+    assert list(lattice.meet_irreducibles) == brute_meet_irreducibles(structure)
+
+
+@given(quasigroups())
+@settings(max_examples=25, deadline=None)
+def test_congruences_of_quasigroups_match_partition_filter(structure):
+    # principal congruences of reached pairs are reused here, and almost
+    # never on the random SHAPES above
+    from algindep import generation
+
+    assert generation._translations_permute(structure)
+    lattice = all_congruences(structure)
+    assert lattice == brute_congruences(structure)
     assert list(lattice.meet_irreducibles) == brute_meet_irreducibles(structure)
 
 
@@ -433,49 +492,58 @@ def test_product_projections_on_graphs_weak_but_not_strong():
     assert not is_homomorphism(product, chain, proj, "strong")
 
 
-@given(algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES), st.data())
+@given(algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES) | conservative_algebras(), st.data())
 @settings(max_examples=30, deadline=None)
 def test_joint_extension_agrees_with_exhaustive_search(structure, data):
     subs = all_subuniverses(structure)
     if not subs:
         return
     a = data.draw(st.sampled_from(subs))
-    b = data.draw(st.sampled_from(subs))
+    # incomparable sides leave mixed products to the compiled check
+    inside = a.member_set()
+    apart = [s for s in subs if not (s.member_set() <= inside or inside <= s.member_set())]
+    b = data.draw(st.sampled_from(subs) | st.sampled_from(apart or subs))
     a_struct, a_embed = induced_substructure(structure, a)
     b_struct, b_embed = induced_substructure(structure, b)
-    alphas = list(itertools.islice(enumerate_homs(a_struct, a_struct), 3))
-    betas = list(itertools.islice(enumerate_homs(b_struct, b_struct), 3))
+    # pairs from the whole endomorphism streams, so that pairs the compiled
+    # check refuses reach the oracle too
+    alphas = list(enumerate_homs(a_struct, a_struct))
+    betas = list(enumerate_homs(b_struct, b_struct))
+    pairs = data.draw(
+        st.lists(
+            st.tuples(st.sampled_from(alphas), st.sampled_from(betas)), min_size=1, max_size=9
+        )
+    )
     join_sub, _ = join(structure, a, b)
     jstruct, jembed = induced_substructure(structure, join_sub)
     pos = {e: i for i, e in enumerate(jembed)}
-    for alpha in alphas:
-        for beta in betas:
-            fixed = {}
-            ok = True
-            for embed, hom in ((a_embed, alpha), (b_embed, beta)):
-                for i, img in enumerate(hom.mapping):
-                    u, v = pos[embed[i]], pos[embed[img]]
-                    if fixed.setdefault(u, v) != v:
-                        ok = False
-            free = [u for u in range(jstruct.size) if u not in fixed]
-            if jstruct.size ** len(free) > 3000:
-                continue
-            extensions = []
-            if ok:
-                for values in itertools.product(range(jstruct.size), repeat=len(free)):
-                    mapping = [0] * jstruct.size
-                    for u, v in fixed.items():
-                        mapping[u] = v
-                    for u, v in zip(free, values):
-                        mapping[u] = v
-                    mapping = tuple(mapping)
-                    if is_homomorphism(jstruct, jstruct, mapping):
-                        extensions.append(mapping)
-            gamma = joint_extension(structure, a, b, alpha, beta)
-            if isinstance(gamma, Homomorphism):
-                assert extensions == [gamma.mapping]
-            else:
-                assert extensions == []
+    for alpha, beta in pairs:
+        fixed = {}
+        ok = True
+        for embed, hom in ((a_embed, alpha), (b_embed, beta)):
+            for i, img in enumerate(hom.mapping):
+                u, v = pos[embed[i]], pos[embed[img]]
+                if fixed.setdefault(u, v) != v:
+                    ok = False
+        free = [u for u in range(jstruct.size) if u not in fixed]
+        if jstruct.size ** len(free) > 3000:
+            continue
+        extensions = []
+        if ok:
+            for values in itertools.product(range(jstruct.size), repeat=len(free)):
+                mapping = [0] * jstruct.size
+                for u, v in fixed.items():
+                    mapping[u] = v
+                for u, v in zip(free, values):
+                    mapping[u] = v
+                mapping = tuple(mapping)
+                if is_homomorphism(jstruct, jstruct, mapping):
+                    extensions.append(mapping)
+        gamma = joint_extension(structure, a, b, alpha, beta)
+        if isinstance(gamma, Homomorphism):
+            assert extensions == [gamma.mapping]
+        else:
+            assert extensions == []
 
 
 @given(algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES), st.data())
