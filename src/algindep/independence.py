@@ -234,24 +234,24 @@ def decide_congruence_independence(
 
     The minimal candidate is computed as a join: Cg(X u Y) = Cg(X) v Cg(Y),
     and the join of congruences is the join of their partitions.  So each
-    congruence of a side is lifted to a congruence of the join with ``cg`` at
-    most once per decision, and each pair costs one ``join_partitions``.  Its
+    pair costs one ``join_partitions`` of the lifts of its two congruences to
+    the join, and a congruence is lifted with ``cg`` only when a checked pair
+    first uses it.  A side that is the whole join lifts as itself.  The
     restriction to each side is compared as a canonical block assignment;
     only a mismatch runs the lexicographic scan that names the first
-    offending element pair.  A side that is the whole join lifts as itself.
+    offending element pair.
 
-    Exact extensions are closed under meets: restriction commutes with
-    intersection, so if psi and psi' restrict exactly to (theta_A, theta_B)
-    and (theta_A', theta_B'), psi ^ psi' restricts exactly to their meet.
-    Every pair is (1_A, 1_B) or a meet of pairs (m, 1_B) and (1_A, m'), with
-    m and m' meet-irreducible.  So row 0, (1_A, theta_B) for every theta_B,
-    is scanned first as before (1_A sorts first); most refusals fall there.
-    Then (m, 1_B) is checked for each meet-irreducible m of Con(A): if all
-    extend exactly, A and B are independent.  Otherwise the scan resumes at
-    row 1, so the witness is still the first failing pair in alpha-major
-    order.  An independent verdict reports |Con A| * |Con B| pairs examined,
-    as the full scan would: every pair is decided, most as meets of checked
-    pairs.
+    Certify, else scan.  Exact extensions are closed under meets:
+    restriction commutes with intersection, so if psi and psi' restrict
+    exactly to (theta_A, theta_B) and (theta_A', theta_B'), psi ^ psi'
+    restricts exactly to their meet.  (theta_A, theta_B) is the meet of
+    (theta_A, 1_B) and (1_A, theta_B), each side is 1 or a meet of
+    meet-irreducibles, and (1_A, 1_B) is always exact.  So (1_A, m') for
+    each meet-irreducible m' of Con(B) and (m, 1_B) for each meet-irreducible
+    m of Con(A) are checked first: if all are exact, A and B are independent,
+    and the verdict reports |Con A| * |Con B| pairs examined, as the full
+    scan would.  Otherwise one alpha-major scan from (1_A, 1_B) returns the
+    first failing pair, with the pairs it examined.
 
     Pairs with |A n B| >= 2 are refused before any lattice computation:
     identity on one side and the full relation on the other cannot both
@@ -286,26 +286,24 @@ def decide_congruence_independence(
     cons_b = all_congruences(b_struct, max_size=max_size)
     at_a = [pos[e] for e in a_embed]  # join coordinates of A's elements
     at_b = [pos[e] for e in b_embed]
+    lifts: dict[tuple[str, Congruence], Congruence] = {}  # only the congruences checked
 
-    def lift(theta, at):
-        if len(at) == jstruct.size:  # the side is the join: theta is its own lift
-            return theta
-        return cg(jstruct, [(at[u], at[v]) for u, v in theta.generating_pairs()])
-
-    lifts_a: dict[Congruence, Congruence] = {}  # shared by the three steps
-
-    def lift_a(theta_a):
-        lifted = lifts_a.get(theta_a)
+    def lift(side, theta, at):
+        lifted = lifts.get((side, theta))
         if lifted is None:
-            lifted = lifts_a[theta_a] = lift(theta_a, at_a)
+            if len(at) == jstruct.size:  # the side is the join: theta is its own lift
+                lifted = theta
+            else:
+                lifted = cg(jstruct, [(at[u], at[v]) for u, v in theta.generating_pairs()])
+            lifts[side, theta] = lifted
         return lifted
 
     def to_parent_blocks(theta, embed):
         return tuple(tuple(embed[v] for v in block) for block in theta.blocks())
 
-    def refusal(theta_a, lifted_a, theta_b, lifted_b) -> Optional[CongruenceWitness]:
+    def refusal(theta_a, theta_b) -> Optional[CongruenceWitness]:
         """The witness of a pair whose minimal extension is not exact."""
-        theta = join_partitions(lifted_a, lifted_b)
+        theta = join_partitions(lift("a", theta_a, at_a), lift("b", theta_b, at_b))
         for theta_side, embed, at, side in (
             (theta_a, a_embed, at_a, "a"),
             (theta_b, b_embed, at_b, "b"),
@@ -323,27 +321,20 @@ def decide_congruence_independence(
             )
         return None
 
-    lifts_b = [lift(theta_b, at_b) for theta_b in cons_b]
-
-    def scan(rows, pairs: int) -> Verdict:
-        for theta_a in rows:
-            lifted_a = lift_a(theta_a)
-            for theta_b, lifted_b in zip(cons_b, lifts_b):
-                pairs += 1
-                witness = refusal(theta_a, lifted_a, theta_b, lifted_b)
-                if witness is not None:
-                    return Verdict(False, witness, pairs)
-        return Verdict(True, None, pairs)
-
-    verdict = scan(cons_a[:1], 0)
-    if not verdict.independent:
-        return verdict
-    if all(
-        refusal(m, lift_a(m), cons_b[0], lifts_b[0]) is None
-        for m in cons_a.meet_irreducibles
+    if all(refusal(cons_a[0], m) is None for m in cons_b.meet_irreducibles) and all(
+        refusal(m, cons_b[0]) is None for m in cons_a.meet_irreducibles
     ):
         return Verdict(True, None, len(cons_a) * len(cons_b))
-    return scan(cons_a[1:], verdict.pairs_examined)
+    pairs = 0
+    for theta_a in cons_a:
+        for theta_b in cons_b:
+            pairs += 1
+            witness = refusal(theta_a, theta_b)
+            if witness is not None:
+                return Verdict(False, witness, pairs)
+    raise RuntimeError(
+        "invariant broken: certification refused a pair that the scan extends"
+    )
 
 
 def _first_mismatch(want: Congruence, got: Congruence) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 """The seed-0 outputs of every benchmark workload match bench/expected.json,
-and the cross-checks of a traced census and lattice run hold.
+the cross-checks of a traced run of each workload hold, and the benchmark's
+own tests in bench/test_bench.py pass.
 
 One pass of each workload runs in a subprocess through ``bench/workloads.py``,
 because ``fresh_library`` re-imports ``algindep`` and would otherwise split
@@ -57,7 +58,7 @@ def test_seed_0_pass_of_every_workload_matches_recorded_digests():
         assert outcome["digests"] == recorded[workload], workload
 
 
-@pytest.mark.parametrize("workload", ["census", "deep-pairs", "lattice"])
+@pytest.mark.parametrize("workload", ["census", "deep-pairs", "congruence", "lattice"])
 def test_traced_run_passes_its_cross_checks(workload):
     # extend calls equal the pairs examined, the lattice sizes found equal
     # the expected ones, and the spans' self times add up to the traced wall
@@ -73,3 +74,17 @@ def test_traced_run_passes_its_cross_checks(workload):
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["correct"] is True, run.stderr
     assert result["failed"] == 0
+
+
+def test_benchmark_helpers_pass_their_own_tests():
+    # they call fresh_library and spans.install, which re-import and patch
+    # algindep, so they run in a pytest of their own
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(BENCH / "test_bench.py")],
+        capture_output=True,
+        text=True,
+        cwd=BENCH.parent,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert run.returncode == 0, run.stdout + run.stderr

@@ -212,10 +212,31 @@ def test_congruence_decider_lifts_a_side_that_is_the_join_as_itself(monkeypatch)
         assert len(lifts) == 1
 
 
+def test_congruence_decider_lifts_only_the_congruences_it_certifies_on(monkeypatch):
+    # an independent verdict checks (1_A, m') and (m, 1_B) for the
+    # meet-irreducibles m, m', so it lifts at most |M(Con A)| + |M(Con B)| + 2
+    # congruences, 1_A and 1_B included; Con of a 6-set has 203 members and
+    # 31 meet-irreducibles, Con of a 7-set 877 and 63
+    from algindep import independence
+
+    lifts = []
+    original = independence.cg
+    monkeypatch.setattr(independence, "cg", lambda *args: lifts.append(1) or original(*args))
+    for n, cut, expected, bound in ((11, 5, Verdict(True, None, 203 * 203), 64),
+                                    (12, 6, Verdict(True, None, 877 * 203), 96)):
+        s = empty_sig_set(n)
+        a, b = SubUniverse(s, tuple(range(cut + 1))), SubUniverse(s, tuple(range(cut, n)))
+        cons_a, cons_b = (all_congruences(induced_substructure(s, side)[0]) for side in (a, b))
+        assert len(cons_a.meet_irreducibles) + len(cons_b.meet_irreducibles) + 2 == bound
+        lifts.clear()
+        assert decide_congruence_independence(s, a, b) == expected
+        assert len(lifts) <= bound
+
+
 def test_congruence_exit_paths_match_reference():
     # S4 subgroup pairs with sides of at most 6 elements, so that the
-    # reference can filter partitions.  A refusal in row 0 (1_A against
-    # every theta_B), a refusal found by the scan resumed after
+    # reference can filter partitions.  Witnesses in row 0 (1_A against
+    # every theta_B) and in a later row, both found by the scan after
     # certification failed, and a certified independent verdict all occur.
     s4 = symmetric_group(4)
     subs = [s for s in all_subuniverses(s4) if len(s.members) <= 6]
@@ -229,12 +250,12 @@ def test_congruence_exit_paths_match_reference():
             elif verdict.pairs_examined:
                 row_length = len(all_congruences(induced_substructure(s4, b)[0]))
                 row = (verdict.pairs_examined - 1) // row_length
-                paths["row 0" if row == 0 else "resumed"] += 1
-    assert paths["certified"] and paths["row 0"] and paths["resumed"]
+                paths["row 0" if row == 0 else "later row"] += 1
+    assert paths["certified"] and paths["row 0"] and paths["later row"]
 
 
 def test_congruence_independence_of_7_and_6_element_sets():
-    # 877 * 203 pairs, certified on 63 + 203 exact-extension checks
+    # 877 * 203 pairs, certified on 63 + 31 exact-extension checks
     s = empty_sig_set(12)
     a = SubUniverse(s, tuple(range(7)))
     b = SubUniverse(s, tuple(range(6, 12)))
