@@ -3,10 +3,13 @@
 Each criterion is one function returning a CriterionResult; ``run_all`` runs
 them all.  Expected values are either forced by the worked examples or
 recomputed here by brute-force oracles (map filtering, partition filtering,
-free-position enumeration).  The oracles avoid the deciders' search,
-joint-extension and lattice code, but not the rest of the library: they take
-the join from ``join`` and use ``induced_substructure``, ``is_homomorphism``,
-``is_congruence`` and ``cg``.
+free-position enumeration).  The oracles avoid the deciders' search and
+lattice code, but not the rest of the library: they take the join from
+``join`` and use ``induced_substructure``, ``is_homomorphism``,
+``is_congruence`` and ``cg``.  ``is_homomorphism`` checks operations with
+``morphisms._preserves``, the gather that joint extensions use too, so the
+check independent of that gather is the test suite's differential test
+against the cell-by-cell ``tests/oracles.is_map_homomorphism``.
 """
 
 from __future__ import annotations

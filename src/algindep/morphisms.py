@@ -23,17 +23,19 @@ two sides leave open.  gamma agrees with alpha on A, and alpha is an
 endomorphism of A's induced structure, so every operation cell and relation
 tuple inside A is already preserved (reflected too, in strong mode); the
 same holds for B.  When one side contains the other the join is the larger
-side and agreement on the shared elements decides.  Otherwise one numpy
-``take`` per argument position gathers gamma's image of each operation
-table, set tests check the relation tuples that lie in neither side, and in
-strong mode ``_relation_violation``, linear in the relations' tuples,
-checks every tuple, since its preimage boxes mix the sides.  A disagreement
-on A n B is its own witness; forced-image propagation runs only to name the
-witness of a refusal by that check.  What depends on the join alone
-(positions, constants, relation views, numpy tables) is compiled once per
-join and process and kept in a memo keyed by the join; each decision keeps
-only its own sides' positions, a derivation of the join from A u B and the
-tuples that mix the sides.
+side and agreement on the shared elements decides.  Otherwise
+``_preserves`` checks the operations: one numpy ``take`` per argument
+position gathers gamma's image of the tables of each arity, stacked by
+``_op_stacks``.  Set tests check the relation tuples that lie in neither
+side, and in strong mode ``_relation_violation``, linear in the relations'
+tuples, checks every tuple, since its preimage boxes mix the sides.  A
+disagreement on A n B is its own witness; forced-image propagation runs
+only to name the witness of a refusal by that check.  What depends on the
+join alone (positions, constants, relation views, numpy tables) is compiled
+once per join and process and kept in a memo keyed by the join; each
+decision keeps only its own sides' positions, a derivation of the join from
+A u B and the tuples that mix the sides.  ``is_homomorphism`` checks any
+total map with the same ``_preserves``, on the two structures' stacks.
 """
 
 from __future__ import annotations
@@ -84,20 +86,59 @@ def is_homomorphism(
     mapping: tuple[int, ...],
     mode: Mode = "weak",
 ) -> bool:
-    """Full check: every operation preserved, relations per the mode
-    (``_relation_violation``)."""
+    """Full check of a total map: every entry an integer in range, every
+    operation preserved, relations per the mode (``_relation_violation``).
+
+    The constants are compared directly.  The other operations are checked
+    by ``_preserves``, the gather that checks joint extensions, unless the
+    codomain has one element: every map into it preserves them, and only a
+    one-element structure has an arity too large for numpy to reshape."""
     if dom.sig != cod.sig or len(mapping) != dom.size:
         return False
-    if any(not (0 <= v < cod.size) for v in mapping):
+    if any(not isinstance(v, (int, np.integer)) or not 0 <= v < cod.size for v in mapping):
         return False
-    nd, nc = dom.size, cod.size
-    for i, (name, ar) in enumerate(dom.sig.op_symbols):
-        dt, ct = dom.op_tables[i], cod.op_tables[i]
-        for j, args in enumerate(itertools.product(range(nd), repeat=ar)):
-            image = ct[flat_index(nc, (mapping[a] for a in args))]
-            if mapping[dt[j]] != image:
-                return False
+    for (_, ar, dt), ct in zip(dom.op_views(), cod.op_tables):
+        if ar == 0 and mapping[dt[0]] != ct[0]:
+            return False
+    if cod.size > 1:
+        dom_stacks = _op_stacks(dom)
+        cod_stacks = dom_stacks if cod is dom else _op_stacks(cod)
+        if not _preserves(dom_stacks, cod_stacks, mapping):
+            return False
     return _relation_violation(_rels(dom, cod), mapping, mode) is None
+
+
+def _op_stacks(structure: FiniteStructure) -> list[tuple[np.ndarray, int]]:
+    """The operation tables of each positive arity as numpy arrays stacked on
+    axis 0, with one axis per argument, each stack with its arity, in
+    increasing arity.  A stack has m**arity cells per table, so an arity
+    numpy cannot reshape occurs only when m = 1; callers skip that case."""
+    m = structure.size
+    by_arity: dict[int, list] = {}
+    for _, ar, table in structure.op_views():
+        if ar > 0:
+            by_arity.setdefault(ar, []).append(table)
+    return [
+        (np.array(tables, dtype=np.intp).reshape((len(tables),) + (m,) * ar), ar)
+        for ar, tables in sorted(by_arity.items())
+    ]
+
+
+def _preserves(dom_stacks, cod_stacks, g) -> bool:
+    """Does the total map ``g`` preserve every operation of positive arity?
+
+    ``dom_stacks`` and ``cod_stacks`` are ``_op_stacks`` of two structures of
+    one signature.  Per arity, the codomain's stacked tables are gathered
+    through g with one ``take`` per argument axis and compared with g
+    applied to the domain's tables."""
+    ga = np.array(g, dtype=np.intp)
+    for (dom_stack, ar), (image, _) in zip(dom_stacks, cod_stacks):
+        for axis in range(1, ar + 1):
+            image = image.take(ga, axis=axis)
+        # equal shapes: the bytes differ iff a cell does; no ufunc reduction
+        if ga.take(dom_stack).tobytes() != image.tobytes():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +379,8 @@ class _JoinTables:
     generate it: the join's induced structure and embedding, the join
     position of each parent element, the operation tables by name, the root
     map that images the constants, the relations as ``_relation_violation``
-    reads them, and the numpy operation tables of each arity stacked on
-    axis 0, each stack with its arity.
+    reads them, and the join's ``_op_stacks``, left empty on a one-element
+    join.
     """
 
     __slots__ = ("struct", "embed", "pos", "tables", "root", "rels", "op_arrays")
@@ -354,16 +395,8 @@ class _JoinTables:
                 "invariant broken: the join's constants do not map to themselves"
             )
         self.rels = _rels(struct, struct)
-        m = struct.size
-        # m**arity cells: arities numpy cannot index only occur when m = 1
-        by_arity: dict[int, list] = {}
-        for _, ar, table in struct.op_views():
-            if ar > 0 and m > 1:
-                by_arity.setdefault(ar, []).append(table)
-        self.op_arrays = [
-            (np.array(tables, dtype=np.intp).reshape((-1,) + (m,) * ar), ar)
-            for ar, tables in sorted(by_arity.items())
-        ]
+        # a one-element join maps every operation cell to itself
+        self.op_arrays = _op_stacks(struct) if struct.size > 1 else []
 
 
 @lru_cache(maxsize=_INDUCED_MEMO_SIZE)
@@ -481,23 +514,15 @@ class _JointContext:
 
     def _is_endomorphism(self, g: list[int]) -> bool:
         """Is ``g``, which agrees with alpha on A and beta on B, an
-        endomorphism of the join?  Per operation arity, the stacked tables
-        are gathered through g with one ``take`` per argument axis and
-        compared with g applied to the tables, over the whole join; a set
+        endomorphism of the join?  ``_preserves`` checks the operations
+        over the whole join, with the join's stacks on both sides; a set
         test per relation over the tuples that mix A and B (a tuple inside
         one side is settled by that side's endomorphism), and in strong mode
         ``_relation_violation`` over every tuple, as a preimage box can mix
         the sides.  Constants need no check: they lie in A n B, where the
         seeds already fix them."""
-        if self.op_arrays:
-            ga = np.array(g, dtype=np.intp)
-            for stack, ar in self.op_arrays:
-                image = stack
-                for axis in range(1, ar + 1):
-                    image = image.take(ga, axis=axis)
-                # equal shapes: the bytes differ iff a cell does; no ufunc reduction
-                if ga.take(stack).tobytes() != image.tobytes():
-                    return False
+        if self.op_arrays and not _preserves(self.op_arrays, self.op_arrays, g):
+            return False
         for tuples, columns in self.rel_columns:
             if not tuples.issuperset(zip(*[map(g.__getitem__, col) for col in columns])):
                 return False

@@ -92,6 +92,18 @@ def _table_array(structure, name):
     return t.reshape((structure.size,) * ar) if ar else t
 
 
+def _associative(t) -> bool:
+    """Is the binary table ``t`` associative?  Row x compares
+    t[t[x, y], z] with t[x, t[y, z]], so memory stays O(n^2)."""
+    return all(np.array_equal(t[row], row[t]) for row in t)
+
+
+def _distributes(f, g) -> bool:
+    """Does the binary table ``f`` distribute over ``g`` from the left?  Row
+    x compares f[x, g[y, z]] with g[f[x, y], f[x, z]], in O(n^2) memory."""
+    return all(np.array_equal(row[g], g[np.ix_(row, row)]) for row in f)
+
+
 def is_group(structure: FiniteStructure) -> bool:
     """Signature shape is e/inv/mul and the group laws hold."""
     if structure.sig != GROUP_SIG or validate(structure):
@@ -105,7 +117,7 @@ def is_group(structure: FiniteStructure) -> bool:
         return False
     if not (np.all(mul[ar, inv] == e) and np.all(mul[inv, ar] == e)):
         return False
-    return bool(np.array_equal(mul[mul, :], mul[:, mul]))
+    return _associative(mul)
 
 
 def is_abelian_group(structure: FiniteStructure) -> bool:
@@ -133,12 +145,7 @@ def is_boolean_algebra(structure: FiniteStructure) -> bool:
         return False
     if not (np.all(meet[ar, compl] == zero) and np.all(vee[ar, compl] == one)):
         return False
-    x = ar[:, None, None]
-    if not np.array_equal(meet[x, vee[None, :, :]], vee[meet[:, :, None], meet[:, None, :]]):
-        return False
-    if not np.array_equal(vee[x, meet[None, :, :]], meet[vee[:, :, None], vee[:, None, :]]):
-        return False
-    return True
+    return _distributes(meet, vee) and _distributes(vee, meet)
 
 
 def is_vector_space(structure: FiniteStructure, p: int) -> bool:
@@ -156,7 +163,7 @@ def is_vector_space(structure: FiniteStructure, p: int) -> bool:
         return False
     if not np.all(add[ar, neg] == zero):
         return False
-    if not np.array_equal(add[add, :], add[:, add]):
+    if not _associative(add):
         return False
     smul = [_table_array(structure, f"smul{c:02d}") for c in range(p)]
     if not np.array_equal(smul[1 % p], ar if p > 1 else smul[0]):

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from algindep.core import InputError, SubUniverse, induced_substructure
+from algindep.core import FiniteStructure, InputError, Signature, SubUniverse, induced_substructure
 from algindep.generation import all_subuniverses, generated_subuniverse_of_square, join
 from algindep.morphisms import (
     ExtensionRefusal,
@@ -25,7 +26,7 @@ from algindep.zoo import (
     vector_space,
 )
 
-from oracles import brute_homs, brute_isomorphisms, element_orders
+from oracles import brute_homs, brute_isomorphisms, element_orders, is_map_homomorphism
 
 
 def test_enumerate_homs_z2_group():
@@ -82,6 +83,60 @@ def test_generating_sequence_generates():
 
         sub, _ = close(structure, gens)
         assert sub.members == tuple(range(structure.size))
+
+
+def test_is_homomorphism_refuses_non_integer_entries():
+    z2 = cyclic_group(2)
+    for mapping in ((0, 1.5), ("0", 1), (0.0, 1), (0, None), (0, 1 + 0j)):
+        assert not is_homomorphism(z2, z2, mapping)
+    for mapping in ((0, 1), (False, True), (np.int64(0), np.int8(1)), tuple(np.arange(2))):
+        assert is_homomorphism(z2, z2, mapping)
+    assert not is_homomorphism(z2, z2, (np.int64(0), np.int64(2)))
+
+
+def _binary(n, table):
+    return FiniteStructure(Signature((("f", 2),)), n, (tuple(table),), ())
+
+
+def test_is_homomorphism_from_one_element_domain_reads_the_diagonal():
+    # f(0, 0) = 0 in the point; in the codomain only 1 is idempotent
+    point = _binary(1, [0])
+    cod = _binary(3, [1, 0, 2, 0, 1, 2, 2, 2, 0])
+    for mapping in ((0,), (1,), (2,)):
+        expected = is_map_homomorphism(point, cod, mapping)
+        assert is_homomorphism(point, cod, mapping) == expected
+        assert expected == (mapping == (1,))
+
+
+def test_is_homomorphism_into_one_element_codomain():
+    point = cyclic_group(1)
+    for dom in (cyclic_group(3), symmetric_group(3)):
+        assert is_homomorphism(dom, point, (0,) * dom.size)
+    # operations never refuse, relations still do
+    loopless, looped = graph(1, []), graph(1, [(0, 0)])
+    assert is_homomorphism(graph(3, []), loopless, (0, 0, 0))
+    assert not is_homomorphism(graph(3, [(0, 1)]), loopless, (0, 0, 0))
+    assert is_homomorphism(graph(3, [(0, 1)]), looped, (0, 0, 0), "weak")
+    assert not is_homomorphism(graph(3, [(0, 1)]), looped, (0, 0, 0), "strong")
+
+
+def test_is_homomorphism_on_one_element_structure_with_70_ary_operation():
+    # a 70-ary stack would need 71 axes, which numpy refuses with a ValueError
+    s = FiniteStructure(Signature((("f", 70),)), 1, ((0,),), ())
+    assert is_homomorphism(s, s, (0,))
+
+
+def test_is_homomorphism_refuses_a_wrongly_mapped_constant():
+    sig = Signature((("c", 0), ("u", 1)))
+    # u is the identity, so only the constant can refuse
+    dom = FiniteStructure(sig, 2, ((0,), (0, 1)), ())
+    cod = FiniteStructure(sig, 3, ((2,), (0, 1, 2)), ())
+    for mapping in ((0, 1), (2, 1), (2, 2), (1, 2)):
+        expected = is_map_homomorphism(dom, cod, mapping)
+        assert is_homomorphism(dom, cod, mapping) == expected
+        assert expected == (mapping[0] == 2)
+    assert not is_homomorphism(dom, dom, (1, 0))
+    assert not is_homomorphism(cyclic_group(3), cyclic_group(3), (1, 2, 0))
 
 
 def test_kernel_of_identity_and_constant():

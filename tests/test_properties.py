@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from algindep.core import (
@@ -42,6 +43,7 @@ from algindep.morphisms import (
     joint_extension,
     kernel,
 )
+from algindep import zoo
 from algindep.zoo import graph
 
 from oracles import (
@@ -537,7 +539,7 @@ def test_joint_extension_agrees_with_exhaustive_search(structure, data):
                 for u, v in zip(free, values):
                     mapping[u] = v
                 mapping = tuple(mapping)
-                if is_homomorphism(jstruct, jstruct, mapping):
+                if is_map_homomorphism(jstruct, jstruct, mapping):
                     extensions.append(mapping)
         gamma = joint_extension(structure, a, b, alpha, beta)
         if isinstance(gamma, Homomorphism):
@@ -549,8 +551,9 @@ def test_joint_extension_agrees_with_exhaustive_search(structure, data):
 @given(algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES), st.data())
 @settings(max_examples=40, deadline=None)
 def test_compiled_endomorphism_check_matches_is_homomorphism(structure, data):
-    # the per-axis gathers against the cell-by-cell check, on endomorphisms
-    # and on arbitrary maps that fix the constants, as the seeds do
+    # the per-axis gathers, which is_homomorphism shares, against the
+    # cell-by-cell oracle, on endomorphisms and on arbitrary maps that fix
+    # the constants, as the seeds do
     from algindep import morphisms
 
     subs = all_subuniverses(structure)
@@ -564,7 +567,7 @@ def test_compiled_endomorphism_check_matches_is_homomorphism(structure, data):
         lambda g: [x if y is None else y for x, y in zip(g, ctx.root.images)]
     )
     g = data.draw(st.sampled_from(endos) | arbitrary)
-    assert ctx._is_endomorphism(g) == is_homomorphism(ctx.jstruct, ctx.jstruct, tuple(g))
+    assert ctx._is_endomorphism(g) == is_map_homomorphism(ctx.jstruct, ctx.jstruct, g)
 
 
 def _inverse(mapping):
@@ -750,3 +753,46 @@ def test_congruence_verdict_is_symmetric_in_a_and_b(instance):
     parent, a, b = instance
     forward = _decide_congruence(parent, a, b)
     assert _decide_congruence(parent, b, a).independent == forward.independent
+
+
+@st.composite
+def law_structures(draw):
+    """Structures of the group or Boolean signature on at most 8 elements:
+    random tables, or a zoo group or powerset algebra with at most one cell
+    of a binary table changed, so that the laws both hold and fail."""
+    if draw(st.booleans()):
+        sig = draw(st.sampled_from((zoo.GROUP_SIG, zoo.BOOLEAN_SIG)))
+        n = draw(st.integers(1, 5))
+        tables = [
+            draw(st.lists(st.integers(0, n - 1), min_size=n**ar, max_size=n**ar))
+            for _, ar in sig.op_symbols
+        ]
+    else:
+        base = draw(
+            st.sampled_from(
+                [zoo.cyclic_group(k) for k in range(1, 7)]
+                + [zoo.symmetric_group(3), zoo.quaternion_group()]
+                + [zoo.powerset_boolean_algebra(k) for k in range(1, 4)]
+            )
+        )
+        sig, n = base.sig, base.size
+        tables = [list(t) for t in base.op_tables]
+        if draw(st.booleans()):
+            i = draw(st.sampled_from([i for i, (_, ar) in enumerate(sig.op_symbols) if ar == 2]))
+            tables[i][draw(st.integers(0, n * n - 1))] = draw(st.integers(0, n - 1))
+    return FiniteStructure(sig, n, tuple(map(tuple, tables)), ())
+
+
+@given(law_structures())
+@settings(max_examples=150, deadline=None)
+def test_row_wise_law_checks_match_whole_array_checks(structure):
+    # the zoo checks one row x at a time; the n^3 gathers are the reference
+    binary = [
+        zoo._table_array(structure, name) for name, ar in structure.sig.op_symbols if ar == 2
+    ]
+    x = np.arange(structure.size)[:, None, None]
+    for t in binary:
+        assert zoo._associative(t) == np.array_equal(t[t, :], t[:, t])
+    for f, g in itertools.permutations(binary, 2):
+        whole = np.array_equal(f[x, g[None, :, :]], g[f[:, :, None], f[:, None, :]])
+        assert zoo._distributes(f, g) == whole

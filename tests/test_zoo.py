@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 
 from algindep.core import (
     MAX_STRUCTURE_SIZE,
+    FiniteStructure,
     InputError,
     SizeLimitExceeded,
     SubUniverse,
@@ -13,6 +15,7 @@ from algindep.core import (
 from algindep.generation import join
 from algindep.morphisms import find_isomorphism, is_homomorphism, kernel
 from algindep.zoo import (
+    GROUP_SIG,
     MAX_GROUP_ORDER,
     CategoryTag,
     build,
@@ -380,3 +383,24 @@ def test_rigid_overlapping_pair_shapes():
     assert is_rigid(ia) and is_rigid(ib)
     joined, _ = join(parent, SubUniverse(parent, a), SubUniverse(parent, b))
     assert joined.members == tuple(range(parent.size))
+
+
+def test_group_law_check_memory_is_quadratic():
+    # Z256 lies over the zoo's group bound, so it is built directly; a
+    # whole-array associativity check holds 256^3 cells, over 250 MB
+    n = 256
+    tables = {
+        "e": (0,),
+        "inv": tuple(-x % n for x in range(n)),
+        "mul": tuple((x + y) % n for x in range(n) for y in range(n)),
+    }
+    z256 = FiniteStructure(
+        GROUP_SIG, n, tuple(tables[name] for name, _ in GROUP_SIG.op_symbols), ()
+    )
+    tracemalloc.start()
+    try:
+        assert is_abelian_group(z256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
