@@ -165,25 +165,30 @@ def criterion_boolean_algebras() -> CriterionResult:
 
 
 # ---------------------------------------------------------------------------
-# 4. abelian groups: three-way equivalence on Z_n
+# 4. abelian groups: three-way equivalence on Z_n and on products Z_m x Z_n
 # ---------------------------------------------------------------------------
 
 def criterion_abelian_groups() -> CriterionResult:
     tag = CategoryTag("abelian_group")
+    # beyond cyclic groups, trivial intersection is more than coprime orders
+    groups = [cyclic_group(n) for n in (4, 6, 8, 9, 12)] + [
+        coproduct(tag, cyclic_group(m), cyclic_group(n))[0]
+        for m, n in ((2, 2), (2, 4), (4, 4))
+    ]
     bad = 0
     total = 0
-    for n in (4, 6, 8, 9, 12):
-        zn = cyclic_group(n)
-        subs = all_subuniverses(zn)
+    for g in groups:
+        e = g.op_table("e")[0]
+        subs = all_subuniverses(g)
         for a in subs:
             for b in subs:
                 total += 1
-                p_indep = decide_subalgebra_independence(zn, a, b).independent
-                p_trivial = a.member_set() & b.member_set() == {0}
-                a_struct, _ = induced_substructure(zn, a)
-                b_struct, _ = induced_substructure(zn, b)
-                join_sub, _ = join(zn, a, b)
-                jstruct, _ = induced_substructure(zn, join_sub)
+                p_indep = decide_subalgebra_independence(g, a, b).independent
+                p_trivial = a.member_set() & b.member_set() == {e}
+                a_struct, _ = induced_substructure(g, a)
+                b_struct, _ = induced_substructure(g, b)
+                join_sub, _ = join(g, a, b)
+                jstruct, _ = induced_substructure(g, join_sub)
                 cop, _, _ = coproduct(tag, a_struct, b_struct)
                 p_cop = find_isomorphism(jstruct, cop) is not None
                 if not (p_indep == p_trivial == p_cop):

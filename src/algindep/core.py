@@ -13,7 +13,7 @@ threads, memoized, and used as dict keys.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
 
 
@@ -21,6 +21,9 @@ from typing import Iterable, Optional
 # file cannot make a decider allocate per-element state for a size it only
 # declares.
 MAX_STRUCTURE_SIZE = 1 << 16
+# Largest operation table or relation tuple set ``direct_product`` builds, in
+# entries: the binary table of Z32 x Z32 (1024 elements).
+MAX_PRODUCT_CELLS = 1 << 20
 
 
 class InputError(ValueError):
@@ -93,11 +96,9 @@ class FiniteStructure:
             return h
 
     def __getstate__(self) -> dict:
-        # string hashes differ between processes, so a pickle leaves the
-        # stored hash behind
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+        # string hashes differ between processes, so a pickle carries the
+        # fields only, not the hash or ``morphisms._op_stacks`` kept beside
+        return {f.name: self.__dict__[f.name] for f in fields(self)}
 
     def op_index(self, name: str) -> int:
         for i, (n, _) in enumerate(self.sig.op_symbols):
@@ -292,16 +293,36 @@ def induced_substructure(
     return restricted, embed
 
 
+def _check_product(sig: Signature, n: int, rel_sizes: Iterable[int] = ()) -> None:
+    """Refuse a product of ``n`` elements, whose relations would hold
+    ``rel_sizes`` tuples, with more than ``MAX_STRUCTURE_SIZE`` elements or
+    an operation table or relation over ``MAX_PRODUCT_CELLS`` entries."""
+    if n > MAX_STRUCTURE_SIZE:
+        raise InputError(
+            f"the product would have {n} elements, over the bound of {MAX_STRUCTURE_SIZE}"
+        )
+    cells = max([n**ar for _, ar in sig.op_symbols] + list(rel_sizes), default=0)
+    if cells > MAX_PRODUCT_CELLS:
+        raise InputError(
+            f"the product would have {n} elements and a table of {cells} entries, "
+            f"over the bound of {MAX_PRODUCT_CELLS} cells"
+        )
+
+
 def direct_product(x: FiniteStructure, y: FiniteStructure) -> FiniteStructure:
     """Componentwise product; pair (i, j) becomes element i*|y| + j.
 
     A relation holds on a tuple of pairs iff it holds componentwise in both
-    factors.
+    factors.  A product over ``MAX_STRUCTURE_SIZE`` elements, or with a
+    table or relation over ``MAX_PRODUCT_CELLS`` entries, is refused first.
     """
     if x.sig != y.sig:
         raise InputError("direct product requires structures of the same signature")
     nx, ny = x.size, y.size
     n = nx * ny
+    _check_product(
+        x.sig, n, [len(rx) * len(ry) for rx, ry in zip(x.rel_tables, y.rel_tables)]
+    )
     op_tables = []
     for i, (name, ar) in enumerate(x.sig.op_symbols):
         tx, ty = x.op_tables[i], y.op_tables[i]

@@ -100,11 +100,8 @@ def is_homomorphism(
     for (_, ar, dt), ct in zip(dom.op_views(), cod.op_tables):
         if ar == 0 and mapping[dt[0]] != ct[0]:
             return False
-    if cod.size > 1:
-        dom_stacks = _op_stacks(dom)
-        cod_stacks = dom_stacks if cod is dom else _op_stacks(cod)
-        if not _preserves(dom_stacks, cod_stacks, mapping):
-            return False
+    if cod.size > 1 and not _preserves(_op_stacks(dom), _op_stacks(cod), mapping):
+        return False
     return _relation_violation(_rels(dom, cod), mapping, mode) is None
 
 
@@ -112,16 +109,22 @@ def _op_stacks(structure: FiniteStructure) -> list[tuple[np.ndarray, int]]:
     """The operation tables of each positive arity as numpy arrays stacked on
     axis 0, with one axis per argument, each stack with its arity, in
     increasing arity.  A stack has m**arity cells per table, so an arity
-    numpy cannot reshape occurs only when m = 1; callers skip that case."""
+    numpy cannot reshape occurs only when m = 1; callers skip that case.
+    The stacks are kept on the structure, as its hash is; two threads that
+    both build them on a first call store equal stacks."""
+    if "_op_stacks" in structure.__dict__:
+        return structure.__dict__["_op_stacks"]
     m = structure.size
     by_arity: dict[int, list] = {}
     for _, ar, table in structure.op_views():
         if ar > 0:
             by_arity.setdefault(ar, []).append(table)
-    return [
+    stacks = [
         (np.array(tables, dtype=np.intp).reshape((len(tables),) + (m,) * ar), ar)
         for ar, tables in sorted(by_arity.items())
     ]
+    object.__setattr__(structure, "_op_stacks", stacks)
+    return stacks
 
 
 def _preserves(dom_stacks, cod_stacks, g) -> bool:

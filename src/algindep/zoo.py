@@ -8,14 +8,17 @@ every structure ``build`` accepts, and the coproducts run them on their
 inputs.  Vector
 spaces are encoded as algebras: binary addition, unary negation, one unary
 scalar symbol per field element, and the zero constant, which keeps the
-signature finite and the generic machinery applicable.
+signature finite and the generic machinery applicable.  F_p^n is built as
+the direct power of the line F_p, and every product-shaped structure built
+here passes ``core.direct_product``'s size check first.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -27,6 +30,7 @@ from .core import (
     Signature,
     SizeLimitExceeded,
     SubUniverse,
+    _check_product,
     _excerpt,
     direct_product,
     induced_substructure,
@@ -372,41 +376,28 @@ def powerset_boolean_algebra(atoms: int) -> FiniteStructure:
 
 
 def vector_space(p: int, dim: int) -> FiniteStructure:
-    """F_p^dim with elements encoded base p, most significant coordinate first."""
+    """F_p^dim, the direct power of the line F_p: elements are encoded base
+    p, most significant coordinate first, and labelled by their coordinates."""
     if not _is_prime(p):
         raise InputError(f"{p} is not prime")
     if dim < 1 or p**dim > 64:
         raise InputError("vector spaces are built for dim >= 1 with p^dim <= 64")
-    n = p**dim
-
-    def coords(x):
-        out = []
-        for _ in range(dim):
-            out.append(x % p)
-            x //= p
-        return out[::-1]
-
-    def pack(cs):
-        x = 0
-        for c in cs:
-            x = x * p + c % p
-        return x
-
-    add = [
-        pack([cx + cy for cx, cy in zip(coords(x), coords(y))])
-        for x in range(n)
-        for y in range(n)
-    ]
-    neg = [pack([-c for c in coords(x)]) for x in range(n)]
-    tables = [("add", tuple(add)), ("neg", tuple(neg))]
-    for c in range(p):
-        tables.append(
-            (f"smul{c:02d}", tuple(pack([c * v for v in coords(x)]) for x in range(n)))
-        )
-    tables.append(("zero", (0,)))
-    sig = vector_space_sig(p)
-    labels = tuple("(" + ",".join(map(str, coords(x))) + ")" for x in range(n))
-    return FiniteStructure(sig, n, tuple(t for _, t in tables), (), labels)
+    line = FiniteStructure(
+        vector_space_sig(p),
+        p,
+        (
+            tuple((x + y) % p for x in range(p) for y in range(p)),
+            tuple(-x % p for x in range(p)),
+            *(tuple(c * x % p for x in range(p)) for c in range(p)),
+            (0,),
+        ),
+    )
+    space = functools.reduce(direct_product, [line] * dim)
+    labels = tuple(
+        "(" + ",".join(map(str, cs)) + ")"
+        for cs in itertools.product(range(p), repeat=dim)
+    )
+    return replace(space, labels=labels)
 
 
 def _parse_int(value, what):
@@ -481,13 +472,6 @@ def _atoms(structure: FiniteStructure) -> list[int]:
     return atoms
 
 
-# largest Boolean coproduct ``coproduct`` builds, in elements
-MAX_BOOLEAN_COPRODUCT = 4096
-# largest operation table of a direct-product coproduct, in cells: the
-# binary table of Z32 + Z32 (1024 elements)
-MAX_PRODUCT_CELLS = 1 << 20
-
-
 def coproduct(
     tag: CategoryTag,
     x: FiniteStructure,
@@ -498,12 +482,12 @@ def coproduct(
     Sets and graphs take disjoint unions; abelian groups and vector spaces
     take the direct product with coordinate embeddings (equal to the direct
     sum in the finite case); Boolean algebras take the atom-pair construction,
-    where an element embeds as the union of all atom pairs below it, up to
-    ``MAX_BOOLEAN_COPRODUCT`` elements.  The group tag is refused: free
-    products of nontrivial groups are infinite.  A disjoint union has at
-    most ``MAX_STRUCTURE_SIZE`` elements and a direct product's tables at
-    most ``MAX_PRODUCT_CELLS`` cells each; larger ones are refused before
-    anything is built.
+    where an element embeds as the union of all atom pairs below it.  The
+    group tag is refused: free products of nontrivial groups are infinite.
+    A disjoint union has at most ``MAX_STRUCTURE_SIZE`` elements.  The direct
+    product and the atom-pair algebra must pass ``core.direct_product``'s
+    size check, which runs before anything is built and, for the direct
+    product, before the factors' law checks.
     """
     if x.sig != y.sig:
         raise InputError("coproduct requires structures of the same signature")
@@ -527,12 +511,7 @@ def coproduct(
         e_b = Homomorphism(y, cop, tuple(range(x.size, n)), "strong")
         return cop, e_a, e_b
     if tag.kind in ("abelian_group", "vector_space"):
-        n = x.size * y.size
-        if any(n**ar > MAX_PRODUCT_CELLS for _, ar in x.sig.op_symbols):
-            raise InputError(
-                f"the {tag.kind} coproduct would have {n} elements, and an "
-                f"operation table over the bound of {MAX_PRODUCT_CELLS} cells"
-            )
+        _check_product(x.sig, x.size * y.size)
         if tag.kind == "abelian_group":
             if not (is_abelian_group(x) and is_abelian_group(y)):
                 raise InputError("abelian_group coproduct needs commutative groups")
@@ -554,13 +533,8 @@ def coproduct(
                 raise InputError("boolean_algebra coproduct needs Boolean algebras")
         ax, ay = _atoms(x), _atoms(y)
         kx, ky = len(ax), len(ay)
-        bits = kx * ky
-        if 1 << bits > MAX_BOOLEAN_COPRODUCT:
-            raise SizeLimitExceeded(
-                f"Boolean coproduct would have 2^{bits} elements, over the "
-                f"bound MAX_BOOLEAN_COPRODUCT = {MAX_BOOLEAN_COPRODUCT}"
-            )
-        cop = _powerset_boolean(bits) if bits else _trivial_boolean()
+        _check_product(BOOLEAN_SIG, 1 << (kx * ky))
+        cop = _powerset_boolean(kx * ky)
         # the atom pair (i, j) is bit i * ky + j
         rows = [((1 << ky) - 1) << (i * ky) for i in range(kx)]
         cols = [sum(1 << (i * ky + j) for i in range(kx)) for j in range(ky)]
@@ -577,13 +551,6 @@ def _embed_by_atoms(structure, atoms, masks) -> tuple[int, ...]:
     return tuple(
         sum(mask for p, mask in zip(atoms, masks) if meet[p * n + z] == p)
         for z in range(n)
-    )
-
-
-def _trivial_boolean():
-    # one-element algebra, the coproduct of two trivial Boolean algebras
-    return FiniteStructure(
-        BOOLEAN_SIG, 1, ((0,), (0,), (0,), (0,), (0,)), (), ("0=1",)
     )
 
 

@@ -123,6 +123,29 @@ def test_direct_product_of_graphs_pairs_edges():
     assert product.rel_tables[0] == frozenset({(0, 3), (3, 0), (1, 2), (2, 1)})
 
 
+def test_direct_product_is_bounded_before_any_cell_is_built(monkeypatch):
+    from algindep import core
+
+    class CellBuilt(Exception):
+        pass
+
+    def first_cell(size, args):
+        raise CellBuilt
+
+    monkeypatch.setattr(core, "flat_index", first_cell)
+    # Z32 x Z32, a binary table of exactly MAX_PRODUCT_CELLS cells, reaches the build
+    with pytest.raises(CellBuilt):
+        direct_product(cyclic_group(32), cyclic_group(32))
+    complete = graph(33, [(u, v) for u in range(33) for v in range(33)])
+    for x, y, message in (
+        (cyclic_group(33), cyclic_group(32), "1056 elements and a table of 1115136 entries"),
+        (complete, complete, "1089 elements and a table of 1185921 entries"),
+        (empty_sig_set(257), empty_sig_set(256), "65792 elements, over the bound of 65536"),
+    ):
+        with pytest.raises(InputError, match=message):
+            direct_product(x, y)
+
+
 def test_direct_product_requires_matching_signature():
     with pytest.raises(InputError):
         direct_product(cyclic_group(2), empty_sig_set(2))

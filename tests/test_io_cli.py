@@ -513,6 +513,19 @@ def test_cli_malformed_arguments_exit_2_with_one_error_line(tmp_path, capsys, ar
     assert not out.exists()
 
 
+def test_cli_boolean_coproduct_over_the_cell_bound_exits_2(tmp_path, capsys):
+    files = []
+    for atoms in ("3", "4"):
+        path = tmp_path / f"ba{atoms}.json"
+        assert main(["gen", "powerset_boolean_algebra", atoms, "-o", str(path)]) == 0
+        files += ["-s", str(path)]
+    out = tmp_path / "cop.json"
+    argv = ["coproduct", *files, "--category", "boolean_algebra", "-o", str(out)]
+    assert main(argv) == 2
+    assert "1048576 cells" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_vector_space_category_inference(tmp_path):
     f3 = tmp_path / "f3.json"
     run_cli("gen", "vector_space", "3", "1", "-o", f3)

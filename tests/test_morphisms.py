@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -92,6 +95,19 @@ def test_is_homomorphism_refuses_non_integer_entries():
     for mapping in ((0, 1), (False, True), (np.int64(0), np.int8(1)), tuple(np.arange(2))):
         assert is_homomorphism(z2, z2, mapping)
     assert not is_homomorphism(z2, z2, (np.int64(0), np.int64(2)))
+
+
+def test_op_stacks_are_built_once_and_left_out_of_a_pickle():
+    z6 = cyclic_group(6)
+    assert is_homomorphism(z6, z6, tuple(2 * x % 6 for x in range(6)))
+    stacks = z6.__dict__["_op_stacks"]
+    assert is_homomorphism(z6, z6, tuple(range(6)))
+    assert z6.__dict__["_op_stacks"] is stacks
+    hash(z6)
+    assert {"_hash", "_op_stacks"} <= set(z6.__dict__)
+    copy = pickle.loads(pickle.dumps(z6))
+    assert copy == z6
+    assert set(copy.__dict__) == {f.name for f in dataclasses.fields(z6)}
 
 
 def _binary(n, table):

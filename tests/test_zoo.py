@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -7,7 +8,6 @@ from algindep.core import (
     MAX_STRUCTURE_SIZE,
     FiniteStructure,
     InputError,
-    SizeLimitExceeded,
     SubUniverse,
     induced_substructure,
     validate,
@@ -83,6 +83,11 @@ def test_build_rejects_unknown_family_and_caps():
         build("graph", MAX_STRUCTURE_SIZE + 1, "")
 
 
+_PRIMES = [p for p in range(2, 65) if all(p % q for q in range(2, p))]
+# F2^1..F2^6, F3^1..F3^3, F5^1, F5^2, F7^1, F7^2, and F_p^1 for 14 more primes
+_BUILDABLE_SPACES = [(p, d) for p in _PRIMES for d in range(1, 7) if p**d <= 64]
+
+
 def test_every_buildable_structure_satisfies_its_laws():
     # the builders do not law-check their own tables, so every parameter
     # that build accepts is checked here
@@ -95,11 +100,29 @@ def test_every_buildable_structure_satisfies_its_laws():
     assert is_group(build("quaternion_group")[0])
     for k in range(1, 6):
         assert is_boolean_algebra(build("powerset_boolean_algebra", k)[0])
-    primes = [p for p in range(2, 65) if all(p % q for q in range(2, p))]
-    spaces = [(p, d) for p in primes for d in range(1, 7) if p**d <= 64]
-    assert len(spaces) == 27  # F2^1..F2^6, F3^1..F3^3, F5^1, F5^2, F7^1, F7^2, 14 more
-    for p, d in spaces:
+    assert len(_BUILDABLE_SPACES) == 27
+    for p, d in _BUILDABLE_SPACES:
         assert is_vector_space(build("vector_space", p, d)[0], p)
+
+
+def test_vector_space_tables_act_componentwise_on_the_labelled_coordinates():
+    for p, d in _BUILDABLE_SPACES:
+        space = vector_space(p, d)
+        coords = [tuple(map(int, label[1:-1].split(","))) for label in space.labels]
+        # base p, most significant coordinate first
+        assert coords == list(itertools.product(range(p), repeat=d))
+        index = {c: i for i, c in enumerate(coords)}
+
+        def image(f, *vectors):
+            return index[tuple(f(*cs) % p for cs in zip(*vectors))]
+
+        add = tuple(image(lambda u, v: u + v, x, y) for x in coords for y in coords)
+        assert space.op_table("add") == add
+        assert space.op_table("neg") == tuple(image(lambda u: -u, x) for x in coords)
+        for k in range(p):
+            smul = tuple(image(lambda u: k * u, x) for x in coords)
+            assert space.op_table(f"smul{k:02d}") == smul
+        assert space.op_table("zero") == (index[(0,) * d],)
 
 
 def test_group_law_checks():
@@ -165,19 +188,36 @@ def test_boolean_coproduct_atom_counts():
 
 def test_boolean_coproduct_size_guard():
     ba32 = powerset_boolean_algebra(5)
-    with pytest.raises(SizeLimitExceeded):
+    with pytest.raises(InputError):
         coproduct(CategoryTag("boolean_algebra"), ba32, ba32)
 
 
 def test_boolean_coproduct_bound_is_a_module_constant(monkeypatch):
-    from algindep import zoo
+    from algindep import core
 
     ba2, ba4 = powerset_boolean_algebra(1), powerset_boolean_algebra(2)
-    monkeypatch.setattr(zoo, "MAX_BOOLEAN_COPRODUCT", 8)
+    monkeypatch.setattr(core, "MAX_PRODUCT_CELLS", 16)
     cop, _, _ = coproduct(CategoryTag("boolean_algebra"), ba2, ba4)
     assert cop.size == 4
-    with pytest.raises(SizeLimitExceeded, match="MAX_BOOLEAN_COPRODUCT = 8"):
+    with pytest.raises(InputError, match="over the bound of 16 cells"):
         coproduct(CategoryTag("boolean_algebra"), ba4, ba4)
+
+
+def test_boolean_coproducts_are_bounded_by_their_table_cells(monkeypatch):
+    from algindep import zoo
+
+    ba = {k: powerset_boolean_algebra(k) for k in (2, 3, 4, 5)}
+    built = []
+    powerset = zoo._powerset_boolean
+    monkeypatch.setattr(zoo, "_powerset_boolean", lambda k: built.append(k) or powerset(k))
+    tag = CategoryTag("boolean_algebra")
+    # 3 x 4 atom pairs: 4096 elements, binary tables of 2^24 cells
+    with pytest.raises(InputError, match="a table of 16777216 entries, over the bound of 1048576"):
+        coproduct(tag, ba[3], ba[4])
+    assert built == []
+    # 2 x 5 atom pairs: 1024 elements, binary tables of exactly 2^20 cells
+    cop, _, _ = coproduct(tag, ba[2], ba[5])
+    assert built == [10] and cop.size == 1024
 
 
 def test_disjoint_union_coproducts_are_bounded_by_the_element_count():
@@ -193,6 +233,8 @@ def test_disjoint_union_coproducts_are_bounded_by_the_element_count():
 def test_product_coproducts_are_bounded_before_any_cell_is_built(monkeypatch):
     from algindep import zoo
 
+    # vector_space builds its spaces with direct_product, so before the patch
+    f2_6, f2_5 = vector_space(2, 6), vector_space(2, 5)
     built = []
     monkeypatch.setattr(zoo, "direct_product", lambda x, y: built.append((x, y)) or x)
     # Z32 + Z32, a binary table of exactly MAX_PRODUCT_CELLS cells, reaches the build
@@ -202,7 +244,7 @@ def test_product_coproducts_are_bounded_before_any_cell_is_built(monkeypatch):
     for tag, x, y in (
         (CategoryTag("abelian_group"), z32, cyclic_group(33)),
         (CategoryTag("abelian_group"), cyclic_group(128), cyclic_group(128)),
-        (CategoryTag("vector_space", 2), vector_space(2, 6), vector_space(2, 5)),
+        (CategoryTag("vector_space", 2), f2_6, f2_5),
     ):
         with pytest.raises(InputError, match="over the bound of 1048576 cells"):
             coproduct(tag, x, y)
@@ -220,9 +262,9 @@ def test_boolean_coproduct_beyond_the_family_cap():
 
 
 def test_boolean_coproduct_with_trivial_algebra_collapses():
-    from algindep.zoo import _trivial_boolean
+    from algindep.zoo import _powerset_boolean
 
-    trivial = _trivial_boolean()
+    trivial = _powerset_boolean(0)
     assert is_boolean_algebra(trivial)
     ba4 = powerset_boolean_algebra(2)
     cop, e_a, e_b = coproduct(CategoryTag("boolean_algebra"), trivial, ba4)
@@ -234,9 +276,9 @@ def test_boolean_coproduct_embeddings_have_the_atom_pair_closed_form():
     # atom i of a powerset algebra is 1 << i, and the atom pair (i, j) is bit
     # i * |atoms(y)| + j: e_a(z) holds every pair whose first atom lies below
     # z, e_b(z) every pair whose second atom does
-    from algindep.zoo import _trivial_boolean
+    from algindep.zoo import _powerset_boolean
 
-    algebras = [_trivial_boolean()] + [powerset_boolean_algebra(k) for k in (1, 2, 3)]
+    algebras = [_powerset_boolean(k) for k in (0, 1, 2, 3)]
     for x in algebras:
         for y in algebras:
             cop, e_a, e_b = coproduct(CategoryTag("boolean_algebra"), x, y)
