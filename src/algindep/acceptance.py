@@ -173,7 +173,7 @@ def criterion_abelian_groups() -> CriterionResult:
     # beyond cyclic groups, trivial intersection is more than coprime orders
     groups = [cyclic_group(n) for n in (4, 6, 8, 9, 12)] + [
         coproduct(tag, cyclic_group(m), cyclic_group(n))[0]
-        for m, n in ((2, 2), (2, 4), (4, 4))
+        for m, n in ((2, 2), (2, 4), (4, 4), (2, 8))
     ]
     bad = 0
     total = 0
@@ -493,10 +493,12 @@ def criterion_congruence(seed: int = 0) -> CriterionResult:
         structure = _random_magma(rng)
         subs = all_subuniverses(structure)
         pairs = [(a, b) for a in subs for b in subs][:4]
+        lattice_budget = None  # counted once per magma, on first need
         for a, b in pairs:
             if len(a.member_set() & b.member_set()) >= 2:
                 continue  # early exit already covered by (a)
-            lattice_budget = len(_brute_congruences(structure))
+            if lattice_budget is None:
+                lattice_budget = len(_brute_congruences(structure))
             if lattice_budget > 250:
                 skipped_c += 1
                 continue

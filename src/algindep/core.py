@@ -16,6 +16,8 @@ import itertools
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
 
+import numpy as np
+
 
 # Largest universe a structure may have.  ``validate`` refuses more, so a
 # file cannot make a decider allocate per-element state for a size it only
@@ -323,26 +325,28 @@ def direct_product(x: FiniteStructure, y: FiniteStructure) -> FiniteStructure:
     _check_product(
         x.sig, n, [len(rx) * len(ry) for rx, ry in zip(x.rel_tables, y.rel_tables)]
     )
-    op_tables = []
-    for i, (name, ar) in enumerate(x.sig.op_symbols):
-        tx, ty = x.op_tables[i], y.op_tables[i]
-        if ar == 0:
-            op_tables.append((tx[0] * ny + ty[0],))
-            continue
-        flat = []
-        for args in itertools.product(range(n), repeat=ar):
-            xa = [a // ny for a in args]
-            ya = [a % ny for a in args]
-            flat.append(tx[flat_index(nx, xa)] * ny + ty[flat_index(ny, ya)])
-        op_tables.append(tuple(flat))
-    rel_tables = []
-    for i, (name, ar) in enumerate(x.sig.rel_symbols):
-        pairs = set()
-        for tx in x.rel_tables[i]:
-            for ty in y.rel_tables[i]:
-                pairs.add(tuple(tx[k] * ny + ty[k] for k in range(ar)))
-        rel_tables.append(frozenset(pairs))
+    op_tables = [
+        _product_table(tx, ty, nx, ny, ar)
+        for (_, ar), tx, ty in zip(x.sig.op_symbols, x.op_tables, y.op_tables)
+    ]
+    rel_tables = [
+        frozenset(tuple(u * ny + v for u, v in zip(tx, ty)) for tx in rx for ty in ry)
+        for rx, ry in zip(x.rel_tables, y.rel_tables)
+    ]
     return FiniteStructure(x.sig, n, tuple(op_tables), tuple(rel_tables))
+
+
+def _product_table(tx, ty, nx: int, ny: int, ar: int) -> tuple[int, ...]:
+    """The product's table of an operation of arity ``ar``, from the tables
+    ``tx`` and ``ty`` of factors of ``nx`` and ``ny`` elements.  Pair (x, y)
+    is x*ny + y, so the product's row-major argument axes split into
+    (x1, y1, ..., xar, yar), and the table is one broadcast sum of tx over
+    the x axes and ty over the y axes."""
+    if nx * ny == 1:  # one cell, whatever the arity; numpy caps its axes
+        return (tx[0] * ny + ty[0],)
+    x = np.asarray(tx, dtype=np.intp).reshape((nx, 1) * ar)
+    flat = x * ny + np.asarray(ty, dtype=np.intp).reshape((1, ny) * ar)
+    return tuple(flat.ravel().tolist())
 
 
 @dataclass(frozen=True)

@@ -179,14 +179,14 @@ def decide_subalgebra_independence(
     smaller one as seed.
 
     What depends on one subuniverse only is computed once per process and
-    replayed after that, in three private memos:
+    replayed after that, in two private memos:
 
-    - the induced structure and embedding of A, B and the join, keyed by the
-      subuniverse (its parent by value, with the parent's labels) for the
-      1024 most recently used keys (``morphisms._INDUCED_MEMO_SIZE``);
-    - the join's compiled tables (``morphisms._join_tables``), with the same
-      key and bound: join positions, the constants' root map, relation views
-      and the numpy operation tables;
+    - what A, B and the join each induce (``morphisms._induced``): the
+      structure and embedding, the position of each parent element, the
+      operation tables by name, the constants' root map and the relation
+      views, keyed by the subuniverse (its parent by value, with the
+      parent's labels) for the 1024 most recently used keys
+      (``morphisms._INDUCED_MEMO_SIZE``);
     - the endomorphism stream of an induced structure, keyed by the
       structure's value with ``mode`` and ``hom_class``, for the 256 most
       recently used keys (``_ENDO_MEMO_SIZE``).  A stream is read only as
@@ -278,12 +278,10 @@ def decide_congruence_independence(
             f"join has {len(join_sub.members)} elements, over the congruence "
             f"lattice bound {max_size}"
         )
-    jstruct, jembed = _induced(join_sub)
-    pos = {e: i for i, e in enumerate(jembed)}
-    a_struct, a_embed = _induced(a)
-    b_struct, b_embed = _induced(b)
-    cons_a = all_congruences(a_struct, max_size=max_size)
-    cons_b = all_congruences(b_struct, max_size=max_size)
+    joined, side_a, side_b = _induced(join_sub), _induced(a), _induced(b)
+    jstruct, pos, a_embed, b_embed = joined.struct, joined.pos, side_a.embed, side_b.embed
+    cons_a = all_congruences(side_a.struct, max_size=max_size)
+    cons_b = all_congruences(side_b.struct, max_size=max_size)
     at_a = [pos[e] for e in a_embed]  # join coordinates of A's elements
     at_b = [pos[e] for e in b_embed]
     lifts: dict[tuple[str, Congruence], Congruence] = {}  # only the congruences checked

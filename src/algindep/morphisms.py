@@ -30,12 +30,12 @@ position gathers gamma's image of the tables of each arity, stacked by
 side, and in strong mode ``_relation_violation``, linear in the relations'
 tuples, checks every tuple, since its preimage boxes mix the sides.  A
 disagreement on A n B is its own witness; forced-image propagation runs
-only to name the witness of a refusal by that check.  What depends on the
-join alone (positions, constants, relation views, numpy tables) is compiled
-once per join and process and kept in a memo keyed by the join; each
-decision keeps only its own sides' positions, a derivation of the join from
-A u B and the tuples that mix the sides.  ``is_homomorphism`` checks any
-total map with the same ``_preserves``, on the two structures' stacks.
+only to name the witness of a refusal by that check.  What depends on one
+subuniverse alone (A, B or the join) is compiled once per process in one
+memo keyed by the subuniverse; each decision keeps only its own sides' join
+positions, a derivation of the join from A u B and the tuples that mix the
+sides.  ``is_homomorphism`` checks any total map with the same
+``_preserves``, on the two structures' stacks.
 """
 
 from __future__ import annotations
@@ -356,16 +356,35 @@ class ExtensionRefusal:
     detail: tuple
 
 
-# Bound of each of the deciders' memos keyed by subuniverse: induced
-# substructures and join tables.
+# Bound of the deciders' memo of what one subuniverse induces (``_induced``).
 _INDUCED_MEMO_SIZE = 1024
 
 
-def _induced(sub: SubUniverse) -> tuple[FiniteStructure, tuple[int, ...]]:
-    """``induced_substructure(sub.parent, sub)``, memoized for the deciders.
+class _Induced:
+    """What the deciders read of one subuniverse, whether it is a side or a
+    join: the induced structure and embedding, as ``induced_substructure``
+    returns them, the position of each parent element, the operation tables
+    by name, the root map that images the constants, and the relations as
+    ``_relation_violation`` reads them.
+    """
+
+    __slots__ = ("struct", "embed", "pos", "tables", "root", "rels")
+
+    def __init__(self, sub: SubUniverse):
+        self.struct, self.embed = induced_substructure(sub.parent, sub)
+        self.pos = {e: i for i, e in enumerate(self.embed)}
+        self.tables = {name: table for name, _, table in self.struct.op_views()}
+        self.root = _PartialMap(self.struct.size)
+        if _propagate(self.struct, self.struct, self.root, ()) is not None:
+            raise RuntimeError("invariant broken: the constants do not map to themselves")
+        self.rels = _rels(self.struct, self.struct)
+
+
+def _induced(sub: SubUniverse) -> _Induced:
+    """The ``_Induced`` record of ``sub``, memoized for the deciders.
 
     Structures compare by value with their labels left out, so the parent's
-    labels are part of the key: the result is what ``induced_substructure``
+    labels are part of the key: the structure is what ``induced_substructure``
     returns, labels included.  The ``_INDUCED_MEMO_SIZE`` most recently used
     keys are kept.
     """
@@ -373,50 +392,18 @@ def _induced(sub: SubUniverse) -> tuple[FiniteStructure, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=_INDUCED_MEMO_SIZE)
-def _induced_memo(sub: SubUniverse, labels) -> tuple[FiniteStructure, tuple[int, ...]]:
-    return induced_substructure(sub.parent, sub)
-
-
-class _JoinTables:
-    """What every joint extension to one join reads, whichever A and B
-    generate it: the join's induced structure and embedding, the join
-    position of each parent element, the operation tables by name, the root
-    map that images the constants, the relations as ``_relation_violation``
-    reads them, and the join's ``_op_stacks``, left empty on a one-element
-    join.
-    """
-
-    __slots__ = ("struct", "embed", "pos", "tables", "root", "rels", "op_arrays")
-
-    def __init__(self, struct: FiniteStructure, embed: tuple[int, ...]):
-        self.struct, self.embed = struct, embed
-        self.pos = {e: i for i, e in enumerate(embed)}
-        self.tables = {name: table for name, _, table in struct.op_views()}
-        self.root = _PartialMap(struct.size)
-        if _propagate(struct, struct, self.root, ()) is not None:
-            raise RuntimeError(
-                "invariant broken: the join's constants do not map to themselves"
-            )
-        self.rels = _rels(struct, struct)
-        # a one-element join maps every operation cell to itself
-        self.op_arrays = _op_stacks(struct) if struct.size > 1 else []
-
-
-@lru_cache(maxsize=_INDUCED_MEMO_SIZE)
-def _join_tables(sub: SubUniverse, labels) -> _JoinTables:
-    """The compiled tables of a join, keyed like ``_induced``."""
-    return _JoinTables(*_induced(sub))
+def _induced_memo(sub: SubUniverse, labels) -> _Induced:
+    return _Induced(sub)
 
 
 class _JointContext:
     """Setup for repeated joint-extension tests on one (A, B) pair.
 
-    The join's ``_JoinTables`` are compiled once per join and process and
-    kept in their own memo (``_join_tables``); the induced structures of A
-    and B come from ``_induced``.  Per pair of sides only this is computed:
-    the join positions of A's and B's elements, the shared elements, whether
-    one side contains the other and whether anything is left open for
-    ``_is_endomorphism``, and otherwise the applied nodes of a
+    A, B and the join are read from their ``_induced`` records, and the
+    join's numpy stacks from ``_op_stacks``.  Per pair of sides only this is
+    computed: the join positions of A's and B's elements, the shared
+    elements, whether one side contains the other and whether anything is
+    left open for ``_is_endomorphism``, and otherwise the applied nodes of a
     derivation DAG of the join as (target, table, args) steps in derivation
     order, and the argument columns of the relation tuples that lie in
     neither side.  The DAG is that of ``close`` resumed from the larger side
@@ -435,26 +422,29 @@ class _JointContext:
 
     def __init__(self, parent, a: SubUniverse, b: SubUniverse, mode: Mode):
         self.mode = mode
-        small, large = (a, b) if len(a.members) < len(b.members) else (b, a)
-        self.comparable = large.member_set().issuperset(small.members)
-        if self.comparable:
-            join_sub, nodes = large, ()
+        side_a, side_b = _induced(a), _induced(b)
+        if len(a.members) < len(b.members):
+            small, large, join = a, b, side_b
         else:
+            small, large, join = b, a, side_a
+        self.comparable = all(e in join.pos for e in small.members)
+        nodes = ()
+        if not self.comparable:
             join_sub, dag = close(parent, small.members, base=large)
-            nodes = dag.nodes
-        join = _join_tables(join_sub, parent.labels)
-        self.jstruct, self.jembed, self.root = join.struct, join.embed, join.root
-        self.rels, self.op_arrays = join.rels, join.op_arrays
-        self.a_struct, self.a_embed = _induced(a)
-        self.b_struct, self.b_embed = _induced(b)
+            join, nodes = _induced(join_sub), dag.nodes
+        self.jstruct, self.jembed = join.struct, join.embed
+        self.root, self.rels = join.root, join.rels
+        # a one-element join maps every operation cell to itself
+        self.op_arrays = _op_stacks(join.struct) if join.struct.size > 1 else []
+        self.a_struct, self.a_embed = side_a.struct, side_a.embed
+        self.b_struct, self.b_embed = side_b.struct, side_b.embed
 
         pos, tables = join.pos, join.tables
         self.a_at = [pos[e] for e in self.a_embed]
         self.b_at = [pos[e] for e in self.b_embed]
-        a_index = {e: i for i, e in enumerate(self.a_embed)}
         # (index in B, index in A) of every shared element
         self.shared = [
-            (j, a_index[e]) for j, e in enumerate(self.b_embed) if e in a_index
+            (j, side_a.pos[e]) for j, e in enumerate(self.b_embed) if e in side_a.pos
         ]
         in_a, in_b = set(self.a_at), set(self.b_at)
         self.rel_columns = []

@@ -9,7 +9,6 @@ def _clear_memos() -> None:
     generation._lattice_memo.clear()
     independence._endo_memo.clear()
     morphisms._induced_memo.cache_clear()
-    morphisms._join_tables.cache_clear()
 
 
 @pytest.fixture(autouse=True)

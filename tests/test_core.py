@@ -129,10 +129,10 @@ def test_direct_product_is_bounded_before_any_cell_is_built(monkeypatch):
     class CellBuilt(Exception):
         pass
 
-    def first_cell(size, args):
+    def first_table(*args):
         raise CellBuilt
 
-    monkeypatch.setattr(core, "flat_index", first_cell)
+    monkeypatch.setattr(core, "_product_table", first_table)
     # Z32 x Z32, a binary table of exactly MAX_PRODUCT_CELLS cells, reaches the build
     with pytest.raises(CellBuilt):
         direct_product(cyclic_group(32), cyclic_group(32))

@@ -103,9 +103,9 @@ def test_joint_extension_is_the_same_on_cold_and_warm_memos(parent, modes, cold_
     assert [joint_extension(parent, *call) for call in calls] == cold
 
 
-def test_join_tables_stay_within_the_memo_bound(cold_memos):
-    # more distinct joins than the memo keeps: the oldest entries, with
-    # their compiled tables, are evicted, and a recompiled join decides alike
+def test_induced_records_stay_within_the_memo_bound(cold_memos):
+    # more distinct subuniverses than the memo keeps: the oldest records are
+    # evicted, and a pair whose records were rebuilt decides alike
     s11 = empty_sig_set(11)
     pairs = [
         (SubUniverse(s11, members), SubUniverse(s11, members[:1]))
@@ -115,13 +115,13 @@ def test_join_tables_stay_within_the_memo_bound(cold_memos):
     first = [decide_subalgebra_independence(s11, *pair) for pair in pairs[:3]]
     for pair in pairs:
         morphisms._JointContext(s11, *pair, "weak")
-    info = morphisms._join_tables.cache_info()
+    info = morphisms._induced_memo.cache_info()
     assert info.maxsize == morphisms._INDUCED_MEMO_SIZE == 1024
     assert info.currsize == info.maxsize
     for (join, side), verdict in zip(pairs[:3], first):
-        misses = morphisms._join_tables.cache_info().misses
+        misses = morphisms._induced_memo.cache_info().misses
         assert decide_subalgebra_independence(s11, join, side) == verdict
-        assert morphisms._join_tables.cache_info().misses == misses + 1  # recompiled
+        assert morphisms._induced_memo.cache_info().misses == misses + 1  # rebuilt
 
 
 def test_census_of_a_5_set_opens_one_stream_per_size(monkeypatch):

@@ -457,7 +457,7 @@ def test_kernels_are_congruences_and_first_isomorphism(structure):
 
 @st.composite
 def same_signature_pairs(draw, max_size=4):
-    shape = draw(st.sampled_from([(2,), (2, 1), (2, 0), (1,)]))
+    shape = draw(st.sampled_from([(2,), (2, 1), (2, 0), (1,), (3, 0)]))
     sig = Signature(tuple((f"f{i}", ar) for i, ar in enumerate(shape)))
 
     def one(n):
