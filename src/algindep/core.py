@@ -99,7 +99,7 @@ class FiniteStructure:
 
     def __getstate__(self) -> dict:
         # string hashes differ between processes, so a pickle carries the
-        # fields only, not the hash or ``morphisms._op_stacks`` kept beside
+        # fields only, not the hash or the stacks of ``_op_stacks`` kept beside
         return {f.name: self.__dict__[f.name] for f in fields(self)}
 
     def op_index(self, name: str) -> int:
@@ -135,6 +135,28 @@ class FiniteStructure:
             (name, ar, self.rel_tables[i])
             for i, (name, ar) in enumerate(self.sig.rel_symbols)
         ]
+
+
+def _op_stacks(structure: FiniteStructure) -> list[tuple[np.ndarray, int]]:
+    """The operation tables of each positive arity as numpy arrays stacked on
+    axis 0, with one axis per argument, each stack with its arity, in
+    increasing arity.  A stack has m**arity cells per table, so an arity
+    numpy cannot reshape occurs only when m = 1; callers skip that case.
+    The stacks are kept on the structure, as its hash is; two threads that
+    both build them on a first call store equal stacks."""
+    if "_op_stacks" in structure.__dict__:
+        return structure.__dict__["_op_stacks"]
+    m = structure.size
+    by_arity: dict[int, list] = {}
+    for _, ar, table in structure.op_views():
+        if ar > 0:
+            by_arity.setdefault(ar, []).append(table)
+    stacks = [
+        (np.array(tables, dtype=np.intp).reshape((len(tables),) + (m,) * ar), ar)
+        for ar, tables in sorted(by_arity.items())
+    ]
+    object.__setattr__(structure, "_op_stacks", stacks)
+    return stacks
 
 
 def validate(structure: FiniteStructure) -> list[str]:
@@ -270,16 +292,6 @@ def induced_substructure(
         raise InputError("cannot induce a structure on the empty subuniverse")
     embed = sub.members
     pos = {e: i for i, e in enumerate(embed)}
-    m = len(embed)
-    op_tables = []
-    for name, ar, table in structure.op_views():
-        if ar == 0:
-            op_tables.append((pos[table[0]],))
-            continue
-        flat = []
-        for args in itertools.product(embed, repeat=ar):
-            flat.append(pos[table[flat_index(structure.size, args)]])
-        op_tables.append(tuple(flat))
     rel_tables = []
     for name, ar, tuples in structure.rel_views():
         kept = frozenset(
@@ -290,9 +302,26 @@ def induced_substructure(
     if structure.labels is not None:
         labels = tuple(structure.labels[e] for e in embed)
     restricted = FiniteStructure(
-        structure.sig, m, tuple(op_tables), tuple(rel_tables), labels
+        structure.sig, len(embed), _restrict(structure, embed, pos),
+        tuple(rel_tables), labels,
     )
     return restricted, embed
+
+
+def _restrict(
+    structure: FiniteStructure, elements, relabel
+) -> tuple[tuple[int, ...], ...]:
+    """Every operation table of ``structure`` read on the argument tuples
+    over ``elements``, in row-major order, each value passed through
+    ``relabel``.  A constant is read on the one empty tuple, at index 0."""
+    n = structure.size
+    return tuple(
+        tuple(
+            relabel[table[flat_index(n, args)]]
+            for args in itertools.product(elements, repeat=ar)
+        )
+        for _, ar, table in structure.op_views()
+    )
 
 
 def _check_product(sig: Signature, n: int, rel_sizes: Iterable[int] = ()) -> None:
@@ -466,33 +495,20 @@ def quotient(
 ) -> tuple[FiniteStructure, tuple[int, ...]]:
     """Quotient by a congruence; returns the block structure and the block map.
 
-    Operations act on representatives (well-defined by compatibility, which is
-    re-checked here); a relation holds on blocks iff it holds on some
-    representative tuple.
+    Operations act on each block's first element, after ``is_congruence``
+    has checked that this is well-defined; a relation holds on blocks iff it
+    holds on some representative tuple.
     """
     if theta.size != structure.size:
         raise InputError("congruence size does not match the structure")
+    if not is_congruence(structure, theta):
+        raise InputError("not a congruence: an operation is ill-defined on blocks")
     block = theta.block_of
-    n = structure.size
-    m = theta.num_blocks
-    op_tables = []
-    for name, ar, table in structure.op_views():
-        if ar == 0:
-            op_tables.append((block[table[0]],))
-            continue
-        flat: dict[int, int] = {}
-        for j, args in enumerate(itertools.product(range(n), repeat=ar)):
-            key = flat_index(m, (block[a] for a in args))
-            v = block[table[j]]
-            if flat.setdefault(key, v) != v:
-                raise InputError(
-                    f"not a congruence: operation {name!r} is ill-defined on blocks"
-                )
-        op_tables.append(tuple(flat[j] for j in range(m**ar)))
+    blocks = theta.blocks()
+    op_tables = _restrict(structure, [b[0] for b in blocks], block)
     rel_tables = []
     for name, ar, tuples in structure.rel_views():
         rel_tables.append(frozenset(tuple(block[v] for v in t) for t in tuples))
-    blocks = theta.blocks()
     labels = tuple("{" + ",".join(map(str, b)) + "}" for b in blocks)
-    q = FiniteStructure(structure.sig, m, tuple(op_tables), tuple(rel_tables), labels)
+    q = FiniteStructure(structure.sig, len(blocks), op_tables, tuple(rel_tables), labels)
     return q, theta.block_of

@@ -52,6 +52,7 @@ from .core import (
     FiniteStructure,
     InputError,
     SubUniverse,
+    _op_stacks,
     flat_index,
     induced_substructure,
 )
@@ -103,28 +104,6 @@ def is_homomorphism(
     if cod.size > 1 and not _preserves(_op_stacks(dom), _op_stacks(cod), mapping):
         return False
     return _relation_violation(_rels(dom, cod), mapping, mode) is None
-
-
-def _op_stacks(structure: FiniteStructure) -> list[tuple[np.ndarray, int]]:
-    """The operation tables of each positive arity as numpy arrays stacked on
-    axis 0, with one axis per argument, each stack with its arity, in
-    increasing arity.  A stack has m**arity cells per table, so an arity
-    numpy cannot reshape occurs only when m = 1; callers skip that case.
-    The stacks are kept on the structure, as its hash is; two threads that
-    both build them on a first call store equal stacks."""
-    if "_op_stacks" in structure.__dict__:
-        return structure.__dict__["_op_stacks"]
-    m = structure.size
-    by_arity: dict[int, list] = {}
-    for _, ar, table in structure.op_views():
-        if ar > 0:
-            by_arity.setdefault(ar, []).append(table)
-    stacks = [
-        (np.array(tables, dtype=np.intp).reshape((len(tables),) + (m,) * ar), ar)
-        for ar, tables in sorted(by_arity.items())
-    ]
-    object.__setattr__(structure, "_op_stacks", stacks)
-    return stacks
 
 
 def _preserves(dom_stacks, cod_stacks, g) -> bool:

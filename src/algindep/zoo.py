@@ -5,7 +5,10 @@ coproducts and the canonical surjection onto a join.
 The builders' tables satisfy the advertised axioms (associativity,
 inverses, distributivity, and so on): the tests run the law checks below on
 every structure ``build`` accepts, and the coproducts run them on their
-inputs.  Vector
+inputs.  Associativity is checked on a generating set only (Light's test),
+in O(n^2) per generator.  Every group family is an element list, identity
+first, and a composition, from which one builder reads the Cayley table and
+the inverses.  Vector
 spaces are encoded as algebras: binary addition, unary negation, one unary
 scalar symbol per field element, and the zero constant, which keeps the
 signature finite and the generic machinery applicable.  F_p^n is built as
@@ -96,10 +99,33 @@ def _table_array(structure, name):
     return t.reshape((structure.size,) * ar) if ar else t
 
 
+def _generators(t) -> list[int]:
+    """A generating set of the binary table ``t``: each element not yet
+    reached joins it, and the closure grows semi-naively, by the products
+    of the newly reached elements with all reached ones, in O(n^2)."""
+    reached = np.zeros(len(t), dtype=bool)
+    gens = []
+    for x in range(len(t)):
+        if reached[x]:
+            continue
+        gens.append(x)
+        reached[x] = True
+        new = np.array([x])
+        while new.size:
+            inside = np.flatnonzero(reached)
+            products = np.concatenate((t[np.ix_(new, inside)], t[np.ix_(inside, new)].T))
+            new = np.unique(products[~reached[products]])
+            reached[new] = True
+    return gens
+
+
 def _associative(t) -> bool:
-    """Is the binary table ``t`` associative?  Row x compares
-    t[t[x, y], z] with t[x, t[y, z]], so memory stays O(n^2)."""
-    return all(np.array_equal(t[row], row[t]) for row in t)
+    """Is the binary table ``t`` associative?  Light's test (Clifford and
+    Preston, *The Algebraic Theory of Semigroups* I, 1961, 1.2): the middle
+    elements g with (x*g)*y = x*(g*y) for all x, y form a subsemigroup, so
+    checking the generators g of ``_generators`` is exact.  Each g compares
+    t[t[:, g]] with t[:, t[g]], in O(n^2) time and memory."""
+    return all(np.array_equal(t[t[:, g]], t[:, t[g]]) for g in _generators(t))
 
 
 def _distributes(f, g) -> bool:
@@ -213,22 +239,25 @@ def graph(n: int, edges: Iterable[tuple[int, int]]) -> FiniteStructure:
     return FiniteStructure(GRAPH_SIG, n, (), (frozenset(table),))
 
 
-def _group_from_tables(n, mul_flat, inv_flat, labels):
-    return FiniteStructure(
-        GROUP_SIG, n, ((0,), tuple(inv_flat), tuple(mul_flat)), (), labels
-    )
-
-
 # Largest order of a cyclic or dihedral group: the table has order**2 cells.
 MAX_GROUP_ORDER = 128
+
+
+def _group(elements, compose, labels) -> FiniteStructure:
+    """The group on ``elements``, listed identity first, under ``compose``:
+    ``mul[i*n + j]`` is the index of ``compose(elements[i], elements[j])``,
+    and ``inv[i]`` is the position of the identity 0 in row i."""
+    index = {x: i for i, x in enumerate(elements)}
+    n = len(elements)
+    mul = tuple(index[compose(x, y)] for x in elements for y in elements)
+    inv = tuple(mul[i * n:(i + 1) * n].index(0) for i in range(n))
+    return FiniteStructure(GROUP_SIG, n, ((0,), inv, mul), (), tuple(labels))
 
 
 def cyclic_group(n: int) -> FiniteStructure:
     if not (1 <= n <= MAX_GROUP_ORDER):
         raise InputError(f"cyclic groups are built for orders 1 to {MAX_GROUP_ORDER}")
-    mul = [(i + j) % n for i in range(n) for j in range(n)]
-    inv = [(-i) % n for i in range(n)]
-    return _group_from_tables(n, mul, inv, tuple(str(i) for i in range(n)))
+    return _group(range(n), lambda a, b: (a + b) % n, map(str, range(n)))
 
 
 def permutations_of(n: int) -> list[tuple[int, ...]]:
@@ -266,23 +295,11 @@ def _cycle_label(perm: tuple[int, ...]) -> str:
 
 
 def symmetric_group(n: int) -> FiniteStructure:
+    """S_n on ``permutations_of(n)``; p*q is p after q, k -> p[q[k]]."""
     if not (1 <= n <= 5):
         raise InputError("symmetric groups are built for 1 <= n <= 5")
     perms = permutations_of(n)
-    index = {p: i for i, p in enumerate(perms)}
-    size = len(perms)
-    mul = []
-    for p in perms:
-        for q in perms:
-            mul.append(index[tuple(p[q[k]] for k in range(n))])
-    inv = []
-    for p in perms:
-        ip = [0] * n
-        for i, v in enumerate(p):
-            ip[v] = i
-        inv.append(index[tuple(ip)])
-    labels = tuple(_cycle_label(p) for p in perms)
-    return _group_from_tables(size, mul, inv, labels)
+    return _group(perms, lambda p, q: tuple(p[k] for k in q), map(_cycle_label, perms))
 
 
 def dihedral_group(n: int) -> FiniteStructure:
@@ -291,29 +308,13 @@ def dihedral_group(n: int) -> FiniteStructure:
         raise InputError(
             f"dihedral groups are built for parameters 1 to {MAX_GROUP_ORDER // 2}"
         )
-    size = 2 * n
+    elements = [(f, k) for f in (0, 1) for k in range(n)]
 
-    def unpack(i):
-        return (i >= n, i % n)
+    def compose(x, y):
+        (f1, a), (f2, b) = x, y
+        return (f1 ^ f2, ((-a if f2 else a) + b) % n)
 
-    def pack(flip, rot):
-        return (n if flip else 0) + rot % n
-
-    mul = []
-    for i in range(size):
-        f1, a = unpack(i)
-        for j in range(size):
-            f2, b = unpack(j)
-            rot = (-a if f2 else a) + b
-            mul.append(pack(f1 ^ f2, rot))
-    inv = []
-    for i in range(size):
-        f, a = unpack(i)
-        inv.append(pack(f, a if f else -a))
-    labels = tuple(
-        (f"sr{k % n}" if k >= n else f"r{k}") for k in range(size)
-    )
-    return _group_from_tables(size, mul, inv, labels)
+    return _group(elements, compose, (f"sr{k}" if f else f"r{k}" for f, k in elements))
 
 
 _QUATERNION_AXIS = {
@@ -342,10 +343,7 @@ def quaternion_group() -> FiniteStructure:
             sign ^= s
         return sign * 4 + axis
 
-    mul = [mult(x, y) for x in range(8) for y in range(8)]
-    inv = [mul_row.index(0) for mul_row in (mul[i * 8:(i + 1) * 8] for i in range(8))]
-    labels = ("1", "i", "j", "k", "-1", "-i", "-j", "-k")
-    return _group_from_tables(8, mul, inv, labels)
+    return _group(range(8), mult, ("1", "i", "j", "k", "-1", "-i", "-j", "-k"))
 
 
 def _powerset_boolean(atoms: int) -> FiniteStructure:

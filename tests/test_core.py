@@ -173,7 +173,7 @@ def test_quotient_rejects_incompatible_partition():
     z6 = cyclic_group(6)
     bad = Congruence.from_blocks(6, [(0, 1), (2,), (3,), (4,), (5,)])
     assert not is_congruence(z6, bad)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="an operation is ill-defined on blocks"):
         quotient(z6, bad)
 
 

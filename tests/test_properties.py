@@ -12,6 +12,7 @@ from algindep.core import (
     Signature,
     SubUniverse,
     direct_product,
+    flat_index,
     induced_substructure,
     is_congruence,
     is_subuniverse,
@@ -432,7 +433,24 @@ def test_relation_violation_matches_product_scan(pair, data):
             assert _relation_violation(_rels(dom, cod), images, mode) == expected
 
 
-@given(algebras(max_size=5))
+@given(algebras(max_size=6, shapes=SHAPES + WIDE_SHAPES) | mixed_structures(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_induced_substructure_reads_the_parent_cell_by_cell(structure, data):
+    seed = data.draw(st.sets(st.integers(0, structure.size - 1)))
+    sub, _ = close(structure, sorted(seed), derivation=False)
+    assume(sub.members)
+    restricted, embed = induced_substructure(structure, sub)
+    members, n = sub.members, structure.size
+    pos = {e: i for i, e in enumerate(members)}
+    assert embed == members and restricted.size == len(members)
+    for (_, ar, table), got in zip(structure.op_views(), restricted.op_tables):
+        cells = itertools.product(members, repeat=ar)
+        assert got == tuple(pos[table[flat_index(n, args)]] for args in cells)
+    for (_, _, tuples), got in zip(structure.rel_views(), restricted.rel_tables):
+        assert got == {tuple(map(pos.get, t)) for t in tuples if set(t) <= pos.keys()}
+
+
+@given(algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES))
 @settings(max_examples=30, deadline=None)
 def test_kernels_are_congruences_and_first_isomorphism(structure):
     count = 0
@@ -786,7 +804,8 @@ def law_structures(draw):
 @given(law_structures())
 @settings(max_examples=150, deadline=None)
 def test_row_wise_law_checks_match_whole_array_checks(structure):
-    # the zoo checks one row x at a time; the n^3 gathers are the reference
+    # the zoo checks associativity on a generating set only (Light's test)
+    # and distributivity one row x at a time; the n^3 gathers are the reference
     binary = [
         zoo._table_array(structure, name) for name, ar in structure.sig.op_symbols if ar == 2
     ]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -13,6 +14,7 @@ from algindep.core import (
     validate,
 )
 from algindep.generation import join
+from algindep import zoo
 from algindep.morphisms import find_isomorphism, is_homomorphism, kernel
 from algindep.zoo import (
     GROUP_SIG,
@@ -30,6 +32,7 @@ from algindep.zoo import (
     is_group,
     is_rigid,
     is_vector_space,
+    permutations_of,
     powerset_boolean_algebra,
     quaternion_group,
     random_rigid_graph,
@@ -103,6 +106,81 @@ def test_every_buildable_structure_satisfies_its_laws():
     assert len(_BUILDABLE_SPACES) == 27
     for p, d in _BUILDABLE_SPACES:
         assert is_vector_space(build("vector_space", p, d)[0], p)
+
+
+def _hamilton(x, y):
+    """Product of two quaternions given as 4-vectors (1, i, j, k)."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def _permutation_of_cycles(label, n):
+    """The permutation that a cycle label names, checking that each cycle
+    starts at its least point and that cycles come in order of their starts."""
+    perm = list(range(n))
+    if label == "e":
+        return tuple(perm)
+    cycles = [[int(v) - 1 for v in c.split()] for c in re.findall(r"\(([^)]*)\)", label)]
+    assert "".join("(" + " ".join(str(v + 1) for v in c) + ")" for c in cycles) == label
+    assert all(c[0] == min(c) and len(c) > 1 for c in cycles)
+    assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
+    for c in cycles:
+        for u, v in zip(c, c[1:] + c[:1]):
+            perm[u] = v
+    return tuple(perm)
+
+
+def test_group_families_match_their_defining_formulas():
+    # tables and labels for every parameter build accepts
+    for n in range(1, MAX_GROUP_ORDER + 1):
+        z = build("cyclic_group", n)[0]
+        assert z.op_tables == (
+            (0,),
+            tuple(-i % n for i in range(n)),
+            tuple((i + j) % n for i in range(n) for j in range(n)),
+        )
+        assert z.labels == tuple(map(str, range(n)))
+    for n in range(1, MAX_GROUP_ORDER // 2 + 1):
+
+        def unpack(i):
+            return (i >= n, i % n)
+
+        def pack(flip, rot):
+            return (n if flip else 0) + rot % n
+
+        elements = [unpack(i) for i in range(2 * n)]
+        mul = tuple(
+            pack(f1 ^ f2, (-a if f2 else a) + b) for f1, a in elements for f2, b in elements
+        )
+        inv = tuple(pack(f, a if f else -a) for f, a in elements)
+        d = build("dihedral_group", n)[0]
+        assert d.op_tables == ((0,), inv, mul)
+        assert d.labels == tuple(f"sr{a}" if f else f"r{a}" for f, a in elements)
+    for n in range(1, 6):
+        perms = permutations_of(n)
+        index = {p: i for i, p in enumerate(perms)}
+        mul = tuple(index[tuple(p[q[k]] for k in range(n))] for p in perms for q in perms)
+        inverse = [tuple(sorted(range(n), key=p.__getitem__)) for p in perms]
+        s = build("symmetric_group", n)[0]
+        assert s.op_tables == ((0,), tuple(index[q] for q in inverse), mul)
+        assert [_permutation_of_cycles(label, n) for label in s.labels] == perms
+    units = [tuple(int(i == axis) for i in range(4)) for axis in range(4)]
+    vectors = units + [tuple(-v for v in u) for u in units]
+    index = {v: i for i, v in enumerate(vectors)}
+    conjugate = [(a, -b, -c, -d) for a, b, c, d in vectors]
+    q8 = build("quaternion_group")[0]
+    assert q8.op_tables == (
+        (0,),
+        tuple(index[v] for v in conjugate),
+        tuple(index[_hamilton(x, y)] for x in vectors for y in vectors),
+    )
+    assert q8.labels == ("1", "i", "j", "k", "-1", "-i", "-j", "-k")
 
 
 def test_vector_space_tables_act_componentwise_on_the_labelled_coordinates():
@@ -427,18 +505,21 @@ def test_rigid_overlapping_pair_shapes():
     assert joined.members == tuple(range(parent.size))
 
 
-def test_group_law_check_memory_is_quadratic():
-    # Z256 lies over the zoo's group bound, so it is built directly; a
-    # whole-array associativity check holds 256^3 cells, over 250 MB
-    n = 256
+def _cyclic_by_formula(n):
+    """Z_n with FiniteStructure, past the zoo's group bound."""
     tables = {
         "e": (0,),
         "inv": tuple(-x % n for x in range(n)),
         "mul": tuple((x + y) % n for x in range(n) for y in range(n)),
     }
-    z256 = FiniteStructure(
+    return FiniteStructure(
         GROUP_SIG, n, tuple(tables[name] for name, _ in GROUP_SIG.op_symbols), ()
     )
+
+
+def test_group_law_check_memory_is_quadratic():
+    # a whole-array associativity check of Z256 holds 256^3 cells, over 250 MB
+    z256 = _cyclic_by_formula(256)
     tracemalloc.start()
     try:
         assert is_abelian_group(z256)
@@ -446,3 +527,13 @@ def test_group_law_check_memory_is_quadratic():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_group_law_check_of_z1024_is_quadratic_in_time():
+    # Light's test checks Z_n's two generators 0 and 1, not all n middles
+    z1024 = _cyclic_by_formula(1024)
+    assert is_abelian_group(z1024)
+    mul = zoo._table_array(z1024, "mul")
+    assert zoo._generators(mul) == [0, 1]
+    mul[3, 5] = 0
+    assert not zoo._associative(mul)
