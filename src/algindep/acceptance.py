@@ -7,9 +7,12 @@ free-position enumeration).  The oracles avoid the deciders' search and
 lattice code, but not the rest of the library: they take the join from
 ``join`` and use ``induced_substructure``, ``is_homomorphism``,
 ``is_congruence`` and ``cg``.  ``is_homomorphism`` checks operations with
-``morphisms._preserves``, the gather that joint extensions use too, so the
-check independent of that gather is the test suite's differential test
-against the cell-by-cell ``tests/oracles.is_map_homomorphism``.
+``morphisms._preserves``, the check of joint extensions too (generator rows
+of associative operations, through byte tables up to 256 elements), and
+``is_congruence`` reads the tables through the same ``core._Plan``.  So the
+checks independent of that plan are the test suite's differential tests
+against the cell-by-cell ``tests/oracles.is_map_homomorphism`` and
+``tests/oracles.is_compatible``.
 """
 
 from __future__ import annotations

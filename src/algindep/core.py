@@ -12,6 +12,7 @@ threads, memoized, and used as dict keys.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
@@ -99,7 +100,7 @@ class FiniteStructure:
 
     def __getstate__(self) -> dict:
         # string hashes differ between processes, so a pickle carries the
-        # fields only, not the hash or the stacks of ``_op_stacks`` kept beside
+        # fields only, not the hash or the ``_plan`` kept beside
         return {f.name: self.__dict__[f.name] for f in fields(self)}
 
     def op_index(self, name: str) -> int:
@@ -137,26 +138,177 @@ class FiniteStructure:
         ]
 
 
-def _op_stacks(structure: FiniteStructure) -> list[tuple[np.ndarray, int]]:
-    """The operation tables of each positive arity as numpy arrays stacked on
-    axis 0, with one axis per argument, each stack with its arity, in
-    increasing arity.  A stack has m**arity cells per table, so an arity
-    numpy cannot reshape occurs only when m = 1; callers skip that case.
-    The stacks are kept on the structure, as its hash is; two threads that
-    both build them on a first call store equal stacks."""
-    if "_op_stacks" in structure.__dict__:
-        return structure.__dict__["_op_stacks"]
-    m = structure.size
-    by_arity: dict[int, list] = {}
-    for _, ar, table in structure.op_views():
-        if ar > 0:
-            by_arity.setdefault(ar, []).append(table)
-    stacks = [
-        (np.array(tables, dtype=np.intp).reshape((len(tables),) + (m,) * ar), ar)
-        for ar, tables in sorted(by_arity.items())
-    ]
-    object.__setattr__(structure, "_op_stacks", stacks)
-    return stacks
+# A structure of at most this many elements has every value in one byte, so
+# ``_Plan.read`` gathers its lines with ``bytes.translate`` when the map's
+# domain is that small too; otherwise numpy ``take`` gathers the same lines.
+BYTE_RANGE = 256
+
+
+def _generators(t) -> list[int]:
+    """A generating set G of the binary table ``t``, an n x n array, under
+    ``t`` alone: each element not yet reached joins G, and the reached set
+    grows by right multiplication by G, in O(n*|G|) table reads.  Every
+    reached element is a product of generators, so G generates; when ``t``
+    is associative every product is reached, so G is the same as for a
+    closure under all products."""
+    rows = t.tolist()
+    reached = [False] * len(rows)
+    members: list[int] = []
+    gens: list[int] = []
+    for x in range(len(rows)):
+        if reached[x]:
+            continue
+        gens.append(x)
+        todo = [x] + [rows[r][x] for r in members]
+        while todo:
+            y = todo.pop()
+            if not reached[y]:
+                reached[y] = True
+                members.append(y)
+                row = rows[y]
+                todo += [row[g] for g in gens]
+    return gens
+
+
+def _associative(t, gens=None) -> bool:
+    """Is the binary table ``t`` associative?  Light's test (Clifford and
+    Preston, *The Algebraic Theory of Semigroups* I, 1961, 1.2): the middle
+    elements g with (x*g)*y = x*(g*y) for all x, y are closed under ``t``,
+    so checking the generators g of ``gens`` (default ``_generators(t)``)
+    is exact.  Each g compares t[t[:, g]] with t[:, t[g]], two n x n
+    gathers of one shape, by their bytes, in O(n^2) time and memory."""
+    if gens is None:
+        gens = _generators(t)
+    return all(
+        t.take(t[:, g], axis=0).tobytes() == t.take(t[g], axis=1).tobytes() for g in gens
+    )
+
+
+class _Plan:
+    """How a map reads the operation tables of one structure: the check of
+    ``morphisms._preserves`` and of ``is_congruence``.
+
+    ``ops`` holds, per operation of positive arity in signature order, its
+    arity and its table.  Line i of a table is the operation with its first
+    arity-1 arguments fixed to the base-n digits of i, its prefix: cells
+    i*n to i*n + n - 1.  The rest is built on first use:
+
+    - ``lines``: each table as a numpy array of shape (n**(arity-1), n);
+    - ``rows``: for each binary operation that Light's test finds
+      associative, by position in ``ops``, the generators of
+      ``_generators``, which also fed the test;
+    - ``full`` and ``own``: the lines a check reads on the domain side,
+      every line, or the generator rows for the operations in ``rows``;
+    - ``tables``: on the codomain side, for at most ``BYTE_RANGE``
+      elements, each line padded to one 256-byte ``bytes.translate`` table.
+
+    The plan is kept on the structure, as its hash is; two threads that
+    both build a part on a first call store equal values.
+    """
+
+    def __init__(self, structure: FiniteStructure):
+        self.size = structure.size
+        self.ops = [(ar, table) for _, ar, table in structure.op_views() if ar > 0]
+
+    @functools.cached_property
+    def lines(self) -> list[np.ndarray]:
+        return [np.array(table, dtype=np.intp).reshape(-1, self.size) for _, table in self.ops]
+
+    @functools.cached_property
+    def rows(self) -> dict[int, list[int]]:
+        rows = {}
+        for i, ((ar, _), t) in enumerate(zip(self.ops, self.lines)):
+            if ar == 2:
+                gens = _generators(t)
+                if _associative(t, gens):
+                    rows[i] = gens
+        return rows
+
+    @functools.cached_property
+    def full(self) -> tuple:
+        return self._select({})
+
+    @functools.cached_property
+    def own(self) -> tuple:
+        return self._select(self.rows) if self.rows else self.full
+
+    @functools.cached_property
+    def tables(self) -> list[list[bytes]]:
+        m = self.size
+        pad = bytes(BYTE_RANGE - m)
+        return [
+            [bytes(table[k : k + m]) + pad for k in range(0, len(table), m)]
+            for _, table in self.ops
+        ]
+
+    def _select(self, rows: dict) -> tuple:
+        """The domain side of a check that reads the operations at the
+        positions in ``rows`` on those rows and every other one on every
+        line: per operation its arity, the line numbers and, above arity 2,
+        their prefixes; and the cells of those lines, concatenated, as bytes
+        when they fit in one and as an array above that."""
+        n = self.size
+        checks = []
+        for i, (ar, table) in enumerate(self.ops):
+            ids = rows.get(i, range(len(table) // n))
+            prefixes = list(itertools.product(range(n), repeat=ar - 1)) if ar > 2 else None
+            checks.append((ar, ids, prefixes))
+        if n <= BYTE_RANGE:
+            cells = b"".join(
+                bytes(table) if i not in rows
+                else b"".join(bytes(table[k * n : k * n + n]) for k in rows[i])
+                for i, (_, table) in enumerate(self.ops)
+            )
+        else:
+            cells = np.concatenate(
+                [np.empty(0, dtype=np.intp)]
+                + [t[ids].ravel() for (_, ids, _), t in zip(checks, self.lines)]
+            )
+        return checks, cells
+
+    def read(self, checks, g):
+        """This structure's operations read at the map ``g`` on every axis,
+        over the lines ``checks`` of a domain of len(g) elements: f(gp, gx)
+        for each checked prefix p and every x, in the order of the domain's
+        cells.  Bytes, through the line tables, when both structures have
+        at most ``BYTE_RANGE`` elements; else an array, by numpy ``take``."""
+        m = self.size
+        if m <= BYTE_RANGE and len(g) <= BYTE_RANGE:
+            gb = bytes(g)
+            parts = []
+            for (ar, ids, prefixes), tables in zip(checks, self.tables):
+                if ar == 1:
+                    parts.append(gb.translate(tables[0]))
+                elif ar == 2:
+                    parts += [gb.translate(tables[g[r]]) for r in ids]
+                else:
+                    parts += [
+                        gb.translate(tables[flat_index(m, [g[a] for a in p])])
+                        for p in prefixes
+                    ]
+            return b"".join(parts)
+        ga = np.array(g, dtype=np.intp)
+        parts = [np.empty(0, dtype=np.intp)]
+        for (ar, ids, prefixes), lines in zip(checks, self.lines):
+            if ar == 1:
+                at = [0]
+            elif ar == 2:
+                at = ga.take(ids)
+            else:
+                digits = ga.take(np.array(prefixes, dtype=np.intp))
+                at = np.ravel_multi_index(tuple(digits.T), (m,) * (ar - 1))
+            parts.append(lines.take(at, axis=0).take(ga, axis=1).ravel())
+        return np.concatenate(parts)
+
+
+def _plan(structure: FiniteStructure) -> _Plan:
+    """The ``_Plan`` of ``structure``, built once and kept on it."""
+    try:
+        return structure.__dict__["_plan"]
+    except KeyError:
+        plan = _Plan(structure)
+        object.__setattr__(structure, "_plan", plan)
+        return plan
 
 
 def validate(structure: FiniteStructure) -> list[str]:
@@ -473,21 +625,29 @@ class Congruence:
 
 
 def is_congruence(structure: FiniteStructure, theta: Congruence) -> bool:
-    """True iff the partition is compatible with every operation table."""
+    """True iff the partition is compatible with every operation table.
+
+    With r(x) the first element of x's block, θ is compatible exactly when
+    f(x) θ f(r(x)) for every argument tuple x, since x θ y gives r(x) =
+    r(y).  So the blocks of every table are compared with the blocks of the
+    table read at r on every axis, which ``_Plan.read`` gathers."""
     if theta.size != structure.size:
         return False
     block = theta.block_of
-    n = structure.size
-    for name, ar, table in structure.op_views():
-        if ar == 0:
-            continue
-        seen: dict[tuple[int, ...], int] = {}
-        for j, args in enumerate(itertools.product(range(n), repeat=ar)):
-            key = tuple(block[a] for a in args)
-            v = block[table[j]]
-            if seen.setdefault(key, v) != v:
-                return False
-    return True
+    first: list[int] = []  # blocks are numbered by first occurrence
+    for e, b in enumerate(block):
+        if b == len(first):
+            first.append(e)
+    plan = _plan(structure)
+    checks, cells = plan.full
+    right = plan.read(checks, [first[b] for b in block])
+    if isinstance(right, bytes):
+        to_block = bytes(block) + bytes(BYTE_RANGE - len(block))
+        return cells.translate(to_block) == right.translate(to_block)
+    to_block = np.array(block, dtype=np.intp)
+    if isinstance(cells, bytes):
+        cells = np.frombuffer(cells, dtype=np.uint8)
+    return to_block.take(cells).tobytes() == to_block.take(right).tobytes()
 
 
 def quotient(

@@ -24,9 +24,12 @@ endomorphism of A's induced structure, so every operation cell and relation
 tuple inside A is already preserved (reflected too, in strong mode); the
 same holds for B.  When one side contains the other the join is the larger
 side and agreement on the shared elements decides.  Otherwise
-``_preserves`` checks the operations: one numpy ``take`` per argument
-position gathers gamma's image of the tables of each arity, stacked by
-``_op_stacks``.  Set tests check the relation tuples that lie in neither
+``_preserves`` checks the operations on the join's ``core._plan``: every
+line of each table, except that a binary operation which Light's test finds
+associative is checked on the rows of a generating set only, which is
+exact; the lines are gathered through 256-byte ``bytes.translate`` tables
+when the join has at most 256 elements, and by numpy ``take`` above that.
+Set tests check the relation tuples that lie in neither
 side, and in strong mode ``_relation_violation``, linear in the relations'
 tuples, checks every tuple, since its preimage boxes mix the sides.  A
 disagreement on A n B is its own witness; forced-image propagation runs
@@ -35,7 +38,7 @@ subuniverse alone (A, B or the join) is compiled once per process in one
 memo keyed by the subuniverse; each decision keeps only its own sides' join
 positions, a derivation of the join from A u B and the tuples that mix the
 sides.  ``is_homomorphism`` checks any total map with the same
-``_preserves``, on the two structures' stacks.
+``_preserves``, on the two structures' plans.
 """
 
 from __future__ import annotations
@@ -48,11 +51,13 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .core import (
+    BYTE_RANGE,
     Congruence,
     FiniteStructure,
     InputError,
     SubUniverse,
-    _op_stacks,
+    _Plan,
+    _plan,
     flat_index,
     induced_substructure,
 )
@@ -91,36 +96,47 @@ def is_homomorphism(
     operation preserved, relations per the mode (``_relation_violation``).
 
     The constants are compared directly.  The other operations are checked
-    by ``_preserves``, the gather that checks joint extensions, unless the
-    codomain has one element: every map into it preserves them, and only a
-    one-element structure has an arity too large for numpy to reshape."""
+    by ``_preserves`` on the two structures' ``_plan``, the check of joint
+    extensions, unless the codomain has one element: every map into it
+    preserves them."""
     if dom.sig != cod.sig or len(mapping) != dom.size:
         return False
     if any(not isinstance(v, (int, np.integer)) or not 0 <= v < cod.size for v in mapping):
         return False
+    g = [int(v) for v in mapping]  # index arithmetic must not wrap at a numpy width
     for (_, ar, dt), ct in zip(dom.op_views(), cod.op_tables):
-        if ar == 0 and mapping[dt[0]] != ct[0]:
+        if ar == 0 and g[dt[0]] != ct[0]:
             return False
-    if cod.size > 1 and not _preserves(_op_stacks(dom), _op_stacks(cod), mapping):
+    if cod.size > 1 and not _preserves(_plan(dom), _plan(cod), g):
         return False
-    return _relation_violation(_rels(dom, cod), mapping, mode) is None
+    return _relation_violation(_rels(dom, cod), g, mode) is None
 
 
-def _preserves(dom_stacks, cod_stacks, g) -> bool:
-    """Does the total map ``g`` preserve every operation of positive arity?
+def _preserves(dom: _Plan, cod: _Plan, g) -> bool:
+    """Does the total map ``g``, a list of ints, preserve every operation of
+    positive arity?
 
-    ``dom_stacks`` and ``cod_stacks`` are ``_op_stacks`` of two structures of
-    one signature.  Per arity, the codomain's stacked tables are gathered
-    through g with one ``take`` per argument axis and compared with g
-    applied to the domain's tables."""
-    ga = np.array(g, dtype=np.intp)
-    for (dom_stack, ar), (image, _) in zip(dom_stacks, cod_stacks):
-        for axis in range(1, ar + 1):
-            image = image.take(ga, axis=axis)
-        # equal shapes: the bytes differ iff a cell does; no ufunc reduction
-        if ga.take(dom_stack).tobytes() != image.tobytes():
-            return False
-    return True
+    ``dom`` and ``cod`` are the ``_plan`` of two structures of one
+    signature.  The map is checked line by line: γ(f(p, x)) = f(γp, γx) for
+    each checked prefix p and every x.  A binary operation f that Light's
+    test finds associative in both structures is checked on the rows of the
+    domain's generators G only, which is exact: every y is a product g·y'
+    with g in G, and by induction on its length γ((g·y')·x) = γ(g·(y'·x))
+    = γg·(γy'·γx) = (γg·γy')·γx = γ(g·y')·γx.  Every other operation is
+    checked on every line.
+
+    The right side is ``_Plan.read`` of the codomain at g.  When both
+    structures have at most ``BYTE_RANGE`` elements it is bytes, and the
+    left side is one ``bytes.translate`` of the domain's checked cells
+    through g; above that numpy ``take`` gathers both sides."""
+    checks, cells = dom.own if dom is cod or dom.rows.keys() <= cod.rows.keys() else dom.full
+    right = cod.read(checks, g)
+    if isinstance(right, bytes):
+        return cells.translate(bytes(g) + bytes(BYTE_RANGE - len(g))) == right
+    if isinstance(cells, bytes):  # a domain of bytes into a larger codomain
+        cells = np.frombuffer(cells, dtype=np.uint8)
+    # equal shapes: the bytes differ iff a cell does; no ufunc reduction
+    return np.array(g, dtype=np.intp).take(cells).tobytes() == right.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +395,10 @@ class _JointContext:
     """Setup for repeated joint-extension tests on one (A, B) pair.
 
     A, B and the join are read from their ``_induced`` records, and the
-    join's numpy stacks from ``_op_stacks``.  Per pair of sides only this is
+    join's check plan from ``core._plan``: it checks the generator rows of
+    each binary operation that Light's test finds associative, which is
+    exact (see ``_preserves``), and every line of the others, through byte
+    tables up to 256 elements.  Per pair of sides only this is
     computed: the join positions of A's and B's elements, the shared
     elements, whether one side contains the other and whether anything is
     left open for ``_is_endomorphism``, and otherwise the applied nodes of a
@@ -414,7 +433,8 @@ class _JointContext:
         self.jstruct, self.jembed = join.struct, join.embed
         self.root, self.rels = join.root, join.rels
         # a one-element join maps every operation cell to itself
-        self.op_arrays = _op_stacks(join.struct) if join.struct.size > 1 else []
+        has_ops = any(ar > 0 for _, ar in parent.sig.op_symbols)
+        self.plan = _plan(join.struct) if has_ops and join.struct.size > 1 else None
         self.a_struct, self.a_embed = side_a.struct, side_a.embed
         self.b_struct, self.b_embed = side_b.struct, side_b.embed
 
@@ -435,7 +455,7 @@ class _JointContext:
                 if mixed:
                     self.rel_columns.append((tuples, list(zip(*mixed))))
         self.left_open = not self.comparable and bool(
-            self.op_arrays or self.rel_columns or mode == "strong"
+            self.plan is not None or self.rel_columns or mode == "strong"
         )
         covered = in_a | in_b
         self.steps = []
@@ -487,13 +507,15 @@ class _JointContext:
     def _is_endomorphism(self, g: list[int]) -> bool:
         """Is ``g``, which agrees with alpha on A and beta on B, an
         endomorphism of the join?  ``_preserves`` checks the operations
-        over the whole join, with the join's stacks on both sides; a set
+        over the whole join, with the join's plan on both sides: the
+        generator rows of its associative binary operations and every line
+        of the others, through byte tables up to 256 elements; a set
         test per relation over the tuples that mix A and B (a tuple inside
         one side is settled by that side's endomorphism), and in strong mode
         ``_relation_violation`` over every tuple, as a preimage box can mix
         the sides.  Constants need no check: they lie in A n B, where the
         seeds already fix them."""
-        if self.op_arrays and not _preserves(self.op_arrays, self.op_arrays, g):
+        if self.plan is not None and not _preserves(self.plan, self.plan, g):
             return False
         for tuples, columns in self.rel_columns:
             if not tuples.issuperset(zip(*[map(g.__getitem__, col) for col in columns])):

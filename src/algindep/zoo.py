@@ -5,11 +5,10 @@ coproducts and the canonical surjection onto a join.
 The builders' tables satisfy the advertised axioms (associativity,
 inverses, distributivity, and so on): the tests run the law checks below on
 every structure ``build`` accepts, and the coproducts run them on their
-inputs.  Associativity is checked on a generating set only (Light's test),
-in O(n^2) per generator.  Every group family is an element list, identity
-first, and a composition, from which one builder reads the Cayley table and
-the inverses.  Vector
-spaces are encoded as algebras: binary addition, unary negation, one unary
+inputs.  Associativity is checked on a generating set only, by Light's test
+in ``core._associative``, in O(n^2) per generator.  Every group family is an
+element list, identity first, and a composition, from which one builder
+reads the Cayley table and the inverses.  Vector spaces are encoded as algebras: binary addition, unary negation, one unary
 scalar symbol per field element, and the zero constant, which keeps the
 signature finite and the generic machinery applicable.  F_p^n is built as
 the direct power of the line F_p, and every product-shaped structure built
@@ -33,6 +32,7 @@ from .core import (
     Signature,
     SizeLimitExceeded,
     SubUniverse,
+    _associative,
     _check_product,
     _excerpt,
     direct_product,
@@ -97,35 +97,6 @@ def _table_array(structure, name):
     _, ar = structure.sig.op_symbols[structure.op_index(name)]
     t = np.array(structure.op_table(name), dtype=np.int64)
     return t.reshape((structure.size,) * ar) if ar else t
-
-
-def _generators(t) -> list[int]:
-    """A generating set of the binary table ``t``: each element not yet
-    reached joins it, and the closure grows semi-naively, by the products
-    of the newly reached elements with all reached ones, in O(n^2)."""
-    reached = np.zeros(len(t), dtype=bool)
-    gens = []
-    for x in range(len(t)):
-        if reached[x]:
-            continue
-        gens.append(x)
-        reached[x] = True
-        new = np.array([x])
-        while new.size:
-            inside = np.flatnonzero(reached)
-            products = np.concatenate((t[np.ix_(new, inside)], t[np.ix_(inside, new)].T))
-            new = np.unique(products[~reached[products]])
-            reached[new] = True
-    return gens
-
-
-def _associative(t) -> bool:
-    """Is the binary table ``t`` associative?  Light's test (Clifford and
-    Preston, *The Algebraic Theory of Semigroups* I, 1961, 1.2): the middle
-    elements g with (x*g)*y = x*(g*y) for all x, y form a subsemigroup, so
-    checking the generators g of ``_generators`` is exact.  Each g compares
-    t[t[:, g]] with t[:, t[g]], in O(n^2) time and memory."""
-    return all(np.array_equal(t[t[:, g]], t[:, t[g]]) for g in _generators(t))
 
 
 def _distributes(f, g) -> bool:

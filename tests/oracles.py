@@ -2,10 +2,9 @@
 
 Everything here prefers exhaustive scans over cleverness and shares no code
 with the algorithms it is checking: closures are naive fixpoints over full
-re-scans, congruence lattices come from filtering all partitions, and
-homomorphisms and isomorphisms come from filtering all maps or permutations.
-The partition filter is the acceptance battery's own brute force, which no
-fast path uses.  The one exception is ``cyclic_extension_subuniverses``,
+re-scans, congruence lattices come from filtering all partitions with the
+cell-by-cell compatibility check, and homomorphisms and isomorphisms come
+from filtering all maps or permutations.  The one exception is ``cyclic_extension_subuniverses``,
 plain cyclic extension through ``generation.close``: it checks that
 ``all_subuniverses`` skips closes without changing its output, which the
 closed-subset filter cannot reach beyond a few elements.
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from algindep.acceptance import _brute_congruences
+from algindep.acceptance import _all_partitions
 from algindep.core import Congruence, FiniteStructure, flat_index
 
 
@@ -145,10 +144,33 @@ def _inverse(perm):
     return tuple(inv)
 
 
+def is_compatible(structure: FiniteStructure, theta: Congruence) -> bool:
+    """The cell-by-cell congruence check: per operation, every argument
+    tuple's tuple of blocks determines the block of its value."""
+    if theta.size != structure.size:
+        return False
+    block = theta.block_of
+    n = structure.size
+    for name, ar, table in structure.op_views():
+        if ar == 0:
+            continue
+        seen: dict[tuple[int, ...], int] = {}
+        for j, args in enumerate(itertools.product(range(n), repeat=ar)):
+            key = tuple(block[a] for a in args)
+            v = block[table[j]]
+            if seen.setdefault(key, v) != v:
+                return False
+    return True
+
+
 def brute_congruences(structure) -> list[Congruence]:
     """Every partition that is a congruence, sorted by ``block_of``: the
-    acceptance battery's filter of all partitions."""
-    return sorted(_brute_congruences(structure), key=lambda t: t.block_of)
+    acceptance battery's partitions, filtered by ``is_compatible``."""
+    return [
+        theta
+        for theta in map(Congruence.from_assignment, _all_partitions(structure.size))
+        if is_compatible(structure, theta)
+    ]
 
 
 def brute_cg(structure, pairs) -> Congruence:

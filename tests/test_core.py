@@ -21,7 +21,7 @@ from algindep.generation import cg
 from algindep.morphisms import find_isomorphism
 from algindep.zoo import cyclic_group, empty_sig_set, graph
 
-from oracles import brute_isomorphisms
+from oracles import brute_isomorphisms, is_compatible
 
 
 def test_signature_rejects_duplicates_and_bad_arities():
@@ -184,6 +184,18 @@ def test_congruence_canonical_form():
     assert theta.generating_pairs() == [(0, 1), (1, 3), (2, 4)]
     with pytest.raises(InputError):
         Congruence((1, 0))
+
+
+def test_is_congruence_above_256_elements_matches_the_oracle():
+    # 272 elements: numpy reads the tables at the block representatives;
+    # (a, b) is a*17 + b, and a mod 4 gives the cosets of a normal subgroup
+    g = direct_product(cyclic_group(16), cyclic_group(17))
+    cosets = Congruence.from_assignment(x // 17 % 4 for x in range(272))
+    moved = Congruence.from_assignment([1] + list(cosets.block_of[1:]))
+    assert is_congruence(g, cosets) and is_compatible(g, cosets)
+    assert not is_congruence(g, moved) and not is_compatible(g, moved)
+    q, _ = quotient(g, cosets)
+    assert q.size == 4 and q.op_table("mul") == tuple((a + b) % 4 for a in range(4) for b in range(4))
 
 
 def test_quotient_relations_hold_on_any_representative():

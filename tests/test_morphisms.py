@@ -4,7 +4,15 @@ import pickle
 import numpy as np
 import pytest
 
-from algindep.core import FiniteStructure, InputError, Signature, SubUniverse, induced_substructure
+from algindep import core
+from algindep.core import (
+    FiniteStructure,
+    InputError,
+    Signature,
+    SubUniverse,
+    direct_product,
+    induced_substructure,
+)
 from algindep.generation import all_subuniverses, generated_subuniverse_of_square, join
 from algindep.morphisms import (
     ExtensionRefusal,
@@ -97,14 +105,14 @@ def test_is_homomorphism_refuses_non_integer_entries():
     assert not is_homomorphism(z2, z2, (np.int64(0), np.int64(2)))
 
 
-def test_op_stacks_are_built_once_and_left_out_of_a_pickle():
+def test_plan_is_built_once_and_left_out_of_a_pickle():
     z6 = cyclic_group(6)
     assert is_homomorphism(z6, z6, tuple(2 * x % 6 for x in range(6)))
-    stacks = z6.__dict__["_op_stacks"]
+    plan = z6.__dict__["_plan"]
     assert is_homomorphism(z6, z6, tuple(range(6)))
-    assert z6.__dict__["_op_stacks"] is stacks
+    assert z6.__dict__["_plan"] is plan
     hash(z6)
-    assert {"_hash", "_op_stacks"} <= set(z6.__dict__)
+    assert {"_hash", "_plan"} <= set(z6.__dict__)
     copy = pickle.loads(pickle.dumps(z6))
     assert copy == z6
     assert set(copy.__dict__) == {f.name for f in dataclasses.fields(z6)}
@@ -112,6 +120,76 @@ def test_op_stacks_are_built_once_and_left_out_of_a_pickle():
 
 def _binary(n, table):
     return FiniteStructure(Signature((("f", 2),)), n, (tuple(table),), ())
+
+
+def test_generator_rows_are_not_trusted_without_light_test():
+    # 0 generates this magma (0*0 = 1, 1*0 = 2), and the map preserves row 0,
+    # but the magma is not associative, so every row must be checked
+    magma = _binary(3, (1, 2, 0, 2, 0, 0, 2, 0, 1))
+    t = np.array(magma.op_tables[0]).reshape(3, 3)
+    assert core._generators(t) == [0] and not core._associative(t)
+    g = (2, 1, 0)
+    assert all(g[t[0, x]] == t[g[0], g[x]] for x in range(3))
+    assert not is_map_homomorphism(magma, magma, g)
+    assert not is_homomorphism(magma, magma, g)
+
+
+def test_generator_rows_need_an_associative_codomain():
+    # Z3 is generated by 0 and 1; the magma agrees with Z3 on rows 0 and 1
+    # only, so the identity preserves the domain's generator rows but not
+    # the row of 2, which the codomain's failed Light's test leaves checked
+    z3 = _binary(3, [(x + y) % 3 for x in range(3) for y in range(3)])
+    magma = _binary(3, (0, 1, 2, 1, 2, 0, 1, 2, 0))
+    assert not core._associative(np.array(magma.op_tables[0]).reshape(3, 3))
+    assert not is_map_homomorphism(z3, magma, (0, 1, 2))
+    assert not is_homomorphism(z3, magma, (0, 1, 2))
+
+
+def _max_chain(n):
+    return _binary(n, [max(x, y) for x in range(n) for y in range(n)])
+
+
+@pytest.mark.parametrize(
+    "dom, cod, maps",
+    [
+        # F2^8: 256 elements, the byte tables; addition is XOR of the indices
+        (
+            direct_product(vector_space(2, 4), vector_space(2, 4)),
+            None,
+            [tuple(range(256)), tuple(x ^ (x >> 1) for x in range(256))],
+        ),
+        # Z16 x Z17: 272 elements, numpy; (a, b) is a*17 + b
+        (
+            direct_product(cyclic_group(16), cyclic_group(17)),
+            None,
+            [
+                tuple(range(272)),
+                tuple(3 * a % 16 * 17 + 2 * b % 17 for a in range(16) for b in range(17)),
+            ],
+        ),
+        # 256 elements into 272: numpy, with the domain's cells read from bytes
+        (
+            direct_product(cyclic_group(16), cyclic_group(16)),
+            direct_product(cyclic_group(16), cyclic_group(17)),
+            [tuple((a + 3 * b) % 16 * 17 for a in range(16) for b in range(16))],
+        ),
+        (
+            direct_product(_max_chain(16), _max_chain(16)),
+            direct_product(_max_chain(16), _max_chain(17)),
+            [tuple(a * 17 + b for a in range(16) for b in range(16))],
+        ),
+    ],
+    ids=["F2^8", "Z16xZ17", "Z16xZ16 to Z16xZ17", "max chains 16x16 to 16x17"],
+)
+def test_checks_on_both_sides_of_256_elements_match_the_oracle(dom, cod, maps):
+    cod = cod or dom
+    assert {dom.size, cod.size} <= {256, 272}
+    for mapping in maps:
+        assert is_homomorphism(dom, cod, mapping)
+        assert is_map_homomorphism(dom, cod, mapping)
+        for x in (0, 1, dom.size - 1):
+            moved = mapping[:x] + ((mapping[x] + 1) % cod.size,) + mapping[x + 1 :]
+            assert is_homomorphism(dom, cod, moved) == is_map_homomorphism(dom, cod, moved)
 
 
 def test_is_homomorphism_from_one_element_domain_reads_the_diagonal():

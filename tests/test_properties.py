@@ -44,7 +44,8 @@ from algindep.morphisms import (
     joint_extension,
     kernel,
 )
-from algindep import zoo
+from algindep import core, zoo
+from algindep.acceptance import _all_partitions
 from algindep.zoo import graph
 
 from oracles import (
@@ -56,6 +57,7 @@ from oracles import (
     brute_pair_closure,
     brute_subuniverses,
     first_relation_violation,
+    is_compatible,
     is_map_homomorphism,
     reference_congruence_independence,
     reference_subalgebra_independence,
@@ -317,6 +319,14 @@ def test_cg_contains_pairs_and_is_compatible(structure, data):
 
 
 @given(algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES))
+@settings(max_examples=40, deadline=None)
+def test_is_congruence_matches_cell_by_cell_check_on_every_partition(structure):
+    for assignment in _all_partitions(structure.size):
+        theta = Congruence.from_assignment(assignment)
+        assert is_congruence(structure, theta) == is_compatible(structure, theta)
+
+
+@given(algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES))
 @settings(max_examples=30, deadline=None)
 def test_all_congruences_matches_partition_filter(structure):
     assert all_congruences(structure) == brute_congruences(structure)
@@ -419,6 +429,55 @@ def test_is_homomorphism_matches_map_filter(pair, data):
         for mode in ("weak", "strong"):
             expected = is_map_homomorphism(dom, cod, mapping, mode)
             assert is_homomorphism(dom, cod, mapping, mode) == expected
+
+
+# associative binary laws on 0..n-1, so that Light's test passes and the
+# generator-row check runs, next to the random tables that fail it
+ASSOCIATIVE_LAWS = (
+    lambda n, x, y: (x + y) % n,
+    lambda n, x, y: x * y % n,
+    lambda n, x, y: max(x, y),
+    lambda n, x, y: x,
+    lambda n, x, y: min(y, 1),
+)
+
+
+@st.composite
+def algebras_of_shape(draw, shape, max_size=6):
+    """An algebra with the operations of ``shape``; each binary table is
+    random or one of ``ASSOCIATIVE_LAWS``."""
+    n = draw(st.integers(1, max_size))
+    tables = []
+    for arity in shape:
+        if arity == 2 and draw(st.booleans()):
+            law = draw(st.sampled_from(ASSOCIATIVE_LAWS))
+            tables.append(tuple(law(n, x, y) for x in range(n) for y in range(n)))
+        else:
+            cells = n**arity
+            tables.append(
+                tuple(draw(st.lists(st.integers(0, n - 1), min_size=cells, max_size=cells)))
+            )
+    sig = Signature(tuple((f"f{i}", arity) for i, arity in enumerate(shape)))
+    return FiniteStructure(sig, n, tuple(tables), ())
+
+
+@given(st.sampled_from(SHAPES + WIDE_SHAPES).flatmap(
+    lambda shape: st.tuples(algebras_of_shape(shape), algebras_of_shape(shape))
+), st.data())
+@settings(max_examples=80, deadline=None)
+def test_is_homomorphism_matches_cell_by_cell_oracle(pair, data):
+    # the generator-row and byte-table check against the cell-by-cell oracle,
+    # into the domain itself and into a second algebra of the same shape, on
+    # homomorphisms, on homomorphisms with one image moved and on random maps
+    dom = pair[0]
+    for cod in (dom, pair[1]):
+        homs = [h.mapping for h in itertools.islice(enumerate_homs(dom, cod), 8)]
+        maps = [tuple(data.draw(_maps(cod, dom.size)))] + homs
+        for h in homs:
+            x = data.draw(st.integers(0, dom.size - 1))
+            maps.append(h[:x] + ((h[x] + 1) % cod.size,) + h[x + 1 :])
+        for mapping in maps:
+            assert is_homomorphism(dom, cod, mapping) == is_map_homomorphism(dom, cod, mapping)
 
 
 @given(mixed_structure_pairs(), st.data())
@@ -811,7 +870,7 @@ def test_row_wise_law_checks_match_whole_array_checks(structure):
     ]
     x = np.arange(structure.size)[:, None, None]
     for t in binary:
-        assert zoo._associative(t) == np.array_equal(t[t, :], t[:, t])
+        assert core._associative(t) == np.array_equal(t[t, :], t[:, t])
     for f, g in itertools.permutations(binary, 2):
         whole = np.array_equal(f[x, g[None, :, :]], g[f[:, :, None], f[:, None, :]])
         assert zoo._distributes(f, g) == whole

@@ -14,7 +14,7 @@ from algindep.core import (
     validate,
 )
 from algindep.generation import join
-from algindep import zoo
+from algindep import core, zoo
 from algindep.morphisms import find_isomorphism, is_homomorphism, kernel
 from algindep.zoo import (
     GROUP_SIG,
@@ -534,6 +534,6 @@ def test_group_law_check_of_z1024_is_quadratic_in_time():
     z1024 = _cyclic_by_formula(1024)
     assert is_abelian_group(z1024)
     mul = zoo._table_array(z1024, "mul")
-    assert zoo._generators(mul) == [0, 1]
+    assert core._generators(mul) == [0, 1]
     mul[3, 5] = 0
-    assert not zoo._associative(mul)
+    assert not core._associative(mul)
