@@ -2,17 +2,13 @@
 
 Each criterion is one function returning a CriterionResult; ``run_all`` runs
 them all.  Expected values are either forced by the worked examples or
-recomputed here by brute-force oracles (map filtering, partition filtering,
-free-position enumeration).  The oracles avoid the deciders' search and
-lattice code, but not the rest of the library: they take the join from
-``join`` and use ``induced_substructure``, ``is_homomorphism``,
-``is_congruence`` and ``cg``.  ``is_homomorphism`` checks operations with
-``morphisms._preserves``, the check of joint extensions too (generator rows
-of associative operations, through byte tables up to 256 elements), and
-``is_congruence`` reads the tables through the same ``core._Plan``.  So the
-checks independent of that plan are the test suite's differential tests
-against the cell-by-cell ``tests/oracles.is_map_homomorphism`` and
-``tests/oracles.is_compatible``.
+recomputed by brute force.  The brute forces of criteria 6, 7 and 8 come
+from ``reference``, which reads the operation tables cell by cell and shares
+no fast path with the library: criterion 6 searches every free position of
+a joint extension (``brute_joint_extensions``), and criteria 7 and 8 filter
+every partition for the congruence lattices (``brute_congruences``,
+``brute_congruence_independent``).  The other checks use the library
+itself: ``join``, ``induced_substructure``, ``cg`` and ``find_isomorphism``.
 """
 
 from __future__ import annotations
@@ -23,14 +19,7 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 
-from .core import (
-    FiniteStructure,
-    Signature,
-    SubUniverse,
-    induced_substructure,
-    is_congruence,
-    Congruence,
-)
+from .core import FiniteStructure, Signature, SubUniverse, induced_substructure
 from .generation import all_subuniverses, cg, join
 from .independence import (
     boole_independent,
@@ -42,8 +31,12 @@ from .morphisms import (
     Homomorphism,
     enumerate_homs,
     find_isomorphism,
-    is_homomorphism,
     joint_extension,
+)
+from .reference import (
+    brute_congruence_independent,
+    brute_congruences,
+    brute_joint_extensions,
 )
 from .zoo import (
     CategoryTag,
@@ -290,36 +283,6 @@ def _random_magma(rng) -> FiniteStructure:
     return FiniteStructure(_MAGMA_SIG, n, (table,), ())
 
 
-def _extensions_by_brute_force(parent, a, b, alpha, beta):
-    """All endomorphisms of the join restricting to alpha and beta, found by
-    enumerating the non-forced positions exhaustively.  Returns None when
-    there are more than 20000 candidates."""
-    join_sub, _ = join(parent, a, b)
-    jstruct, jembed = induced_substructure(parent, join_sub)
-    pos = {e: i for i, e in enumerate(jembed)}
-    _, a_embed = induced_substructure(parent, a)
-    _, b_embed = induced_substructure(parent, b)
-    fixed: dict[int, int] = {}
-    for embed, hom in ((a_embed, alpha), (b_embed, beta)):
-        for i, y in enumerate(hom.mapping):
-            u, v = pos[embed[i]], pos[embed[y]]
-            if fixed.setdefault(u, v) != v:
-                return []  # alpha and beta disagree on the intersection
-    free = [u for u in range(jstruct.size) if u not in fixed]
-    if jstruct.size ** len(free) > 20000:
-        return None
-    found = []
-    for values in itertools.product(range(jstruct.size), repeat=len(free)):
-        mapping = [0] * jstruct.size
-        for u, v in fixed.items():
-            mapping[u] = v
-        for u, v in zip(free, values):
-            mapping[u] = v
-        if is_homomorphism(jstruct, jstruct, tuple(mapping), "weak"):
-            found.append(tuple(mapping))
-    return found
-
-
 def criterion_joint_uniqueness(seed: int = 0) -> CriterionResult:
     rng = random.Random(seed + 6000)
     violations = []
@@ -337,7 +300,7 @@ def criterion_joint_uniqueness(seed: int = 0) -> CriterionResult:
             betas = list(itertools.islice(enumerate_homs(b_struct, b_struct), 4))
             for alpha, beta in itertools.islice(itertools.product(alphas, betas), 8):
                 gamma = joint_extension(structure, a, b, alpha, beta)
-                brute = _extensions_by_brute_force(structure, a, b, alpha, beta)
+                brute = brute_joint_extensions(structure, a, b, alpha, beta, 20000)
                 if brute is None:
                     skipped += 1
                     continue
@@ -377,54 +340,6 @@ def _characterized_instances():
         yield zn, all_subuniverses(zn)
     for g in (symmetric_group(3), dihedral_group(4), alternating_group(4)):
         yield g, all_subuniverses(g)
-
-
-def _all_partitions(n):
-    """Restricted-growth enumeration of all partitions of 0..n-1."""
-
-    def rec(prefix, maxb):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for b in range(maxb + 2):
-            yield from rec(prefix + [b], max(maxb, b))
-
-    yield from rec([], -1)
-
-
-def _brute_congruences(structure) -> list[Congruence]:
-    out = []
-    for assignment in _all_partitions(structure.size):
-        theta = Congruence.from_assignment(assignment)
-        if is_congruence(structure, theta):
-            out.append(theta)
-    return out
-
-
-def _brute_congruence_independent(parent, a, b) -> bool:
-    join_sub, _ = join(parent, a, b)
-    jstruct, jembed = induced_substructure(parent, join_sub)
-    pos = {e: i for i, e in enumerate(jembed)}
-    a_struct, a_embed = induced_substructure(parent, a)
-    b_struct, b_embed = induced_substructure(parent, b)
-    cons_j = _brute_congruences(jstruct)
-
-    def restricts(theta, local, embed):
-        m = len(embed)
-        for i in range(m):
-            for j in range(i + 1, m):
-                if theta.related(pos[embed[i]], pos[embed[j]]) != local.related(i, j):
-                    return False
-        return True
-
-    for theta_a in _brute_congruences(a_struct):
-        for theta_b in _brute_congruences(b_struct):
-            if not any(
-                restricts(t, theta_a, a_embed) and restricts(t, theta_b, b_embed)
-                for t in cons_j
-            ):
-                return False
-    return True
 
 
 def _full_b_relates(parent, a, b, x, y) -> bool:
@@ -501,13 +416,13 @@ def criterion_congruence(seed: int = 0) -> CriterionResult:
             if len(a.member_set() & b.member_set()) >= 2:
                 continue  # early exit already covered by (a)
             if lattice_budget is None:
-                lattice_budget = len(_brute_congruences(structure))
+                lattice_budget = len(brute_congruences(structure))
             if lattice_budget > 250:
                 skipped_c += 1
                 continue
             checked_c += 1
             fast = decide_congruence_independence(structure, a, b).independent
-            slow = _brute_congruence_independent(structure, a, b)
+            slow = brute_congruence_independent(structure, a, b)
             if fast != slow:
                 problems.append(("c", structure.size, a.members, b.members))
     name = "congruence independence: necessity, separation, shortcut = brute force"
@@ -608,7 +523,7 @@ def criterion_coproducts() -> CriterionResult:
         else:
             verified_refusals += 1
             if cop.size <= 4:  # partition filtering: Bell(|join|) candidates
-                if _brute_congruence_independent(cop, a, b):
+                if brute_congruence_independent(cop, a, b):
                     problems.append((tag.kind, x.size, y.size, "brute force"))
                 else:
                     brute_confirmed += 1

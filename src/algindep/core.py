@@ -194,9 +194,10 @@ class _Plan:
     i*n to i*n + n - 1.  The rest is built on first use:
 
     - ``lines``: each table as a numpy array of shape (n**(arity-1), n);
-    - ``rows``: for each binary operation that Light's test finds
-      associative, by position in ``ops``, the generators of
-      ``_generators``, which also fed the test;
+    - ``rows``: by position in ``ops``, the generators of ``_generators``
+      for each binary operation that has fewer than n of them and that
+      Light's test on them finds associative; with n generators the rows
+      are every row, so the test is not run;
     - ``full`` and ``own``: the lines a check reads on the domain side,
       every line, or the generator rows for the operations in ``rows``;
     - ``tables``: on the codomain side, for at most ``BYTE_RANGE``
@@ -220,7 +221,7 @@ class _Plan:
         for i, ((ar, _), t) in enumerate(zip(self.ops, self.lines)):
             if ar == 2:
                 gens = _generators(t)
-                if _associative(t, gens):
+                if len(gens) < self.size and _associative(t, gens):
                     rows[i] = gens
         return rows
 

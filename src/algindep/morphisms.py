@@ -118,12 +118,12 @@ def _preserves(dom: _Plan, cod: _Plan, g) -> bool:
 
     ``dom`` and ``cod`` are the ``_plan`` of two structures of one
     signature.  The map is checked line by line: γ(f(p, x)) = f(γp, γx) for
-    each checked prefix p and every x.  A binary operation f that Light's
-    test finds associative in both structures is checked on the rows of the
-    domain's generators G only, which is exact: every y is a product g·y'
-    with g in G, and by induction on its length γ((g·y')·x) = γ(g·(y'·x))
-    = γg·(γy'·γx) = (γg·γy')·γx = γ(g·y')·γx.  Every other operation is
-    checked on every line.
+    each checked prefix p and every x.  A binary operation f in both plans'
+    ``rows``, so associative in both structures by Light's test, is checked
+    on the rows of the domain's generators G only, which is exact: every y
+    is a product g·y' with g in G, and by induction on its length
+    γ((g·y')·x) = γ(g·(y'·x)) = γg·(γy'·γx) = (γg·γy')·γx = γ(g·y')·γx.
+    Every other operation is checked on every line.
 
     The right side is ``_Plan.read`` of the codomain at g.  When both
     structures have at most ``BYTE_RANGE`` elements it is bytes, and the

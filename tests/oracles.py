@@ -1,11 +1,14 @@
-"""Brute-force reference implementations used only as test oracles.
+"""Brute-force oracles that only the tests use.
 
-Everything here prefers exhaustive scans over cleverness and shares no code
-with the algorithms it is checking: closures are naive fixpoints over full
-re-scans, congruence lattices come from filtering all partitions with the
-cell-by-cell compatibility check, and homomorphisms and isomorphisms come
-from filtering all maps or permutations.  The one exception is ``cyclic_extension_subuniverses``,
-plain cyclic extension through ``generation.close``: it checks that
+They build on the per-cell brute forces of ``algindep.reference``, which the
+acceptance battery shares, and prefer exhaustive scans over cleverness: pair
+closures are naive fixpoints over full re-scans, ``brute_cg`` and the
+meet-irreducibles come from the filtered partitions, and homomorphisms and
+isomorphisms come from filtering all maps or permutations.  The two
+``reference_*_independence`` deciders rebuild the library's deciders per
+pair, from ``cg`` and from forced-image propagation, so that witnesses and
+``pairs_examined`` can be compared exactly.  ``cyclic_extension_subuniverses``
+is plain cyclic extension through ``generation.close``: it checks that
 ``all_subuniverses`` skips closes without changing its output, which the
 closed-subset filter cannot reach beyond a few elements.
 """
@@ -14,28 +17,8 @@ from __future__ import annotations
 
 import itertools
 
-from algindep.acceptance import _all_partitions
 from algindep.core import Congruence, FiniteStructure, flat_index
-
-
-def brute_close(structure: FiniteStructure, seed) -> frozenset:
-    members = set(seed)
-    for i, (name, ar) in enumerate(structure.sig.op_symbols):
-        if ar == 0:
-            members.add(structure.op_tables[i][0])
-    changed = True
-    while changed:
-        changed = False
-        for i, (name, ar) in enumerate(structure.sig.op_symbols):
-            if ar == 0:
-                continue
-            table = structure.op_tables[i]
-            for args in itertools.product(sorted(members), repeat=ar):
-                value = table[flat_index(structure.size, args)]
-                if value not in members:
-                    members.add(value)
-                    changed = True
-    return frozenset(members)
+from algindep.reference import brute_close, brute_congruences, is_map_homomorphism
 
 
 def brute_subuniverses(structure: FiniteStructure) -> list[tuple[int, ...]]:
@@ -50,45 +33,19 @@ def brute_subuniverses(structure: FiniteStructure) -> list[tuple[int, ...]]:
 
 
 def brute_pair_closure(structure: FiniteStructure, pairs) -> frozenset:
+    """The subuniverse of the square generated by ``pairs``, by re-reading
+    every operation on every argument tuple of pairs until none is new."""
     found = set(pairs)
-    for i, (name, ar) in enumerate(structure.sig.op_symbols):
-        if ar == 0:
-            c = structure.op_tables[i][0]
-            found.add((c, c))
     n = structure.size
-    changed = True
-    while changed:
-        changed = False
-        for i, (name, ar) in enumerate(structure.sig.op_symbols):
-            if ar == 0:
-                continue
-            table = structure.op_tables[i]
-            for combo in itertools.product(sorted(found), repeat=ar):
-                xs = [p[0] for p in combo]
-                ys = [p[1] for p in combo]
-                new = (table[flat_index(n, xs)], table[flat_index(n, ys)])
-                if new not in found:
-                    found.add(new)
-                    changed = True
-    return frozenset(found)
-
-
-def is_map_homomorphism(dom, cod, mapping, mode="weak") -> bool:
-    nd, nc = dom.size, cod.size
-    for i, (name, ar) in enumerate(dom.sig.op_symbols):
-        dt, ct = dom.op_tables[i], cod.op_tables[i]
-        for j, args in enumerate(itertools.product(range(nd), repeat=ar)):
-            if mapping[dt[j]] != ct[flat_index(nc, (mapping[a] for a in args))]:
-                return False
-    for i, (name, ar) in enumerate(dom.sig.rel_symbols):
-        dr, cr = dom.rel_tables[i], cod.rel_tables[i]
-        for t in itertools.product(range(nd), repeat=ar):
-            image = tuple(mapping[v] for v in t)
-            if t in dr and image not in cr:
-                return False
-            if mode == "strong" and t not in dr and image in cr:
-                return False
-    return True
+    while True:
+        values = {
+            tuple(table[flat_index(n, [p[k] for p in combo])] for k in (0, 1))
+            for _, ar, table in structure.op_views()
+            for combo in itertools.product(sorted(found), repeat=ar)
+        }
+        if values <= found:
+            return frozenset(found)
+        found |= values
 
 
 def first_relation_violation(dom, cod, images, mode="weak"):
@@ -125,52 +82,24 @@ def brute_homs(dom, cod, mode="weak") -> list[tuple[int, ...]]:
     return out
 
 
-def brute_isomorphisms(x, y) -> list[tuple[int, ...]]:
+def brute_isomorphisms(x, y, mode="strong") -> list[tuple[int, ...]]:
+    """Every bijection that is a homomorphism in the mode and whose inverse
+    is one too, in lexicographic order."""
     if x.size != y.size:
         return []
-    out = []
-    for perm in itertools.permutations(range(y.size)):
-        if is_map_homomorphism(x, y, perm, "strong") and is_map_homomorphism(
-            y, x, _inverse(perm), "strong"
-        ):
-            out.append(perm)
-    return out
+    return [
+        perm
+        for perm in itertools.permutations(range(y.size))
+        if is_map_homomorphism(x, y, perm, mode)
+        and is_map_homomorphism(y, x, inverse(perm), mode)
+    ]
 
 
-def _inverse(perm):
+def inverse(perm) -> tuple[int, ...]:
     inv = [0] * len(perm)
     for i, v in enumerate(perm):
         inv[v] = i
     return tuple(inv)
-
-
-def is_compatible(structure: FiniteStructure, theta: Congruence) -> bool:
-    """The cell-by-cell congruence check: per operation, every argument
-    tuple's tuple of blocks determines the block of its value."""
-    if theta.size != structure.size:
-        return False
-    block = theta.block_of
-    n = structure.size
-    for name, ar, table in structure.op_views():
-        if ar == 0:
-            continue
-        seen: dict[tuple[int, ...], int] = {}
-        for j, args in enumerate(itertools.product(range(n), repeat=ar)):
-            key = tuple(block[a] for a in args)
-            v = block[table[j]]
-            if seen.setdefault(key, v) != v:
-                return False
-    return True
-
-
-def brute_congruences(structure) -> list[Congruence]:
-    """Every partition that is a congruence, sorted by ``block_of``: the
-    acceptance battery's partitions, filtered by ``is_compatible``."""
-    return [
-        theta
-        for theta in map(Congruence.from_assignment, _all_partitions(structure.size))
-        if is_compatible(structure, theta)
-    ]
 
 
 def brute_cg(structure, pairs) -> Congruence:
@@ -375,8 +304,6 @@ def reference_subalgebra_independence(
 
 def relabel(structure, perm):
     """The image of a structure under the bijection x -> perm[x]."""
-    from algindep.core import FiniteStructure
-
     n = structure.size
     ops = []
     for name, ar, table in structure.op_views():

@@ -1,6 +1,7 @@
 """The public surface: every key operation of the paper's method is
 importable from its module, and every library module imports on its own."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -43,16 +44,42 @@ def test_paper_key_operations_are_importable():
     assert sum(len(names) for names in KEY_OPERATIONS.values()) >= 25
 
 
-@pytest.mark.parametrize(
-    "module",
-    ["core", "generation", "morphisms", "independence", "zoo", "io", "cli", "acceptance"],
-)
-def test_module_imports_in_a_fresh_interpreter(module):
+# the modules the benchmark imports, beside the package itself
+BENCH_MODULES = ("core", "generation", "morphisms", "independence", "zoo", "io")
+
+
+def _fresh_python(code):
     env = dict(os.environ, PYTHONPATH=str(Path(algindep.__file__).parents[1]))
-    r = subprocess.run(
-        [sys.executable, "-c", f"import algindep.{module}"],
-        capture_output=True,
-        text=True,
-        env=env,
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize("module", [*BENCH_MODULES, "cli", "acceptance", "reference"])
+def test_module_imports_in_a_fresh_interpreter(module):
+    r = _fresh_python(f"import algindep.{module}")
+    assert r.returncode == 0, r.stderr
+
+
+def test_library_and_bench_modules_leave_the_brute_forces_unimported():
+    imports = "; ".join(f"import algindep.{m}" for m in BENCH_MODULES)
+    r = _fresh_python(
+        f"import sys, algindep; {imports}; "
+        "print(sorted({'algindep.acceptance', 'algindep.reference'} & set(sys.modules)))"
     )
     assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+def test_reference_takes_only_data_types_from_core():
+    # the brute forces must not share the fast paths they check
+    source = Path(algindep.__file__).with_name("reference.py").read_text()
+    modules, names = [], set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+            names |= {alias.name for alias in node.names}
+    assert [m for m in modules if m.startswith((".", "algindep"))] == [".core"]
+    assert not names & {"_plan", "_Plan", "is_congruence", "_restrict"}

@@ -19,9 +19,10 @@ from algindep.core import (
 )
 from algindep.generation import cg
 from algindep.morphisms import find_isomorphism
+from algindep.reference import is_compatible
 from algindep.zoo import cyclic_group, empty_sig_set, graph
 
-from oracles import brute_isomorphisms, is_compatible
+from oracles import brute_isomorphisms
 
 
 def test_signature_rejects_duplicates_and_bad_arities():

@@ -8,7 +8,6 @@ from algindep.core import (
     Signature,
     SizeLimitExceeded,
     SubUniverse,
-    induced_substructure,
     is_subuniverse,
 )
 from algindep.generation import (
@@ -20,6 +19,8 @@ from algindep.generation import (
     join,
     join_partitions,
 )
+from algindep.acceptance import alternating_group
+from algindep.reference import brute_close, brute_congruences
 from algindep.zoo import (
     build,
     cyclic_group,
@@ -27,7 +28,6 @@ from algindep.zoo import (
     empty_sig_set,
     graph,
     permutation_index,
-    permutations_of,
     powerset_boolean_algebra,
     quaternion_group,
     symmetric_group,
@@ -36,8 +36,6 @@ from algindep.zoo import (
 
 from oracles import (
     brute_cg,
-    brute_close,
-    brute_congruences,
     brute_meet_irreducibles,
     brute_pair_closure,
     cyclic_extension_subuniverses,
@@ -383,21 +381,11 @@ def test_all_subuniverses_pure_set_are_all_nonempty_subsets():
     assert len(all_subuniverses(s)) == 15
 
 
-def _alternating_4():
-    s4 = symmetric_group(4)
-    even = [
-        i
-        for i, p in enumerate(permutations_of(4))
-        if sum(p[u] > p[v] for u in range(4) for v in range(u + 1, 4)) % 2 == 0
-    ]
-    return induced_substructure(s4, SubUniverse(s4, even))[0]
-
-
 _LATTICE_CASES = {
     # the parents of the census benchmark workload
     "S4": lambda: symmetric_group(4),
     "D6": lambda: dihedral_group(6),
-    "A4": _alternating_4,
+    "A4": lambda: alternating_group(4),
     "Q8": quaternion_group,
     "Z12": lambda: cyclic_group(12),
     "BA4": lambda: powerset_boolean_algebra(4),

@@ -33,13 +33,14 @@ from algindep.morphisms import (
     _JointContext,
     enumerate_endos,
 )
+from algindep.acceptance import alternating_group
+from algindep.reference import brute_congruences, is_map_homomorphism
 from algindep.zoo import (
     build,
     cyclic_group,
     dihedral_group,
     empty_sig_set,
     graph,
-    permutations_of,
     powerset_boolean_algebra,
     quaternion_group,
     rigid_overlapping_pair,
@@ -48,9 +49,7 @@ from algindep.zoo import (
 )
 
 from oracles import (
-    brute_congruences,
     brute_pair_closure,
-    is_map_homomorphism,
     reference_congruence_independence,
     reference_subalgebra_independence,
 )
@@ -393,16 +392,6 @@ def test_joint_context_refuses_exactly_the_maps_the_oracle_rejects(mode, hom_cla
     assert ("missing", True) in seen
 
 
-def _alternating_4():
-    s4 = symmetric_group(4)
-    even = tuple(
-        i
-        for i, p in enumerate(permutations_of(4))
-        if sum(p[u] > p[v] for u in range(4) for v in range(u + 1, 4)) % 2 == 0
-    )
-    return induced_substructure(s4, SubUniverse(s4, even))[0]
-
-
 def _digraph_5():
     """A loop, a 2-cycle and a path through it, and a separate edge."""
     return graph(5, [(0, 0), (0, 1), (1, 2), (2, 1), (3, 4)])
@@ -417,11 +406,11 @@ def _digraph_5():
     [
         (symmetric_group(4), HOM_CLASS_ALL, "weak", "e0e8411ef001399f4e307ad41b6349e8635337ee9434401f9ca2810d825613aa"),
         (dihedral_group(6), HOM_CLASS_ALL, "weak", "2db5af1e03e374c6d0360c0d55b4f6f370b45babbf322cf72be65ff354b57263"),
-        (_alternating_4(), HOM_CLASS_ALL, "weak", "0236c97029d8c293f1d5e454369804f63a6b1b5ff12bb1a2c6e8ff59c181ce4c"),
+        (alternating_group(4), HOM_CLASS_ALL, "weak", "0236c97029d8c293f1d5e454369804f63a6b1b5ff12bb1a2c6e8ff59c181ce4c"),
         (powerset_boolean_algebra(4), HOM_CLASS_ALL, "weak", "c019b2ad1439fb6c5d55c348efd58c97d01f4f5627aac6b2bcdfb5659de34385"),
         (symmetric_group(4), HOM_CLASS_AUTO, "weak", "ab49718583af615a834e966070c0878e5c8831c43d2ab8aa5ff81abe6cbaca69"),
         (dihedral_group(6), HOM_CLASS_AUTO, "weak", "e205e6f51ffc6b54b69f48d3d3dc043e1f8bcd0f595f50ffaa7dfa1364f393ae"),
-        (_alternating_4(), HOM_CLASS_AUTO, "weak", "de385fce59c66dfafd9ebd175ad6fc5a8e4ba75630466299ad7c56608de04346"),
+        (alternating_group(4), HOM_CLASS_AUTO, "weak", "de385fce59c66dfafd9ebd175ad6fc5a8e4ba75630466299ad7c56608de04346"),
         (powerset_boolean_algebra(4), HOM_CLASS_AUTO, "weak", "4840384aae0e20c5b15aa069abc719301dd24a41124a2e36988d9470370d6bc9"),
         # 174 "missing" refusals in weak mode; 102 "missing" and 64 "extra"
         # in strong mode, over 961 pairs

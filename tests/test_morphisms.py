@@ -26,6 +26,7 @@ from algindep.morphisms import (
     joint_extension,
     kernel,
 )
+from algindep.reference import is_map_homomorphism
 from algindep.zoo import (
     cyclic_group,
     dihedral_group,
@@ -37,7 +38,7 @@ from algindep.zoo import (
     vector_space,
 )
 
-from oracles import brute_homs, brute_isomorphisms, element_orders, is_map_homomorphism
+from oracles import brute_homs, brute_isomorphisms, element_orders
 
 
 def test_enumerate_homs_z2_group():
@@ -143,6 +144,25 @@ def test_generator_rows_need_an_associative_codomain():
     assert not core._associative(np.array(magma.op_tables[0]).reshape(3, 3))
     assert not is_map_homomorphism(z3, magma, (0, 1, 2))
     assert not is_homomorphism(z3, magma, (0, 1, 2))
+
+
+def test_plan_runs_light_test_only_when_generators_can_save_rows(monkeypatch):
+    # in index order BA4's meet needs all 16 elements as generators, so its
+    # rows are every row and Light's test is skipped; the join needs 5
+    ba4 = dataclasses.replace(powerset_boolean_algebra(4))  # no plan kept yet
+    calls = []
+    light = core._associative
+    monkeypatch.setattr(
+        core, "_associative", lambda t, gens=None: calls.append(len(gens)) or light(t, gens)
+    )
+    plan = core._plan(ba4)
+    names = [name for name, ar, _ in ba4.op_views() if ar > 0]
+    assert {names[i]: len(gens) for i, gens in plan.rows.items()} == {"join": 5}
+    assert calls == [5]
+    endos = [h.mapping for h in enumerate_homs(ba4, ba4)]
+    moved = [h[:x] + ((h[x] + 1) % 16,) + h[x + 1 :] for h in endos for x in (0, 7)]
+    for mapping in endos + moved:
+        assert is_homomorphism(ba4, ba4, mapping) == is_map_homomorphism(ba4, ba4, mapping)
 
 
 def _max_chain(n):

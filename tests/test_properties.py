@@ -24,7 +24,6 @@ from algindep.generation import (
     cg,
     close,
     generated_subuniverse_of_square,
-    join,
     join_partitions,
 )
 from algindep.independence import (
@@ -45,20 +44,25 @@ from algindep.morphisms import (
     kernel,
 )
 from algindep import core, zoo
-from algindep.acceptance import _all_partitions
+from algindep.reference import (
+    all_partitions,
+    brute_close,
+    brute_congruence_independent,
+    brute_congruences,
+    brute_joint_extensions,
+    is_compatible,
+    is_map_homomorphism,
+)
 from algindep.zoo import graph
 
 from oracles import (
-    brute_close,
-    brute_congruences,
     brute_homs,
     brute_isomorphisms,
     brute_meet_irreducibles,
     brute_pair_closure,
     brute_subuniverses,
     first_relation_violation,
-    is_compatible,
-    is_map_homomorphism,
+    inverse,
     reference_congruence_independence,
     reference_subalgebra_independence,
     relabel,
@@ -321,7 +325,7 @@ def test_cg_contains_pairs_and_is_compatible(structure, data):
 @given(algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES))
 @settings(max_examples=40, deadline=None)
 def test_is_congruence_matches_cell_by_cell_check_on_every_partition(structure):
-    for assignment in _all_partitions(structure.size):
+    for assignment in all_partitions(structure.size):
         theta = Congruence.from_assignment(assignment)
         assert is_congruence(structure, theta) == is_compatible(structure, theta)
 
@@ -582,8 +586,8 @@ def test_joint_extension_agrees_with_exhaustive_search(structure, data):
     inside = a.member_set()
     apart = [s for s in subs if not (s.member_set() <= inside or inside <= s.member_set())]
     b = data.draw(st.sampled_from(subs) | st.sampled_from(apart or subs))
-    a_struct, a_embed = induced_substructure(structure, a)
-    b_struct, b_embed = induced_substructure(structure, b)
+    a_struct, _ = induced_substructure(structure, a)
+    b_struct, _ = induced_substructure(structure, b)
     # pairs from the whole endomorphism streams, so that pairs the compiled
     # check refuses reach the oracle too
     alphas = list(enumerate_homs(a_struct, a_struct))
@@ -593,31 +597,10 @@ def test_joint_extension_agrees_with_exhaustive_search(structure, data):
             st.tuples(st.sampled_from(alphas), st.sampled_from(betas)), min_size=1, max_size=9
         )
     )
-    join_sub, _ = join(structure, a, b)
-    jstruct, jembed = induced_substructure(structure, join_sub)
-    pos = {e: i for i, e in enumerate(jembed)}
     for alpha, beta in pairs:
-        fixed = {}
-        ok = True
-        for embed, hom in ((a_embed, alpha), (b_embed, beta)):
-            for i, img in enumerate(hom.mapping):
-                u, v = pos[embed[i]], pos[embed[img]]
-                if fixed.setdefault(u, v) != v:
-                    ok = False
-        free = [u for u in range(jstruct.size) if u not in fixed]
-        if jstruct.size ** len(free) > 3000:
+        extensions = brute_joint_extensions(structure, a, b, alpha, beta, 3000)
+        if extensions is None:
             continue
-        extensions = []
-        if ok:
-            for values in itertools.product(range(jstruct.size), repeat=len(free)):
-                mapping = [0] * jstruct.size
-                for u, v in fixed.items():
-                    mapping[u] = v
-                for u, v in zip(free, values):
-                    mapping[u] = v
-                mapping = tuple(mapping)
-                if is_map_homomorphism(jstruct, jstruct, mapping):
-                    extensions.append(mapping)
         gamma = joint_extension(structure, a, b, alpha, beta)
         if isinstance(gamma, Homomorphism):
             assert extensions == [gamma.mapping]
@@ -647,25 +630,12 @@ def test_compiled_endomorphism_check_matches_is_homomorphism(structure, data):
     assert ctx._is_endomorphism(g) == is_map_homomorphism(ctx.jstruct, ctx.jstruct, g)
 
 
-def _inverse(mapping):
-    inv = [0] * len(mapping)
-    for x, y in enumerate(mapping):
-        inv[y] = x
-    return tuple(inv)
-
-
 @given(digraphs(max_size=4) | mixed_structures())
 @settings(max_examples=60, deadline=None)
 def test_automorphism_class_matches_permutation_filter(g):
     for mode in ("weak", "strong"):
         mine = [h.mapping for h in enumerate_endos(g, mode, HOM_CLASS_AUTO)]
-        brute = [
-            perm
-            for perm in itertools.permutations(range(g.size))
-            if is_map_homomorphism(g, g, perm, mode)
-            and is_map_homomorphism(g, g, _inverse(perm), mode)
-        ]
-        assert sorted(mine) == brute
+        assert sorted(mine) == brute_isomorphisms(g, g, mode)
 
 
 small_structures = st.one_of(
@@ -686,7 +656,7 @@ def test_automorphism_stream_is_the_filtered_endomorphism_stream(structure):
             h.mapping
             for h in enumerate_homs(structure, structure, mode)
             if h.is_bijective()
-            and is_homomorphism(structure, structure, _inverse(h.mapping), mode)
+            and is_homomorphism(structure, structure, inverse(h.mapping), mode)
         ]
         assert searched == filtered
 
@@ -808,6 +778,18 @@ def _decide_congruence(parent, a, b):
     return decide_congruence_independence(
         parent, SubUniverse(parent, a), SubUniverse(parent, b)
     )
+
+
+@given(congruence_instances())
+@settings(max_examples=60, deadline=None)
+def test_congruence_decider_matches_partition_filter(instance):
+    # the battery compares the two on binary magmas only; these parents
+    # also have unary, constant and ternary operations
+    parent, a, b = instance
+    expected = brute_congruence_independent(
+        parent, SubUniverse(parent, a), SubUniverse(parent, b)
+    )
+    assert _decide_congruence(parent, a, b).independent == expected
 
 
 @given(congruence_instances(), st.data())
