@@ -100,7 +100,8 @@ class FiniteStructure:
 
     def __getstate__(self) -> dict:
         # string hashes differ between processes, so a pickle carries the
-        # fields only, not the hash or the ``_plan`` kept beside
+        # fields only, not the hash, the ``_plan`` or the generating
+        # sequence of ``morphisms._kept_sequence`` kept beside
         return {f.name: self.__dict__[f.name] for f in fields(self)}
 
     def op_index(self, name: str) -> int:

@@ -18,14 +18,21 @@ passes ``derivation=False``.  The kernel's visit order fixes which collision
 is found first, and so which witness a refused joint extension reports: the
 order is part of the output, not an implementation detail.
 
-Subuniverse lattices are built by cyclic extension (Neubuser 1960, the method
-of GAP's ``LatticeSubgroups``, here for arbitrary algebras): every subuniverse
-S is extended by one representative of each distinct 1-generated subuniverse
-<x>, with the closure resumed from S as its base.  Elements that translate
-into each other give one extension: if a unary operation, or a binary one
-with an argument fixed in S, sends x to y and another sends y back to x, then
-<S, x> = <S, y>, and only one of them is closed.  In groups these classes are
-unions of double cosets SxS, in vector spaces unions of cosets x + S.
+Subuniverse lattices are built by extension along canonical paths (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998, applied to
+the cyclic extension of Neubuser 1960): every subuniverse S is extended by
+representatives x of distinct 1-generated subuniverses <x>, with the closure
+resumed from S as its base.  Elements that translate into each other give
+one extension: if a unary operation, or a binary one with an argument fixed
+in S, sends x to y and another sends y back to x, then <S, x> = <S, y>, and
+only the smallest representative of such a class is closed.  In groups these
+classes are double cosets SxS, in vector spaces cosets x + S.  Each
+subuniverse T has one canonical element L(T), the representative at which
+the representatives in T, taken in increasing order, first generate T.  S is
+extended only by representatives above L(S), and <S, x> is kept only when x
+is its canonical element, so every subuniverse is closed from one parent
+only, instead of from every maximal subuniverse below it;
+``all_subuniverses`` gives the proof.
 
 Congruences use one more fact: Con(A) is a sublattice of the partition
 lattice Eq(A).  The join of two congruences is the join of their partitions,
@@ -341,6 +348,47 @@ class _UnionFind:
         return number, count
 
 
+def _translation_classes(structure: FiniteStructure, sub: SubUniverse) -> list[int]:
+    """The smallest element of each element's class of mutually translatable
+    elements outside ``sub``; an element of ``sub`` is its own class.
+
+    A translation by S is a unary operation, or a binary one with an
+    argument fixed in S.  If one sends x to y and another sends y back to x,
+    then <S, x> = <S, y>, and x and y share a class; the classes are the
+    connected components of these two-way steps, found by depth-first
+    search from each smallest element.  A one-way step merges nothing, since
+    <S, y> can lie strictly below <S, x>; other arities merge nothing either.
+    """
+    n = structure.size
+    members = sub.member_set()
+    # each translation by S as its image table; s fixed left is a row, s
+    # fixed right a column, and the columns are dropped when they equal the
+    # rows, as in a commutative operation
+    images = []
+    for _, ar, table in structure.op_views():
+        if ar == 1:
+            images.append(table)
+        elif ar == 2:
+            rows = [table[s * n : s * n + n] for s in sub.members]
+            cols = [table[s::n] for s in sub.members]
+            images += rows if cols == rows else rows + cols
+    root = list(range(n))
+    if not images:
+        return root
+    steps = [set(column) for column in zip(*images)]  # x -> its images y
+    for x in range(n):
+        if root[x] != x or x in members:
+            continue
+        stack = [x]
+        while stack:
+            z = stack.pop()
+            for y in steps[z]:
+                if root[y] == y and y > x and y not in members and z in steps[y]:
+                    root[y] = x
+                    stack.append(y)
+    return root
+
+
 def cg(
     structure: FiniteStructure, pairs: Iterable[tuple[int, int]], *, reached=None
 ) -> Congruence:
@@ -541,52 +589,69 @@ def all_congruences(structure: FiniteStructure, max_size: int = 12) -> list[Cong
 
 
 def all_subuniverses(structure: FiniteStructure) -> list[SubUniverse]:
-    """Every nonempty subuniverse, by cyclic extension.  Sorted by (size,
-    members) for reproducible iteration.
+    """Every nonempty subuniverse, each closed from its canonical parent.
+    Sorted by (size, members) for reproducible iteration.
 
-    Each <x> is closed once, and the smallest x of each distinct <x> is its
-    representative.  Every subuniverse S found is extended by the
-    representatives x outside it, closing from S as the base.  This is exact:
-    <x> = <x'> implies <S, x> = <S, x'>, so every subuniverse is reached by
-    adding representatives one at a time.
+    Each <x> is closed once, and the smallest x of each distinct <x> is a
+    representative; R is the set of them.  Every subuniverse T is generated
+    by R n T, since the representative of each x in T lies in <x>.  Its
+    canonical element L(T) is the smallest r in R n T with
+    <R n T n [0, r]> = T, and L(bottom) = -1, the bottom being the closure
+    of nothing.  A subuniverse S found is extended by the smallest
+    representative x of each translation class outside S (see
+    ``_translation_classes``), and only when x > L(S).  T = <S, x> is
+    accepted exactly when every representative of T below x lies in S, and
+    then L(T) = x.  The bottom's extensions are the closes of the <x>.
 
-    Only the first representative of each class of mutually translatable
-    elements is closed.  A translation by S is a unary operation, or a binary
-    one with an argument fixed in S.  If one sends x to y and another sends y
-    back to x, then <S, x> = <S, y>; such x and y are merged with union-find.
-    A one-way step merges nothing, since <S, y> can lie strictly below
-    <S, x>; other arities merge nothing either.  The rule is exact.
+    This finds every T exactly once (McKay's canonical construction paths,
+    J. Algorithms 26, 1998).  Let S_T = <R n T n [0, L(T))>.  R n S_T and
+    R n T agree below L(T), so L(S_T) < L(T), and L(T) lies outside S_T,
+    which would otherwise be T.  Every y in the class of L(T) has
+    <S_T, y> = T; a representative y < L(T) in T lies in S_T, so L(T) is the
+    smallest representative of its class outside S_T, and its close from S_T
+    is made and accepted.  Conversely, if <S, x> = T is accepted, then
+    R n T below x lies in S and includes R n S up to L(S) < x, which
+    generates S; so <R n T n [0, x)> = S, which misses x, and
+    <R n T n [0, x]> = T: x = L(T) and S = S_T.
     """
     n = structure.size
     bottom, _ = close(structure, (), derivation=False)
-    found: dict[tuple[int, ...], SubUniverse] = {}
-    reps: list[int] = []
-    for x in range(n):
-        sub, _ = close(structure, (x,), base=bottom, derivation=False)
-        if found.setdefault(sub.members, sub) is sub:
-            reps.append(x)
-    unary = [table for _, ar, table in structure.op_views() if ar == 1]
-    binary = [table for _, ar, table in structure.op_views() if ar == 2]
-    subs = list(found.values())
-    for current in subs:  # grows while it is scanned
+    ones = [close(structure, (x,), base=bottom, derivation=False)[0] for x in range(n)]
+    first: dict[tuple[int, ...], int] = {}
+    for x, sub in enumerate(ones):
+        first.setdefault(sub.members, x)
+    reps = list(first.values())  # increasing
+    is_rep = set(reps)
+
+    def canonical(sub: SubUniverse, inside: frozenset, x: int) -> bool:
+        """Does every representative of ``sub`` below x lie in ``inside``?"""
+        for m in sub.members:
+            if m >= x:
+                return True
+            if m in is_rep and m not in inside:
+                return False
+        return True
+
+    inside = bottom.member_set()
+    found = [(ones[x], x) for x in reps if x not in inside and canonical(ones[x], inside, x)]
+    for current, low in found:  # grows while it is scanned
         members = current.member_set()
-        outside = [x for x in range(n) if x not in members]
-        # each translation by S as its image table; s fixed left is a row,
-        # s fixed right a column
-        images = unary + [t[s * n : s * n + n] for t in binary for s in current.members]
-        images += [t[s::n] for t in binary for s in current.members]
-        steps = {x * n + image[x] for image in images for x in outside}  # x * n + y
-        classes = _UnionFind(n)
-        for step in steps:
-            x, y = divmod(step, n)
-            if x < y and y * n + x in steps:
-                classes.union(x, y)
-        first: dict[int, int] = {}  # class -> its first representative outside S
+        last = max((x for x in reps if x > low and x not in members), default=None)
+        if last is None:
+            continue
+        root = _translation_classes(structure, current)
+        tried = set()  # classes whose smallest representative outside S is known
         for x in reps:
-            if x not in members:
-                first.setdefault(classes.find(x), x)
-        for x in first.values():
-            sub, _ = close(structure, (x,), base=current, derivation=False)
-            if found.setdefault(sub.members, sub) is sub:
-                subs.append(sub)
+            if x > last:
+                break
+            if x in members or root[x] in tried:
+                continue
+            tried.add(root[x])
+            if x > low:
+                sub, _ = close(structure, (x,), base=current, derivation=False)
+                if canonical(sub, members, x):
+                    found.append((sub, x))
+    subs = [sub for sub, _ in found]
+    if bottom.members:
+        subs.append(bottom)
     return sorted(subs, key=lambda s: (len(s.members), s.members))

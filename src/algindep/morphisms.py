@@ -5,12 +5,12 @@ A weak homomorphism preserves relations forward; a strong one also reflects
 them.  Operation preservation is required in both modes.  One search,
 ``_search``, serves homomorphism and endomorphism streams, automorphisms,
 isomorphisms and maps pinned on given elements.  It backtracks over a
-greedy generating set of the domain, propagating forced images through the
-operation tables with the closure kernel of ``generation``
-(``_propagate``), so every stream is deterministic: lexicographic in
-(generator index, image value).  Propagation and one relation check
-(``_relation_violation``) prune every partial map, so a completed map is
-yielded without being checked again.  Pinned pairs are imaged at the root,
+greedy generating set of the domain, built once and kept on it,
+propagating forced images through the operation tables with the closure
+kernel of ``generation`` (``_propagate``), so every stream is
+deterministic: lexicographic in (generator index, image value).
+Propagation and one relation check (``_relation_violation``) prune every
+partial map, so a completed map is yielded without being checked again.  Pinned pairs are imaged at the root,
 and a generator they already image is skipped.  A bijective search also
 prunes partial maps that are not injective or that change an element's
 refined color; automorphisms and isomorphisms come from it in the order of
@@ -61,7 +61,7 @@ from .core import (
     flat_index,
     induced_substructure,
 )
-from .generation import _PartialMap, _propagate, close
+from .generation import _PartialMap, _propagate, _translation_classes, close
 
 Mode = str  # "weak" | "strong"
 
@@ -202,14 +202,20 @@ def _relation_violation(rels, images, mode: Mode):
 
 def generating_sequence(structure: FiniteStructure) -> tuple[int, ...]:
     """Greedy generating set: repeatedly add the element whose closure grows
-    the current one the most (smallest index on ties)."""
+    the current one the most (smallest index on ties).
+
+    Elements of one translation class outside the current subuniverse have
+    the same closure (``generation._translation_classes``), and the smallest
+    of them is tried first, so only that one is closed.
+    """
     current, _ = close(structure, (), derivation=False)
     gens: list[int] = []
     while len(current.members) < structure.size:
         have = set(current.members)
+        root = _translation_classes(structure, current)
         best_x, best = -1, None
         for x in range(structure.size):
-            if x in have:
+            if x in have or root[x] != x:
                 continue
             sub, _ = close(structure, (x,), base=current, derivation=False)
             if best is None or len(sub.members) > len(best.members):
@@ -217,6 +223,18 @@ def generating_sequence(structure: FiniteStructure) -> tuple[int, ...]:
         gens.append(best_x)
         current = best
     return tuple(gens)
+
+
+def _kept_sequence(structure: FiniteStructure) -> tuple[int, ...]:
+    """The ``generating_sequence`` of ``structure``, built once and kept on
+    it, as ``core._plan`` is.  Two threads may both build it; they store
+    equal values."""
+    try:
+        return structure.__dict__["_generating_sequence"]
+    except KeyError:
+        gens = generating_sequence(structure)
+        object.__setattr__(structure, "_generating_sequence", gens)
+        return gens
 
 
 def _search(
@@ -264,7 +282,7 @@ def _search(
         cy = cx if cod == dom else _refine_colors(cod)
         if sorted(cx) != sorted(cy) or _breaks_bijection(root, 0, set(), cx, cy):
             return
-    gens = generating_sequence(dom)
+    gens = _kept_sequence(dom)
 
     def rec(level: int, state: _PartialMap) -> Iterator[Homomorphism]:
         if level == len(gens):

@@ -9,8 +9,11 @@ isomorphisms come from filtering all maps or permutations.  The two
 pair, from ``cg`` and from forced-image propagation, so that witnesses and
 ``pairs_examined`` can be compared exactly.  ``cyclic_extension_subuniverses``
 is plain cyclic extension through ``generation.close``: it checks that
-``all_subuniverses`` skips closes without changing its output, which the
-closed-subset filter cannot reach beyond a few elements.
+``all_subuniverses``, which closes each subuniverse from its canonical parent
+only, finds the same lattice, where the closed-subset filter cannot reach
+beyond a few elements.  ``greedy_generating_sequence`` closes every element
+at every level, where ``generating_sequence`` closes one per translation
+class.
 """
 
 from __future__ import annotations
@@ -342,3 +345,24 @@ def cyclic_extension_subuniverses(structure):
                 if found.setdefault(sub.members, sub) is sub:
                     frontier.append(sub)
     return sorted(frontier, key=lambda s: (len(s.members), s.members))
+
+
+def greedy_generating_sequence(structure):
+    """The greedy generating set with every candidate closed: each level adds
+    the element outside the current subuniverse whose closure is largest,
+    the smallest on ties."""
+    from algindep import generation
+
+    current, _ = generation.close(structure, ())
+    gens = []
+    while len(current.members) < structure.size:
+        inside = set(current.members)
+        closures = [
+            (len(generation.close(structure, (x,), base=current)[0].members), -x)
+            for x in range(structure.size)
+            if x not in inside
+        ]
+        _, x = max(closures)
+        gens.append(-x)
+        current, _ = generation.close(structure, gens)
+    return tuple(gens)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from algindep import generation
@@ -409,6 +411,17 @@ def test_all_subuniverses_matches_plain_cyclic_extension(name):
     assert subs == [s.members for s in cyclic_extension_subuniverses(structure)]
 
 
+def test_all_subuniverses_reaches_f2_6_and_s5():
+    def gaussian_binomial(n, k, q=2):
+        return math.prod(q ** (n - i) - 1 for i in range(k)) // math.prod(
+            q ** (i + 1) - 1 for i in range(k)
+        )
+
+    assert len(all_subuniverses(vector_space(2, 6))) == 2825
+    assert sum(gaussian_binomial(6, k) for k in range(7)) == 2825
+    assert len(all_subuniverses(symmetric_group(5))) == 156
+
+
 def test_all_subuniverses_closes_one_element_per_class(monkeypatch):
     calls = []
     original = generation.close
@@ -422,11 +435,15 @@ def test_all_subuniverses_closes_one_element_per_class(monkeypatch):
         return len(calls)
 
     d12 = dihedral_group(12)
-    assert closes(all_subuniverses, d12) < closes(cyclic_extension_subuniverses, d12)
+    assert closes(all_subuniverses, d12) == 46 < closes(cyclic_extension_subuniverses, d12)
     # In F2^4 the translations by a subspace S are x -> x + s, so the classes
-    # outside S are its 16/|S| - 1 nonzero cosets, one close each; the bottom
-    # and the 16 subuniverses <x> take 1 + 16 closes before any extension.
+    # outside S are its nonzero cosets.  T = <S, x> is S and x + S, whose
+    # smallest element is x, so every representative of T below x lies in S
+    # and each close from a subspace finds a new one: the bottom, the 16
+    # <x> and one close per subspace above a line, 1 + |lattice| in all.
     f2_4 = vector_space(2, 4)
-    per_class = sum(16 // len(s) - 1 for s in all_subuniverses(f2_4))
-    assert per_class == 240
-    assert closes(all_subuniverses, f2_4) == 1 + 16 + per_class
+    assert len(all_subuniverses(f2_4)) == 67
+    assert closes(all_subuniverses, f2_4) == 1 + 67
+    # the monotone rule that cyclic extension replaced closed 19 and 15 times
+    assert closes(all_subuniverses, cyclic_group(12)) == 13 <= 19
+    assert closes(all_subuniverses, quaternion_group()) == 10 <= 15

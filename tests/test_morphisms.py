@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from algindep import core
+from algindep import acceptance, core, morphisms
 from algindep.core import (
     FiniteStructure,
     InputError,
@@ -38,7 +38,8 @@ from algindep.zoo import (
     vector_space,
 )
 
-from oracles import brute_homs, brute_isomorphisms, element_orders
+from oracles import brute_homs, brute_isomorphisms, element_orders, greedy_generating_sequence
+from test_generation import _LATTICE_CASES
 
 
 def test_enumerate_homs_z2_group():
@@ -95,6 +96,51 @@ def test_generating_sequence_generates():
 
         sub, _ = close(structure, gens)
         assert sub.members == tuple(range(structure.size))
+
+
+_SEQUENCE_CASES = {
+    **_LATTICE_CASES,
+    "S5": lambda: symmetric_group(5),
+    "F2^5": lambda: vector_space(2, 5),
+    "F2^6": lambda: vector_space(2, 6),
+    "F3^3": lambda: vector_space(3, 3),
+}
+
+
+@pytest.mark.parametrize("name", _SEQUENCE_CASES)
+def test_generating_sequence_matches_plain_greedy(name):
+    structure = _SEQUENCE_CASES[name]()
+    assert generating_sequence(structure) == greedy_generating_sequence(structure)
+
+
+def test_generating_sequence_is_kept_and_left_out_of_a_pickle():
+    s4 = symmetric_group(4)
+    first = list(enumerate_endos(s4, hom_class=HOM_CLASS_AUTO))
+    gens = s4.__dict__["_generating_sequence"]
+    assert gens == generating_sequence(s4)
+    assert list(enumerate_endos(s4, hom_class=HOM_CLASS_AUTO)) == first
+    assert s4.__dict__["_generating_sequence"] is gens
+    copy = pickle.loads(pickle.dumps(s4))
+    assert copy == s4
+    assert set(copy.__dict__) == {f.name for f in dataclasses.fields(s4)}
+
+
+def test_coproduct_criterion_builds_each_generating_sequence_once(monkeypatch):
+    built = []  # every structure a sequence was built for, kept alive
+    original = morphisms.generating_sequence
+    monkeypatch.setattr(
+        morphisms, "generating_sequence", lambda s: built.append(s) or original(s)
+    )
+    cops = []
+    build_coproduct = acceptance.coproduct
+    monkeypatch.setattr(
+        acceptance, "coproduct", lambda *args: cops.append(build_coproduct(*args)) or cops[-1]
+    )
+    assert acceptance.criterion_coproducts().passed
+    assert len(cops) == 10
+    # every coproduct is searched once per pair of summand maps into each
+    # target, and the search reads the sequence kept on it
+    assert [sum(s is cop for s in built) for cop, _, _ in cops] == [1] * len(cops)
 
 
 def test_is_homomorphism_refuses_non_integer_entries():

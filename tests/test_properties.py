@@ -37,6 +37,7 @@ from algindep.morphisms import (
     enumerate_endos,
     enumerate_homs,
     find_isomorphism,
+    generating_sequence,
     _relation_violation,
     _rels,
     is_homomorphism,
@@ -62,6 +63,7 @@ from oracles import (
     brute_pair_closure,
     brute_subuniverses,
     first_relation_violation,
+    greedy_generating_sequence,
     inverse,
     reference_congruence_independence,
     reference_subalgebra_independence,
@@ -261,14 +263,20 @@ def _two_chain_algebra():
     return FiniteStructure(Signature((("f", 1),)), 4, ((1, 1, 3, 3),), ())
 
 
-@given(algebras(max_size=6, shapes=SHAPES + WIDE_SHAPES) | mixed_structures())
+@given(algebras(max_size=6, shapes=SHAPES + WIDE_SHAPES) | quasigroups() | mixed_structures())
 @example(_late_argument_algebra())
 @example(_between_algebra())
 @example(_two_chain_algebra())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_all_subuniverses_matches_closed_subset_filter(structure):
     subs = [sub.members for sub in all_subuniverses(structure)]
     assert subs == brute_subuniverses(structure)
+
+
+@given(algebras(shapes=SHAPES + WIDE_SHAPES))
+@settings(max_examples=60, deadline=None)
+def test_generating_sequence_matches_plain_greedy_on_random_algebras(structure):
+    assert generating_sequence(structure) == greedy_generating_sequence(structure)
 
 
 @given(algebras_with_pairs())
