@@ -484,7 +484,7 @@ def _check_product(sig: Signature, n: int, rel_sizes: Iterable[int] = ()) -> Non
     an operation table or relation over ``MAX_PRODUCT_CELLS`` entries."""
     if n > MAX_STRUCTURE_SIZE:
         raise InputError(
-            f"the product would have {n} elements, over the bound of {MAX_STRUCTURE_SIZE}"
+            f"the product would have {_excerpt(n)} elements, over the bound of {MAX_STRUCTURE_SIZE}"
         )
     cells = max([n**ar for _, ar in sig.op_symbols] + list(rel_sizes), default=0)
     if cells > MAX_PRODUCT_CELLS:

@@ -2,23 +2,22 @@
 Boolean algebras, and vector spaces over prime fields, plus their finite
 coproducts and the canonical surjection onto a join.
 
-The builders' tables satisfy the advertised axioms (associativity,
-inverses, distributivity, and so on): the tests run the law checks below on
-every structure ``build`` accepts, and the coproducts run them on their
-inputs.  Associativity is checked on a generating set only, by Light's test
-in ``core._associative``, in O(n^2) per generator.  Every group family is an
-element list, identity first, and a composition, from which one builder
-reads the Cayley table and the inverses.  Vector spaces are encoded as algebras: binary addition, unary negation, one unary
-scalar symbol per field element, and the zero constant, which keeps the
-signature finite and the generic machinery applicable.  F_p^n is built as
-the direct power of the line F_p, and every product-shaped structure built
-here passes ``core.direct_product``'s size check first.
+The tests run the law checks below on every structure ``build`` accepts,
+and the coproducts run them on their inputs.  Associativity is checked by
+Light's test in ``core._associative``; Boolean algebras and vector spaces by
+their structure theorems.  Every group family is an element list, identity
+first, and a composition, from which one builder reads the Cayley table and
+the inverses.  Vector spaces are encoded as algebras: binary addition, unary
+negation, one unary scalar symbol per field element, and the zero constant.
+F_p^n is the direct power of the line F_p.  Every power and product built
+here passes ``core._check_product``'s size check before anything is built.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
@@ -40,7 +39,7 @@ from .core import (
     validate,
 )
 from .generation import join
-from .morphisms import Homomorphism, Mode, _search, enumerate_homs
+from .morphisms import Homomorphism, Mode, _search, enumerate_homs, is_homomorphism
 
 SET_SIG = Signature()
 GRAPH_SIG = Signature(rel_symbols=(("edge", 2),))
@@ -62,7 +61,7 @@ CATEGORY_KINDS = (
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    return all(p % d for d in range(2, int(p**0.5) + 1))
+    return all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,9 @@ class CategoryTag:
 
 
 def vector_space_sig(p: int) -> Signature:
+    width = max(2, len(str(p - 1)))  # so the names sort in signature order
     ops = [("add", 2), ("neg", 1)]
-    ops += [(f"smul{c:02d}", 1) for c in range(p)]
+    ops += [(f"smul{c:0{width}d}", 1) for c in range(p)]
     ops.append(("zero", 0))
     return Signature(op_symbols=tuple(ops))
 
@@ -99,26 +99,22 @@ def _table_array(structure, name):
     return t.reshape((structure.size,) * ar) if ar else t
 
 
-def _distributes(f, g) -> bool:
-    """Does the binary table ``f`` distribute over ``g`` from the left?  Row
-    x compares f[x, g[y, z]] with g[f[x, y], f[x, z]], in O(n^2) memory."""
-    return all(np.array_equal(row[g], g[np.ix_(row, row)]) for row in f)
+def _group_laws(mul, inv, e) -> bool:
+    """Is ``mul`` associative, with identity ``e`` and inverses ``inv``?"""
+    ar = np.arange(len(mul))
+    if not (np.array_equal(mul[e, :], ar) and np.array_equal(mul[:, e], ar)):
+        return False
+    if not (np.all(mul[ar, inv] == e) and np.all(mul[inv, ar] == e)):
+        return False
+    return _associative(mul)
 
 
 def is_group(structure: FiniteStructure) -> bool:
     """Signature shape is e/inv/mul and the group laws hold."""
     if structure.sig != GROUP_SIG or validate(structure):
         return False
-    n = structure.size
     mul = _table_array(structure, "mul")
-    inv = _table_array(structure, "inv")
-    e = structure.op_table("e")[0]
-    ar = np.arange(n)
-    if not (np.array_equal(mul[e, :], ar) and np.array_equal(mul[:, e], ar)):
-        return False
-    if not (np.all(mul[ar, inv] == e) and np.all(mul[inv, ar] == e)):
-        return False
-    return _associative(mul)
+    return _group_laws(mul, _table_array(structure, "inv"), structure.op_table("e")[0])
 
 
 def is_abelian_group(structure: FiniteStructure) -> bool:
@@ -129,57 +125,46 @@ def is_abelian_group(structure: FiniteStructure) -> bool:
 
 
 def is_boolean_algebra(structure: FiniteStructure) -> bool:
-    """Huntington's axioms: commutativity, distributivity both ways,
-    identity laws, and complements."""
+    """Stone: a finite Boolean algebra is the powerset of its k atoms.  So
+    exactly when n = 2^k and phi, sending a set S of atoms (bit i for
+    ``_atoms(structure)[i]``) to their join, is a bijective homomorphism
+    from ``_powerset_boolean(k)``."""
     if structure.sig != BOOLEAN_SIG or validate(structure):
         return False
+    atoms = _atoms(structure)
     n = structure.size
-    meet = _table_array(structure, "meet")
-    vee = _table_array(structure, "join")
-    compl = _table_array(structure, "compl")
-    zero = structure.op_table("zero")[0]
-    one = structure.op_table("one")[0]
-    ar = np.arange(n)
-    if not (np.array_equal(meet, meet.T) and np.array_equal(vee, vee.T)):
+    if 1 << len(atoms) != n:
         return False
-    if not (np.array_equal(vee[:, zero], ar) and np.array_equal(meet[:, one], ar)):
+    vee = structure.op_table("join")
+    phi = list(structure.op_table("zero"))
+    for a in atoms:
+        phi += [vee[x * n + a] for x in phi]
+    if len(set(phi)) != n:
         return False
-    if not (np.all(meet[ar, compl] == zero) and np.all(vee[ar, compl] == one)):
-        return False
-    return _distributes(meet, vee) and _distributes(vee, meet)
+    return is_homomorphism(_powerset_boolean(len(atoms)), structure, tuple(phi))
 
 
 def is_vector_space(structure: FiniteStructure, p: int) -> bool:
-    """Additive abelian group plus the scalar action laws for F_p."""
-    if not _is_prime(p) or structure.sig != vector_space_sig(p) or validate(structure):
+    """An abelian group of exponent p with c.x the c-fold sum x + ... + x:
+    the action forced in an F_p-space, under which every abelian group of
+    exponent p is one.  The symbol count is compared first, so that a huge
+    p costs no primality test."""
+    if len(structure.sig.op_symbols) != p + 3 or not _is_prime(p):
         return False
-    n = structure.size
+    if structure.sig != vector_space_sig(p) or validate(structure):
+        return False
     add = _table_array(structure, "add")
-    neg = _table_array(structure, "neg")
     zero = structure.op_table("zero")[0]
-    ar = np.arange(n)
-    if not np.array_equal(add, add.T):
+    if not (np.array_equal(add, add.T) and _group_laws(add, _table_array(structure, "neg"), zero)):
         return False
-    if not np.array_equal(add[:, zero], ar):
-        return False
-    if not np.all(add[ar, neg] == zero):
-        return False
-    if not _associative(add):
-        return False
-    smul = [_table_array(structure, f"smul{c:02d}") for c in range(p)]
-    if not np.array_equal(smul[1 % p], ar if p > 1 else smul[0]):
-        return False
-    if not np.all(smul[0] == zero):
-        return False
-    for c in range(p):
-        if not np.array_equal(smul[c][add], add[smul[c][:, None], smul[c][None, :]]):
+    ar = np.arange(structure.size)
+    multiple = np.full(structure.size, zero)
+    # the scalars' tables, 0 to p - 1, follow add and neg in the signature
+    for smul in structure.op_tables[2 : p + 2]:
+        if not np.array_equal(smul, multiple):
             return False
-        for d in range(p):
-            if not np.array_equal(add[smul[c], smul[d]], smul[(c + d) % p]):
-                return False
-            if not np.array_equal(smul[c][smul[d]], smul[(c * d) % p]):
-                return False
-    return True
+        multiple = add[multiple, ar]
+    return bool(np.all(multiple == zero))
 
 
 # ---------------------------------------------------------------------------
@@ -337,20 +322,34 @@ def _powerset_boolean(atoms: int) -> FiniteStructure:
     )
 
 
+def _check_power(sig: Signature, base: int, exp: int) -> None:
+    """Refuse base**exp elements as ``_check_product`` refuses a product,
+    one power at a time: for base >= 2 within a few steps, whatever exp."""
+    n = 1
+    for _ in range(exp):
+        n *= base
+        _check_product(sig, n)
+
+
 def powerset_boolean_algebra(atoms: int) -> FiniteStructure:
     """Subsets of a k-element atom set, encoded as bitmasks."""
-    if not (1 <= atoms <= 5):
-        raise InputError("powerset Boolean algebras are built for 1 <= atoms <= 5")
+    if atoms < 1:
+        raise InputError("powerset Boolean algebras are built for atoms >= 1")
+    _check_power(BOOLEAN_SIG, 2, atoms)
     return _powerset_boolean(atoms)
 
 
 def vector_space(p: int, dim: int) -> FiniteStructure:
     """F_p^dim, the direct power of the line F_p: elements are encoded base
-    p, most significant coordinate first, and labelled by their coordinates."""
+    p, most significant coordinate first, and labelled by their coordinates.
+    Its size is checked, with its additive group's arities, before p is
+    tested for primality."""
+    if dim < 1:
+        raise InputError("vector spaces are built for dim >= 1")
+    if p >= 2:  # a smaller p is refused below, before its powers are taken
+        _check_power(GROUP_SIG, p, dim)
     if not _is_prime(p):
         raise InputError(f"{p} is not prime")
-    if dim < 1 or p**dim > 64:
-        raise InputError("vector spaces are built for dim >= 1 with p^dim <= 64")
     line = FiniteStructure(
         vector_space_sig(p),
         p,

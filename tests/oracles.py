@@ -13,14 +13,19 @@ is plain cyclic extension through ``generation.close``: it checks that
 only, finds the same lattice, where the closed-subset filter cannot reach
 beyond a few elements.  ``greedy_generating_sequence`` closes every element
 at every level, where ``generating_sequence`` closes one per translation
-class.
+class.  ``huntington_boolean_algebra`` and ``per_law_vector_space`` check
+every axiom on whole arrays, where the zoo goes through the structure
+theorems.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from algindep.core import Congruence, FiniteStructure, flat_index
+import numpy as np
+
+from algindep.core import Congruence, FiniteStructure, flat_index, validate
+from algindep.zoo import BOOLEAN_SIG, vector_space_sig
 from algindep.reference import brute_close, brute_congruences, is_map_homomorphism
 
 
@@ -366,3 +371,69 @@ def greedy_generating_sequence(structure):
         gens.append(-x)
         current, _ = generation.close(structure, gens)
     return tuple(gens)
+
+
+def _array(structure, name):
+    _, ar = structure.sig.op_symbols[structure.op_index(name)]
+    return np.array(structure.op_table(name)).reshape((structure.size,) * ar)
+
+
+def _associative(t) -> bool:
+    return np.array_equal(t[t, :], t[:, t])
+
+
+def huntington_boolean_algebra(structure) -> bool:
+    """Huntington's axioms (1904): meet and join commutative, zero and one
+    their identities, compl a complement, and each operation distributing
+    over the other, with the n^3 gathers of distributivity whole."""
+    if structure.sig != BOOLEAN_SIG or validate(structure):
+        return False
+    meet, vee, compl = (_array(structure, name) for name in ("meet", "join", "compl"))
+    zero, one = structure.op_table("zero")[0], structure.op_table("one")[0]
+    ar = np.arange(structure.size)
+    x = ar[:, None, None]
+    return (
+        np.array_equal(meet, meet.T)
+        and np.array_equal(vee, vee.T)
+        and np.array_equal(vee[:, zero], ar)
+        and np.array_equal(meet[:, one], ar)
+        and np.all(meet[ar, compl] == zero)
+        and np.all(vee[ar, compl] == one)
+        and all(
+            np.array_equal(f[x, g[None, :, :]], g[f[:, :, None], f[:, None, :]])
+            for f, g in ((meet, vee), (vee, meet))
+        )
+    )
+
+
+def per_law_vector_space(structure, p) -> bool:
+    """An abelian group under add, neg and zero, with every F_p action law
+    checked for every scalar and pair of scalars: 1x = x, 0x = 0,
+    c(x + y) = cx + cy, (c + d)x = cx + dx and (cd)x = c(dx)."""
+    if p < 2 or any(p % d == 0 for d in range(2, p)):
+        return False
+    if structure.sig != vector_space_sig(p) or validate(structure):
+        return False
+    add, neg = _array(structure, "add"), _array(structure, "neg")
+    zero = structure.op_table("zero")[0]
+    ar = np.arange(structure.size)
+    if not (
+        np.array_equal(add, add.T)
+        and np.array_equal(add[:, zero], ar)
+        and np.all(add[ar, neg] == zero)
+        and _associative(add)
+    ):
+        return False
+    # the scalars' tables follow add and neg in the signature
+    smul = [np.array(table) for table in structure.op_tables[2 : p + 2]]
+    if not (np.array_equal(smul[1], ar) and np.all(smul[0] == zero)):
+        return False
+    for c in range(p):
+        if not np.array_equal(smul[c][add], add[smul[c][:, None], smul[c][None, :]]):
+            return False
+        for d in range(p):
+            if not np.array_equal(add[smul[c], smul[d]], smul[(c + d) % p]):
+                return False
+            if not np.array_equal(smul[c][smul[d]], smul[(c * d) % p]):
+                return False
+    return True

@@ -18,8 +18,10 @@ from algindep.io import (
 from algindep.zoo import (
     cyclic_group,
     graph,
+    is_vector_space,
     powerset_boolean_algebra,
     symmetric_group,
+    vector_space,
 )
 
 from oracles import reference_subalgebra_independence
@@ -456,7 +458,8 @@ _SUB = ["decide-sub", "--a", "0,3", *_ON_Z6]
             (["gen", "cyclic_group", "-3"], "built for orders 1 to 128"),
             (["gen", "symmetric_group", "0"], "built for 1 <= n <= 5"),
             (["gen", "dihedral_group", "-1"], "built for parameters 1 to 64"),
-            (["gen", "powerset_boolean_algebra", "40"], "built for 1 <= atoms <= 5"),
+            (["gen", "powerset_boolean_algebra", "40"], "over the bound of 1048576 cells"),
+            (["gen", "powerset_boolean_algebra", "0"], "built for atoms >= 1"),
             (["gen", "vector_space", "4", "2"], "4 is not prime"),
             (["gen", "vector_space", "2", "-1"], "built for dim >= 1"),
             (["gen", "graph", "3", "0-5"], "edge (0,5) out of range for 3 vertices"),
@@ -534,6 +537,51 @@ def test_cli_vector_space_category_inference(tmp_path):
     assert r.returncode == 0, r.stderr
     loaded, _ = load_structure(cop)
     assert loaded.size == 9
+
+
+@pytest.mark.parametrize("p", [101, 1021])
+def test_vector_spaces_above_p_100_survive_dump_and_load(tmp_path, p):
+    # the scalar names are padded, so files list them in signature order
+    line = vector_space(p, 1)
+    path = tmp_path / f"f{p}.json"
+    dump_structure(line, path, name="line")
+    loaded, _ = load_structure(path)
+    assert loaded == line and is_vector_space(loaded, p)
+    # coproduct infers p from the file, and then refuses F_p + F_p on its size
+    out = tmp_path / "cop.json"
+    r = run_cli("coproduct", "-s", path, "-s", path, "--category", "vector_space", "-o", out)
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    assert f"error: the product would have {p * p} elements" in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ["vector_space", str(10**18 + 3), "1"],
+        ["vector_space", str(10**400 + 1), "1"],
+        ["vector_space", "2", str(10**9)],
+        ["powerset_boolean_algebra", str(10**9)],
+    ],
+    ids=["p1e18", "p401digits", "dim1e9", "atoms1e9"],
+)
+def test_cli_gen_with_huge_parameters_exits_2_at_once(tmp_path, params):
+    # the cell bound refuses before primality, the signature or any power
+    out = tmp_path / "x.json"
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "algindep.cli", "gen", *params, "-o", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"gen {params[0]} did not exit within 30 s")
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    errors = [line for line in r.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and len(errors[0]) <= 200
+    assert "over the bound of" in errors[0]
+    assert not out.exists()
 
 
 GOLDEN_Z3 = """{

@@ -64,7 +64,9 @@ from oracles import (
     brute_subuniverses,
     first_relation_violation,
     greedy_generating_sequence,
+    huntington_boolean_algebra,
     inverse,
+    per_law_vector_space,
     reference_congruence_independence,
     reference_subalgebra_independence,
     relabel,
@@ -824,10 +826,12 @@ def test_congruence_verdict_is_symmetric_in_a_and_b(instance):
 
 @st.composite
 def law_structures(draw):
-    """Structures of the group or Boolean signature on at most 8 elements:
-    random tables, or a zoo group or powerset algebra with at most one cell
-    of a binary table changed, so that the laws both hold and fail."""
-    if draw(st.booleans()):
+    """Structures of the group or Boolean signature: random tables on at
+    most 5 elements, or a zoo group, a powerset algebra or a relabelled BA4
+    or BA5 with at most one table cell changed, so that the laws both hold
+    and fail."""
+    kind = draw(st.sampled_from(("random", "zoo", "relabelled")))
+    if kind == "random":
         sig = draw(st.sampled_from((zoo.GROUP_SIG, zoo.BOOLEAN_SIG)))
         n = draw(st.integers(1, 5))
         tables = [
@@ -835,32 +839,101 @@ def law_structures(draw):
             for _, ar in sig.op_symbols
         ]
     else:
-        base = draw(
-            st.sampled_from(
-                [zoo.cyclic_group(k) for k in range(1, 7)]
-                + [zoo.symmetric_group(3), zoo.quaternion_group()]
-                + [zoo.powerset_boolean_algebra(k) for k in range(1, 4)]
+        if kind == "zoo":
+            base = draw(
+                st.sampled_from(
+                    [zoo.cyclic_group(k) for k in range(1, 7)]
+                    + [zoo.symmetric_group(3), zoo.quaternion_group()]
+                    + [zoo.powerset_boolean_algebra(k) for k in range(1, 4)]
+                )
             )
-        )
+        else:
+            base = zoo.powerset_boolean_algebra(draw(st.sampled_from((4, 5))))
+            base = relabel(base, draw(st.permutations(range(base.size))))
         sig, n = base.sig, base.size
         tables = [list(t) for t in base.op_tables]
         if draw(st.booleans()):
-            i = draw(st.sampled_from([i for i, (_, ar) in enumerate(sig.op_symbols) if ar == 2]))
-            tables[i][draw(st.integers(0, n * n - 1))] = draw(st.integers(0, n - 1))
+            table = draw(st.sampled_from(tables))
+            table[draw(st.integers(0, len(table) - 1))] = draw(st.integers(0, n - 1))
     return FiniteStructure(sig, n, tuple(map(tuple, tables)), ())
 
 
+# join(zero, 1) = zero sends both subsets of the one atom to zero, a
+# homomorphism from the powerset algebra that is not onto
+@example(FiniteStructure(zoo.BOOLEAN_SIG, 2, ((0, 0), (0, 0, 0, 1), (0, 0, 0, 1), (0,), (0,)), ()))
 @given(law_structures())
 @settings(max_examples=150, deadline=None)
 def test_row_wise_law_checks_match_whole_array_checks(structure):
     # the zoo checks associativity on a generating set only (Light's test)
-    # and distributivity one row x at a time; the n^3 gathers are the reference
+    # and Boolean algebras through Stone's theorem; the whole-array checks
+    # of every axiom are the reference
     binary = [
         zoo._table_array(structure, name) for name, ar in structure.sig.op_symbols if ar == 2
     ]
-    x = np.arange(structure.size)[:, None, None]
     for t in binary:
         assert core._associative(t) == np.array_equal(t[t, :], t[:, t])
-    for f, g in itertools.permutations(binary, 2):
-        whole = np.array_equal(f[x, g[None, :, :]], g[f[:, :, None], f[:, None, :]])
-        assert zoo._distributes(f, g) == whole
+    assert zoo.is_boolean_algebra(structure) == huntington_boolean_algebra(structure)
+
+
+def _with_repeated_sums(group, p):
+    """A group of ``zoo._group`` as a structure of the F_p-space signature,
+    scalar c acting as the c-fold product x * ... * x."""
+    zero, neg, add = group.op_tables
+    n = group.size
+    smul = [zero * n]
+    for _ in range(1, p):
+        smul.append(tuple(add[s * n + x] for x, s in enumerate(smul[-1])))
+    return FiniteStructure(zoo.vector_space_sig(p), n, (add, neg, *smul, zero), ())
+
+
+def _heisenberg(a, b):
+    """Unitriangular 3 x 3 matrices over F_3 as triples: nonabelian, of
+    exponent 3."""
+    return (a[0] + b[0]) % 3, (a[1] + b[1]) % 3, (a[2] + b[2] + a[0] * b[1]) % 3
+
+
+@st.composite
+def scalar_structures(draw):
+    """Structures of the F_p-space signature on at most 27 elements: F_p^d
+    with p^d <= 27, or Z_n for n <= 27 or the Heisenberg group mod 3 with
+    scalar c acting as the c-fold sum; relabelled, with two scalar tables
+    swapped or at most one table cell changed, so that the laws both hold
+    and fail."""
+    kind = draw(st.sampled_from(("space", "cyclic", "heisenberg")))
+    if kind == "space":
+        p, d = draw(
+            st.sampled_from(
+                [(2, d) for d in range(1, 5)] + [(3, d) for d in range(1, 4)]
+                + [(5, 1), (5, 2)] + [(q, 1) for q in (7, 11, 13, 17, 19, 23)]
+            )
+        )
+        base = zoo.vector_space(p, d)
+    else:
+        p = draw(st.sampled_from((2, 3, 5, 7)))
+        if kind == "cyclic":
+            n = draw(st.integers(1, 27))
+            elements, compose = range(n), lambda x, y: (x + y) % n
+        else:
+            elements, compose = list(itertools.product(range(3), repeat=3)), _heisenberg
+        base = _with_repeated_sums(zoo._group(elements, compose, map(str, elements)), p)
+    structure = relabel(base, draw(st.permutations(range(base.size))))
+    tables = [list(t) for t in structure.op_tables]
+    change = draw(st.sampled_from(("none", "swap", "cell")))
+    if change == "swap":
+        c, e = draw(st.lists(st.integers(2, p + 1), min_size=2, max_size=2, unique=True))
+        tables[c], tables[e] = tables[e], tables[c]
+    elif change == "cell":
+        table = draw(st.sampled_from(tables))
+        table[draw(st.integers(0, len(table) - 1))] = draw(st.integers(0, base.size - 1))
+    return FiniteStructure(structure.sig, base.size, tuple(map(tuple, tables)), ()), p
+
+
+@given(scalar_structures(), st.sampled_from((None, 2, 3, 5)))
+@settings(max_examples=150, deadline=None)
+def test_vector_space_check_matches_every_action_law(instance, other):
+    # the zoo checks that scalar c acts as the c-fold sum and that the p-fold
+    # sum is zero; the reference checks every action law for every pair of
+    # scalars
+    structure, p = instance
+    for q in (p, other or p):
+        assert zoo.is_vector_space(structure, q) == per_law_vector_space(structure, q)

@@ -62,17 +62,13 @@ def test_build_families_and_tags():
         assert validate(structure) == []
 
 
-def test_build_rejects_unknown_family_and_caps():
+def test_build_rejects_unknown_family_and_caps(monkeypatch):
     with pytest.raises(InputError):
         build("frobnicator", 3)
     with pytest.raises(InputError):
         build("symmetric_group", 6)
     with pytest.raises(InputError):
-        build("powerset_boolean_algebra", 6)
-    with pytest.raises(InputError):
         build("vector_space", 4, 2)  # not prime
-    with pytest.raises(InputError):
-        build("vector_space", 2, 7)  # 2^7 > 64
     for family, param in (
         ("cyclic_group", MAX_GROUP_ORDER + 1),
         ("cyclic_group", 100000),
@@ -84,6 +80,19 @@ def test_build_rejects_unknown_family_and_caps():
             build(family, param)
     with pytest.raises(InputError):
         build("graph", MAX_STRUCTURE_SIZE + 1, "")
+    # BA11, F2^11 and F1031 have binary tables over 2^20 cells; the refusal
+    # comes before the builders, the signature or the primality test run
+    called = []
+    for name in ("_powerset_boolean", "direct_product", "vector_space_sig", "_is_prime"):
+        monkeypatch.setattr(zoo, name, lambda *a, name=name: called.append(name))
+    for params, shown in (
+        (("powerset_boolean_algebra", 11), "2048 elements and a table of 4194304 entries"),
+        (("vector_space", 2, 11), "2048 elements and a table of 4194304 entries"),
+        (("vector_space", 1031, 1), "1031 elements and a table of 1062961 entries"),
+    ):
+        with pytest.raises(InputError, match=f"{shown}, over the bound of 1048576 cells"):
+            build(*params)
+    assert called == []
 
 
 _PRIMES = [p for p in range(2, 65) if all(p % q for q in range(2, p))]
@@ -92,8 +101,10 @@ _BUILDABLE_SPACES = [(p, d) for p in _PRIMES for d in range(1, 7) if p**d <= 64]
 
 
 def test_every_buildable_structure_satisfies_its_laws():
-    # the builders do not law-check their own tables, so every parameter
-    # that build accepts is checked here
+    # the builders do not law-check their own tables, so every group that
+    # build accepts is checked here, with every powerset algebra and the
+    # spaces of at most 64 elements, and the largest space of each small
+    # field and the largest line that the 2^20-cell bound admits
     for n in range(1, MAX_GROUP_ORDER + 1):
         assert is_abelian_group(build("cyclic_group", n)[0])
     for n in range(1, MAX_GROUP_ORDER // 2 + 1):
@@ -101,10 +112,10 @@ def test_every_buildable_structure_satisfies_its_laws():
     for n in range(1, 6):
         assert is_group(build("symmetric_group", n)[0])
     assert is_group(build("quaternion_group")[0])
-    for k in range(1, 6):
+    for k in range(1, 11):
         assert is_boolean_algebra(build("powerset_boolean_algebra", k)[0])
     assert len(_BUILDABLE_SPACES) == 27
-    for p, d in _BUILDABLE_SPACES:
+    for p, d in _BUILDABLE_SPACES + [(2, 10), (3, 6), (5, 4), (7, 3), (31, 2), (1021, 1)]:
         assert is_vector_space(build("vector_space", p, d)[0], p)
 
 
@@ -238,6 +249,17 @@ def test_vector_space_carries_one_scalar_op_per_field_element():
     assert sum(n.startswith("smul") for n, _ in f5.sig.op_symbols) == 5
 
 
+def test_vector_space_scalar_names_sort_in_signature_order():
+    # padded to two digits up to p = 100, and to the digits of p - 1 above
+    for p in (2, 97, 101, 1021):
+        names = [name for name, _ in zoo.vector_space_sig(p).op_symbols]
+        assert names == sorted(names)
+        width = max(2, len(str(p - 1)))
+        assert names[2:-1] == [f"smul{c:0{width}d}" for c in range(p)]
+    assert zoo.vector_space_sig(97).op_symbols[-2] == ("smul96", 1)
+    assert zoo.vector_space_sig(101).op_symbols[2:4] == (("smul000", 1), ("smul001", 1))
+
+
 def test_set_coproduct_is_disjoint_union():
     x = empty_sig_set(2)
     y = empty_sig_set(1)
@@ -290,12 +312,13 @@ def test_boolean_coproducts_are_bounded_by_their_table_cells(monkeypatch):
     monkeypatch.setattr(zoo, "_powerset_boolean", lambda k: built.append(k) or powerset(k))
     tag = CategoryTag("boolean_algebra")
     # 3 x 4 atom pairs: 4096 elements, binary tables of 2^24 cells
+    # the law checks build each input's powerset copy, and nothing else is built
     with pytest.raises(InputError, match="a table of 16777216 entries, over the bound of 1048576"):
         coproduct(tag, ba[3], ba[4])
-    assert built == []
+    assert built == [3, 4]
     # 2 x 5 atom pairs: 1024 elements, binary tables of exactly 2^20 cells
     cop, _, _ = coproduct(tag, ba[2], ba[5])
-    assert built == [10] and cop.size == 1024
+    assert built == [3, 4, 2, 5, 10] and cop.size == 1024
 
 
 def test_disjoint_union_coproducts_are_bounded_by_the_element_count():
