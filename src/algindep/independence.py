@@ -169,12 +169,18 @@ def decide_subalgebra_independence(
 
     Pairs are visited alpha-major, each stream in the deterministic
     enumeration order of the morphism module, and the first failing pair is
-    returned as the witness.  Each pair costs one term evaluation along a
-    derivation of the join from A u B and one vectorised check of what
-    neither side settles (only agreement on A n B when one side contains
-    the other).  A disagreement on A n B names its own witness, and only a
-    pair refused by the vectorised check runs the forced-image propagation
-    that names it.  On incomparable sides the derivation is
+    returned as the witness.  Each pair is one ``_JointContext.extend``
+    call, which pays only for what the pair leaves open.  A pair that leaves
+    nothing open (one side contains the other, or in weak mode the sides
+    have no operation and no relation tuple that mixes them) is decided by
+    agreement on A n B alone, and no map is built.  Otherwise the pair costs
+    one term evaluation along a derivation of the join from A u B, in
+    ``_JointContext.gamma``, the only place that builds the map: A's images
+    come from a template filled once per alpha, then B's images and the
+    derivation steps are written.  One vectorised check of what neither
+    side settles follows.  A disagreement on A n B names its own witness,
+    and only a pair refused by the vectorised check runs the forced-image
+    propagation that names it.  On incomparable sides the derivation is
     computed per decision, closing the join from the larger side with the
     smaller one as seed.
 
@@ -206,12 +212,12 @@ def decide_subalgebra_independence(
     for alpha in _endos(ctx.a_struct, mode, hom_class):
         for beta in betas:
             pairs += 1
-            result = ctx.extend(alpha, beta)
-            if isinstance(result, ExtensionRefusal):
+            refusal = ctx.extend(alpha, beta)
+            if refusal is not None:
                 witness = SubalgebraWitness(
                     _graph_in_parent(alpha, ctx.a_embed),
                     _graph_in_parent(beta, ctx.b_embed),
-                    result,
+                    refusal,
                 )
                 return Verdict(False, witness, pairs)
     return Verdict(True, None, pairs)

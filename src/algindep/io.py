@@ -46,16 +46,19 @@ def structure_to_dict(structure: FiniteStructure, name: str = "structure") -> di
     return doc
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; ``bool`` is a subclass of ``int`` but not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _all_ints(values) -> bool:
+    """Are all ``values`` JSON integers?  JSON decodes an integer to ``int``
+    and ``true`` to ``bool``, a subclass of ``int`` that is not one, so the
+    exact type decides; ``map`` and ``set`` read the types without a Python
+    loop."""
+    return set(map(type, values)) <= {int}
 
 
 def _expect(doc, field, kind, where):
     if field not in doc:
         raise StructureParseError(f"{where}: missing field {field!r}")
     value = doc[field]
-    if not (_is_int(value) if kind is int else isinstance(value, kind)):
+    if not (type(value) is int if kind is int else isinstance(value, kind)):
         raise StructureParseError(
             f"{where}.{field}: expected {kind.__name__}, got {type(value).__name__}"
         )
@@ -77,7 +80,7 @@ def structure_from_dict(doc: dict) -> tuple[FiniteStructure, str]:
         op_name = _expect(op, "name", str, where)
         arity = _expect(op, "arity", int, where)
         table = _expect(op, "table", list, where)
-        if not all(_is_int(v) for v in table):
+        if not _all_ints(table):
             raise StructureParseError(f"{where}.table: entries must be integers")
         op_symbols.append((op_name, arity))
         op_tables.append(tuple(table))
@@ -91,7 +94,7 @@ def structure_from_dict(doc: dict) -> tuple[FiniteStructure, str]:
         tuples = _expect(rel, "tuples", list, where)
         seen = set()
         for j, t in enumerate(tuples):
-            if not isinstance(t, list) or not all(_is_int(v) for v in t):
+            if not isinstance(t, list) or not _all_ints(t):
                 raise StructureParseError(
                     f"{where}.tuples[{j}]: expected a list of integers"
                 )

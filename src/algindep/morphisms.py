@@ -18,26 +18,30 @@ the unpruned stream.
 
 Joint extensions are decided by term evaluation: every element of the join
 of A and B is a term in the elements of A u B, so the images of alpha and
-beta fix gamma along the join's derivation DAG.  A pair checks only what its
-two sides leave open.  gamma agrees with alpha on A, and alpha is an
+beta fix gamma along the join's derivation DAG.  A pair pays only for what
+its two sides leave open.  gamma agrees with alpha on A, and alpha is an
 endomorphism of A's induced structure, so every operation cell and relation
 tuple inside A is already preserved (reflected too, in strong mode); the
-same holds for B.  When one side contains the other the join is the larger
-side and agreement on the shared elements decides.  Otherwise
-``_preserves`` checks the operations on the join's ``core._plan``: every
+same holds for B.  So a disagreement on A n B is its own witness, and a
+pair that leaves nothing open is decided by agreement on A n B alone, with
+no map built: when one side contains the other, or in weak mode when there
+is no operation of positive arity and no relation tuple that mixes the
+sides.  Otherwise ``_JointContext.gamma``, the only place that builds the
+map, copies A's images from a template filled once per alpha, writes B's
+and evaluates the derivation steps, unary and binary ones by direct
+indexing; then ``_preserves`` checks the operations on the join's ``core._plan``: every
 line of each table, except that a binary operation which Light's test finds
 associative is checked on the rows of a generating set only, which is
 exact; the lines are gathered through 256-byte ``bytes.translate`` tables
 when the join has at most 256 elements, and by numpy ``take`` above that.
-Set tests check the relation tuples that lie in neither
-side, and in strong mode ``_relation_violation``, linear in the relations'
-tuples, checks every tuple, since its preimage boxes mix the sides.  A
-disagreement on A n B is its own witness; forced-image propagation runs
-only to name the witness of a refusal by that check.  What depends on one
-subuniverse alone (A, B or the join) is compiled once per process in one
-memo keyed by the subuniverse; each decision keeps only its own sides' join
-positions, a derivation of the join from A u B and the tuples that mix the
-sides.  ``is_homomorphism`` checks any total map with the same
+Set tests check the relation tuples that lie in neither side, and in strong
+mode ``_relation_violation``, linear in the relations' tuples, checks every
+tuple, since its preimage boxes mix the sides.  Forced-image propagation
+runs only to name the witness of a refusal by that check.  What depends on
+one subuniverse alone (A, B or the join) is compiled once per process in
+one memo keyed by the subuniverse; each decision keeps only its own sides'
+join positions, a derivation of the join from A u B and the tuples that mix
+the sides.  ``is_homomorphism`` checks any total map with the same
 ``_preserves``, on the two structures' plans.
 """
 
@@ -410,30 +414,40 @@ def _induced_memo(sub: SubUniverse, labels) -> _Induced:
 
 
 class _JointContext:
-    """Setup for repeated joint-extension tests on one (A, B) pair.
+    """Setup for repeated joint-extension tests on one (A, B) pair, so that
+    each pair pays only for what it leaves open.
 
     A, B and the join are read from their ``_induced`` records, and the
     join's check plan from ``core._plan``: it checks the generator rows of
     each binary operation that Light's test finds associative, which is
     exact (see ``_preserves``), and every line of the others, through byte
-    tables up to 256 elements.  Per pair of sides only this is
-    computed: the join positions of A's and B's elements, the shared
-    elements, whether one side contains the other and whether anything is
-    left open for ``_is_endomorphism``, and otherwise the applied nodes of a
-    derivation DAG of the join as (target, table, args) steps in derivation
-    order, and the argument columns of the relation tuples that lie in
-    neither side.  The DAG is that of ``close`` resumed from the larger side
-    with the smaller one as seed, so only argument tuples with a new element
-    are visited; its generators are exactly A u B.  Any such DAG will do,
-    since a joint extension is unique.  When the smaller side lies inside
-    the larger one, the join is the larger side, with no steps, and
-    ``close`` is not run.
+    tables up to 256 elements.  Per pair of sides only this is computed: the
+    join positions of A's and B's elements, the shared elements, whether one
+    side contains the other, and whether anything is ``left_open`` for
+    ``_is_endomorphism``.  A pair that leaves nothing open is decided by
+    agreement on A n B alone: when one side contains the other, the join is
+    the larger side, with no steps, and ``close`` is not run; in weak mode
+    sides with no operation of positive arity and no relation tuple that
+    mixes them have A u B for their join, and nothing to check there.
+
+    Otherwise ``gamma`` builds the map, the only place that does: from a
+    template that holds A's images, filled once per alpha, and the applied
+    nodes of a derivation DAG of the join as steps in derivation order.  A
+    unary or binary step is (target, table, x, stride, y), a step of any
+    other arity (target, table, args).  The DAG is that of ``close`` resumed
+    from the larger side with the smaller one as seed, so only argument
+    tuples with a new element are visited; its generators are exactly
+    A u B.  Any such DAG will do, since a joint extension is unique.  The
+    argument columns of the relation tuples that lie in neither side are
+    kept for the weak relation check.
 
     A tuple inside A is settled by alpha: gamma agrees with alpha there, and
     alpha maps A's relation tuples into the relation (and, in strong mode,
     no other tuple of A into it), so only tuples that mix the sides can
-    still fail the weak rule.  ``extend`` runs once per pair, so it and
-    ``_is_endomorphism`` read plain attributes bound here.
+    still fail the weak rule.  ``extend`` runs once per pair, so it,
+    ``gamma`` and ``_is_endomorphism`` read plain attributes bound here.
+    Threads may share a context: a template is not written once filled, and
+    it is replaced whole, as one (alpha, template) attribute.
     """
 
     def __init__(self, parent, a: SubUniverse, b: SubUniverse, mode: Mode):
@@ -476,30 +490,37 @@ class _JointContext:
             self.plan is not None or self.rel_columns or mode == "strong"
         )
         covered = in_a | in_b
-        self.steps = []
+        steps = []
         for node in nodes:
             if node.op is not None:
                 target = pos[node.element]
-                self.steps.append((target, tables[node.op], tuple(pos[x] for x in node.args)))
+                steps.append((target, tables[node.op], tuple(pos[x] for x in node.args)))
                 covered.add(target)
         if len(covered) != self.jstruct.size:
             raise RuntimeError("invariant broken: A and B do not generate their join")
+        # unary and binary steps as (target, table, x, stride, y), read as
+        # table[g[x] * stride + g[y]]: a unary step has stride 0 and y = x
+        m = self.jstruct.size
+        self.flat = all(len(args) in (1, 2) for _, _, args in steps)
+        if self.flat:
+            steps = [(t, table, args[0], m * (len(args) - 1), args[-1]) for t, table, args in steps]
+        self.steps = steps
+        self._filled = (None, None)  # (alpha, its template), set by gamma
 
-    def extend(self, alpha: Homomorphism, beta: Homomorphism):
-        """Joint extension of endomorphisms given on the induced substructures.
+    def extend(self, alpha: Homomorphism, beta: Homomorphism) -> Optional[ExtensionRefusal]:
+        """The ``ExtensionRefusal`` of the pair, or None when it extends.
 
-        Term evaluation decides: the seeds take their alpha and beta images,
-        and every other join element is the value of its DAG step on the
-        images of its arguments.  A joint extension exists iff the seeds
-        agree on A n B and this map is an endomorphism of the join in the
-        relation mode.  On comparable sides agreement alone decides, as the
-        map is the larger side's endomorphism; otherwise ``_is_endomorphism``
-        checks what neither side settles, if anything is left open.  Returns
-        the map as the list of join positions of the images, or the
-        ``ExtensionRefusal``.  alpha fixes the closure of the constants, which
-        the root images, so propagation's first collision would be the first
-        shared element, in B's order, whose seeds disagree: it is named here,
-        and only a refusal by ``_is_endomorphism`` runs ``_refusal``.
+        A joint extension exists iff the seeds agree on A n B and the map
+        ``gamma`` evaluates is an endomorphism of the join in the relation
+        mode.  Agreement is checked first.  A pair that leaves nothing open
+        is decided by it alone, and no map is built: comparable sides, whose
+        join is the larger side with that side's endomorphism on it, and in
+        weak mode sides with no operation of positive arity and no relation
+        tuple that mixes them.  Otherwise ``_is_endomorphism`` checks ``gamma``'s map.
+        alpha fixes the closure of the constants, which the root images, so
+        propagation's first collision would be the first shared element, in
+        B's order, whose seeds disagree: it is named here, and only a
+        refusal by ``_is_endomorphism`` runs ``_refusal``.
         """
         am, bm = alpha.mapping, beta.mapping
         a_at, b_at = self.a_at, self.b_at
@@ -507,19 +528,40 @@ class _JointContext:
             if b_at[bm[j]] != a_at[am[i]]:
                 emb_a, emb_b = self.a_embed, self.b_embed
                 return ExtensionRefusal("not-functional", (emb_b[j], emb_a[am[i]], emb_b[bm[j]]))
-        m = self.jstruct.size
-        g = [0] * m
-        for i, y in enumerate(am):
-            g[a_at[i]] = a_at[y]
-        for j, y in enumerate(bm):
-            g[b_at[j]] = b_at[y]
-        for target, table, args in self.steps:
-            idx = 0
-            for x in args:
-                idx = idx * m + g[x]
-            g[target] = table[idx]
-        if self.left_open and not self._is_endomorphism(g):
+        if self.left_open and not self._is_endomorphism(self.gamma(alpha, beta)):
             return self._refusal(alpha, beta)
+        return None
+
+    def gamma(self, alpha: Homomorphism, beta: Homomorphism) -> list[int]:
+        """The map of the pair, as the list of join positions of the images,
+        for seeds that agree on A n B: the only place that builds it.
+
+        A's images are written into a template once per alpha, which the
+        alpha-major scan of the decider reuses for every beta; each pair
+        copies it, writes B's images and evaluates every other join element
+        by its DAG step on the images of its arguments, in derivation order.
+        """
+        filled = self._filled
+        if filled[0] is not alpha:
+            a_at = self.a_at
+            template = [0] * self.jstruct.size
+            for i, y in enumerate(alpha.mapping):
+                template[a_at[i]] = a_at[y]
+            filled = self._filled = (alpha, template)
+        g = filled[1][:]
+        b_at = self.b_at
+        for p, y in zip(b_at, beta.mapping):
+            g[p] = b_at[y]
+        if self.flat:
+            for target, table, x, stride, y in self.steps:
+                g[target] = table[g[x] * stride + g[y]]
+        else:
+            m = len(g)
+            for target, table, args in self.steps:
+                idx = 0
+                for x in args:
+                    idx = idx * m + g[x]
+                g[target] = table[idx]
         return g
 
     def _is_endomorphism(self, g: list[int]) -> bool:
@@ -581,11 +623,14 @@ def joint_extension(
 
     gamma is evaluated along the join's derivation DAG from the images of
     alpha and beta, and it is the joint extension iff alpha and beta agree on
-    A n B and gamma is an endomorphism of the join in the relation mode.  A
-    refusal is explained by the subuniverse of (join x join) generated by
-    graph(alpha) u graph(beta), computed as a partial-map closure: a
-    non-functional set yields a "not-functional" refusal with the offending
-    pair, and a relation failure yields the violating tuple.
+    A n B and gamma is an endomorphism of the join in the relation mode.
+    ``_JointContext.extend`` decides, building no map when the pair leaves
+    nothing open, and ``_JointContext.gamma``, the only place that builds
+    the map, evaluates it for a pair that extends.  A refusal is explained
+    by the subuniverse of (join x join) generated by graph(alpha) u
+    graph(beta), computed as a partial-map closure: a non-functional set
+    yields a "not-functional" refusal with the offending pair, and a
+    relation failure yields the violating tuple.
 
     alpha and beta must be endomorphisms of the induced substructures of a
     and b (as produced by ``induced_substructure``); the returned gamma lives
@@ -606,10 +651,10 @@ def joint_extension(
             )
         if not is_homomorphism(hom.dom, hom.cod, hom.mapping, hom.mode):
             raise InputError("map is not a homomorphism in the requested mode")
-    result = ctx.extend(alpha, beta)
-    if isinstance(result, ExtensionRefusal):
-        return result
-    return Homomorphism(ctx.jstruct, ctx.jstruct, tuple(result), alpha.mode)
+    refusal = ctx.extend(alpha, beta)
+    if refusal is not None:
+        return refusal
+    return Homomorphism(ctx.jstruct, ctx.jstruct, tuple(ctx.gamma(alpha, beta)), alpha.mode)
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def is_boolean_algebra(structure: FiniteStructure) -> bool:
         phi += [vee[x * n + a] for x in phi]
     if len(set(phi)) != n:
         return False
-    return is_homomorphism(_powerset_boolean(len(atoms)), structure, tuple(phi))
+    return is_homomorphism(_powerset_domain(len(atoms)), structure, tuple(phi))
 
 
 def is_vector_space(structure: FiniteStructure, p: int) -> bool:
@@ -320,6 +320,21 @@ def _powerset_boolean(atoms: int) -> FiniteStructure:
         (),
         tuple(label(x) for x in range(n)),
     )
+
+
+# Bound of the memo of powerset domains that ``is_boolean_algebra`` keeps.
+_POWERSET_MEMO_SIZE = 4
+
+
+@functools.lru_cache(maxsize=_POWERSET_MEMO_SIZE)
+def _powerset_domain(atoms: int) -> FiniteStructure:
+    """``_powerset_boolean(atoms)`` for ``is_boolean_algebra`` only, kept
+    with the check plan that ``is_homomorphism`` builds on it, for the
+    ``_POWERSET_MEMO_SIZE`` most recently used atom counts.  ``lru_cache``
+    locks its own bookkeeping; two threads that miss together build equal
+    domains.  The builder ``powerset_boolean_algebra`` returns a fresh
+    structure."""
+    return _powerset_boolean(atoms)
 
 
 def _check_power(sig: Signature, base: int, exp: int) -> None:

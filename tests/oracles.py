@@ -13,9 +13,11 @@ is plain cyclic extension through ``generation.close``: it checks that
 only, finds the same lattice, where the closed-subset filter cannot reach
 beyond a few elements.  ``greedy_generating_sequence`` closes every element
 at every level, where ``generating_sequence`` closes one per translation
-class.  ``huntington_boolean_algebra`` and ``per_law_vector_space`` check
-every axiom on whole arrays, where the zoo goes through the structure
-theorems.
+class.  ``huntington_boolean_algebra``, ``group_axioms`` and
+``per_law_vector_space`` check every axiom on whole arrays, where the zoo
+goes through the structure theorems and Light's test.  ``brute_joint_map``
+reads a joint extension off the pair closure, and ``check_joint_context``
+compares the joint-extension kernel with it pair by pair.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import itertools
 import numpy as np
 
 from algindep.core import Congruence, FiniteStructure, flat_index, validate
-from algindep.zoo import BOOLEAN_SIG, vector_space_sig
+from algindep.zoo import BOOLEAN_SIG, GROUP_SIG, vector_space_sig
 from algindep.reference import brute_close, brute_congruences, is_map_homomorphism
 
 
@@ -40,20 +42,77 @@ def brute_subuniverses(structure: FiniteStructure) -> list[tuple[int, ...]]:
     ]
 
 
-def brute_pair_closure(structure: FiniteStructure, pairs) -> frozenset:
+def brute_pair_closure(structure: FiniteStructure, pairs, until_collision=False) -> frozenset:
     """The subuniverse of the square generated by ``pairs``, by re-reading
-    every operation on every argument tuple of pairs until none is new."""
+    every operation on every argument tuple of pairs until none is new.
+
+    With ``until_collision`` the rounds stop once the pairs found relate an
+    element to two values: the closure contains them, so it is no map
+    either, and a round costs at most n^arity reads per operation."""
     found = set(pairs)
     n = structure.size
-    while True:
+    while not (until_collision and len(dict(found)) < len(found)):
         values = {
             tuple(table[flat_index(n, [p[k] for p in combo])] for k in (0, 1))
             for _, ar, table in structure.op_views()
             for combo in itertools.product(sorted(found), repeat=ar)
         }
         if values <= found:
-            return frozenset(found)
+            break
         found |= values
+    return frozenset(found)
+
+
+def brute_joint_map(structure: FiniteStructure, seeds, mode="weak"):
+    """The endomorphism of ``structure`` whose graph contains ``seeds``, as a
+    tuple, or None: the subuniverse of the square the seeds generate must be
+    the graph of a total map that respects the relations in the mode."""
+    square = brute_pair_closure(structure, seeds, until_collision=True)
+    images = dict(square)
+    if len(images) < len(square) or len(images) < structure.size:
+        return None
+    g = tuple(images[x] for x in range(structure.size))
+    return g if is_map_homomorphism(structure, structure, g, mode) else None
+
+
+def check_joint_context(parent, a, b, mode, hom_class="all_endomorphisms") -> set:
+    """Assert, for every endomorphism pair of A and B, that
+    ``_JointContext.extend`` refuses exactly the pairs ``brute_joint_map``
+    refuses, with the refusal ``_refusal`` names by propagation, and that
+    ``gamma`` is the oracle's map on every pair that extends.  Returns the
+    outcomes seen: the kind of sides, "extends", and per refusal its reason,
+    or for a relation refusal (direction, whether the tuple mixes A and B)."""
+    from algindep.core import induced_substructure
+    from algindep.generation import join
+    from algindep.morphisms import _JointContext, enumerate_endos
+
+    ctx = _JointContext(parent, a, b, mode)
+    seen = {"comparable" if ctx.comparable else "incomparable"}
+    j, j_embed = induced_substructure(parent, join(parent, a, b)[0])
+    pos = {e: i for i, e in enumerate(j_embed)}
+    betas = list(enumerate_endos(ctx.b_struct, mode, hom_class))
+    for alpha in enumerate_endos(ctx.a_struct, mode, hom_class):
+        for beta in betas:
+            seeds = {
+                (pos[embed[x]], pos[embed[y]])
+                for hom, embed in ((alpha, ctx.a_embed), (beta, ctx.b_embed))
+                for x, y in enumerate(hom.mapping)
+            }
+            g = brute_joint_map(j, seeds, mode)
+            refusal = ctx.extend(alpha, beta)
+            if g is not None:
+                assert refusal is None
+                assert ctx.gamma(alpha, beta) == list(g)
+                seen.add("extends")
+                continue
+            assert refusal is not None and refusal == ctx._refusal(alpha, beta)
+            if refusal.reason == "relation":
+                t = set(refusal.detail[1])
+                mixed = not (t <= set(a.members) or t <= set(b.members))
+                seen.add((refusal.detail[3], mixed))
+            else:
+                seen.add(refusal.reason)
+    return seen
 
 
 def first_relation_violation(dom, cod, images, mode="weak"):
@@ -403,6 +462,23 @@ def huntington_boolean_algebra(structure) -> bool:
             np.array_equal(f[x, g[None, :, :]], g[f[:, :, None], f[:, None, :]])
             for f, g in ((meet, vee), (vee, meet))
         )
+    )
+
+
+def group_axioms(structure) -> bool:
+    """The group axioms on whole arrays: mul associative over all n^3
+    triples at once, e a two-sided identity and inv two-sided inverses."""
+    if structure.sig != GROUP_SIG or validate(structure):
+        return False
+    mul, inv = _array(structure, "mul"), _array(structure, "inv")
+    e = structure.op_table("e")[0]
+    ar = np.arange(structure.size)
+    return bool(
+        _associative(mul)
+        and np.array_equal(mul[e, :], ar)
+        and np.array_equal(mul[:, e], ar)
+        and np.all(mul[ar, inv] == e)
+        and np.all(mul[inv, ar] == e)
     )
 
 

@@ -13,7 +13,7 @@ from algindep.core import (
     SubUniverse,
     induced_substructure,
 )
-from algindep.generation import all_congruences, all_subuniverses, close, join
+from algindep.generation import all_congruences, all_subuniverses, close
 from algindep.independence import (
     CongruenceWitness,
     SubalgebraWitness,
@@ -28,13 +28,12 @@ from algindep.morphisms import (
     HOM_CLASS_ALL,
     HOM_CLASS_AUTO,
     HOM_CLASSES,
-    ExtensionRefusal,
     Homomorphism,
     _JointContext,
     enumerate_endos,
 )
 from algindep.acceptance import alternating_group
-from algindep.reference import brute_congruences, is_map_homomorphism
+from algindep.reference import brute_congruences
 from algindep.zoo import (
     build,
     cyclic_group,
@@ -49,7 +48,7 @@ from algindep.zoo import (
 )
 
 from oracles import (
-    brute_pair_closure,
+    check_joint_context,
     reference_congruence_independence,
     reference_subalgebra_independence,
 )
@@ -347,7 +346,8 @@ def test_joint_context_refuses_exactly_the_maps_the_oracle_rejects(mode, hom_cla
     # the trimmed check against the brute-force one on the whole join: a
     # pair extends iff the subuniverse of join x join generated by the
     # graphs of alpha and beta is a function (false when the seeds disagree
-    # on A n B) that is an endomorphism of the join
+    # on A n B) that is an endomorphism of the join, and gamma is that
+    # function
     cases = list(_graph_cases())
     cases.append((_z6_with_relation(), [(0,), (0, 3), (0, 2, 4), tuple(range(6))]))
     seen = set()
@@ -355,41 +355,84 @@ def test_joint_context_refuses_exactly_the_maps_the_oracle_rejects(mode, hom_cla
         subs = [SubUniverse(parent, s) for s in subsets]
         for a in subs:
             for b in subs:
-                ctx = _JointContext(parent, a, b, mode)
-                seen.add("comparable" if ctx.comparable else "incomparable")
-                j, j_embed = induced_substructure(parent, join(parent, a, b)[0])
-                pos = {e: i for i, e in enumerate(j_embed)}
-                a_struct, a_embed = induced_substructure(parent, a)
-                b_struct, b_embed = induced_substructure(parent, b)
-                betas = list(enumerate_endos(b_struct, mode, hom_class))
-                for alpha in enumerate_endos(a_struct, mode, hom_class):
-                    for beta in betas:
-                        seeds = {
-                            (pos[embed[x]], pos[embed[y]])
-                            for hom, embed in ((alpha, a_embed), (beta, b_embed))
-                            for x, y in enumerate(hom.mapping)
-                        }
-                        square = brute_pair_closure(j, seeds)
-                        images = dict(square)
-                        g = tuple(images[x] for x in range(j.size))
-                        extends = len(images) == len(square) and is_map_homomorphism(
-                            j, j, g, mode
-                        )
-                        result = ctx.extend(alpha, beta)
-                        if extends:
-                            assert result == list(g)
-                            seen.add("extends")
-                            continue
-                        assert isinstance(result, ExtensionRefusal)
-                        if result.reason == "relation":
-                            t = set(result.detail[1])
-                            mixed = not (t <= set(a.members) or t <= set(b.members))
-                            seen.add((result.detail[3], mixed))
-                        else:
-                            seen.add(result.reason)
+                seen |= check_joint_context(parent, a, b, mode, hom_class)
     assert {"comparable", "incomparable", "extends", "not-functional"} <= seen
     # a weak violation that only a tuple mixing the sides shows
     assert ("missing", True) in seen
+
+
+def _affine_plane():
+    """F2^2 with the ternary x + y + z alone: its subuniverses are the
+    affine subspaces, and the join of a point and a line off it is derived
+    by one ternary step, which a constant map on the line moves."""
+    sig = Signature((("d", 3),))
+    d = tuple(x ^ y ^ z for x, y, z in itertools.product(range(4), repeat=3))
+    return FiniteStructure(sig, 4, (d,), ())
+
+
+def _cyclic_subgroups(group):
+    return sorted({close(group, (x,))[0] for x in range(group.size)}, key=lambda s: s.members)
+
+
+def _proper_subuniverses(structure):
+    return all_subuniverses(structure)[:-1]
+
+
+@pytest.mark.parametrize("mode", ["weak", "strong"])
+@pytest.mark.parametrize(
+    "parent, subs",
+    [
+        # inv and mul give derivation steps of mixed arity
+        (symmetric_group(3), all_subuniverses),
+        (symmetric_group(4), _cyclic_subgroups),
+        (powerset_boolean_algebra(3), all_subuniverses),
+        (build("vector_space", 2, 3)[0], _proper_subuniverses),
+        (_z6_with_relation(), all_subuniverses),
+        # ternary steps, so gamma takes the generic path
+        (_affine_plane(), all_subuniverses),
+    ],
+    ids=["S3", "S4-cyclic", "BA3", "F2^3", "Z6-relation", "affine-plane"],
+)
+def test_joint_context_matches_the_oracle_on_every_pair_of_subuniverses(parent, subs, mode):
+    # extend and gamma against brute_joint_map on every ordered pair of
+    # subuniverses and every endomorphism pair.  Of S4 the cyclic subgroups,
+    # whose joins are C2 x C2, S3, D4, A4 and S4; of F2^3 the proper
+    # subspaces, as the 512 endomorphisms of the whole space, comparable
+    # with every side, would take most of the time
+    subs = subs(parent)
+    seen = set()
+    for a in subs:
+        for b in subs:
+            seen |= check_joint_context(parent, a, b, mode)
+    assert {"comparable", "incomparable", "extends", "not-functional"} <= seen
+
+
+def test_pairs_that_leave_nothing_open_evaluate_no_step():
+    # a comparable pair, and in weak mode two disjoint reflexive cycles with
+    # no operation and no edge between them, are decided by agreement on
+    # A n B alone
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("a derivation step was read")
+
+    z6 = cyclic_group(6)
+    cycles = _reflexive_cycles()
+    cases = [
+        (z6, (0, 2, 4), tuple(range(6)), "weak"),
+        (z6, (0, 3), (0,), "strong"),
+        (cycles, (0, 1, 2), (3, 4, 5, 6), "weak"),
+    ]
+    for parent, a, b, mode in cases:
+        ctx = _JointContext(parent, SubUniverse(parent, a), SubUniverse(parent, b), mode)
+        assert not ctx.left_open
+        ctx.steps = Unread()
+        betas = list(enumerate_endos(ctx.b_struct, mode))
+        for alpha in enumerate_endos(ctx.a_struct, mode):
+            for beta in betas:
+                ctx.extend(alpha, beta)
+    # the map itself is still built on request
+    with pytest.raises(AssertionError, match="derivation step"):
+        ctx.gamma(alpha, beta)
 
 
 def _digraph_5():

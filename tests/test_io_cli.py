@@ -95,6 +95,25 @@ def test_parse_rejects_bool_relation_entries():
         structure_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "entry", ["1", "true", "false", "1.0", "1e0", '"1"', "null", "[1]", "{}", "3" * 40]
+)
+def test_table_entries_are_integers_exactly_when_json_says_so(entry):
+    # the bulk check reads the exact type, which on every JSON value agrees
+    # with "an int that is not a bool"
+    from algindep import io
+
+    value = json.loads(entry)
+    expected = isinstance(value, int) and not isinstance(value, bool)
+    assert io._all_ints([0, value, 1]) is expected
+    doc = structure_to_dict(cyclic_group(2))
+    inv = next(op for op in doc["ops"] if op["name"] == "inv")
+    inv["table"] = [value]  # one entry short, so an integer fails validation
+    with pytest.raises(StructureParseError) as refused:
+        structure_from_dict(doc)
+    assert ("entries must be integers" in str(refused.value)) is not expected
+
+
 def test_cli_rejects_bool_size_with_exit_2(tmp_path, capsys):
     doc = structure_to_dict(cyclic_group(1))
     doc["size"] = True

@@ -62,6 +62,7 @@ from oracles import (
     brute_meet_irreducibles,
     brute_pair_closure,
     brute_subuniverses,
+    check_joint_context,
     first_relation_violation,
     greedy_generating_sequence,
     huntington_boolean_algebra,
@@ -616,6 +617,19 @@ def test_joint_extension_agrees_with_exhaustive_search(structure, data):
             assert extensions == [gamma.mapping]
         else:
             assert extensions == []
+
+
+@given(algebras(max_size=4, shapes=WIDE_SHAPES) | mixed_structures())
+@settings(max_examples=40, deadline=None)
+def test_joint_context_matches_the_oracle_on_every_pair(structure):
+    # ternary operations take gamma's generic path, and relations of arity
+    # 1 to 3 the mixed-tuple and strong checks; extend and gamma against
+    # brute_joint_map on every ordered pair of subuniverses, in both modes
+    subs = all_subuniverses(structure)
+    for mode in ("weak", "strong"):
+        for a in subs:
+            for b in subs:
+                check_joint_context(structure, a, b, mode)
 
 
 @given(algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES), st.data())

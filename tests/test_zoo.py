@@ -41,7 +41,7 @@ from algindep.zoo import (
     vector_space,
 )
 
-from oracles import element_orders
+from oracles import element_orders, group_axioms
 
 
 def test_build_families_and_tags():
@@ -220,6 +220,52 @@ def test_group_law_checks():
     assert not is_abelian_group(symmetric_group(3))
     assert is_group(quaternion_group())
     assert not is_group(empty_sig_set(3))
+
+
+def _group_sig_structure(mul, inv, e):
+    n = len(inv)
+    return FiniteStructure(GROUP_SIG, n, ((e,), tuple(inv), tuple(itertools.chain(*mul))), ())
+
+
+# a loop of order 5 whose every element is its own inverse, and which is not
+# associative: (1 * 2) * 2 = 3 * 2 = 4, but 1 * (2 * 2) = 1 * 0 = 1
+_LOOP_5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize(
+    "structure, expected",
+    [
+        (cyclic_group(1), True),
+        (cyclic_group(5), True),
+        (symmetric_group(3), True),
+        (quaternion_group(), True),
+        # each of the three laws fails alone: the identity (a constant table
+        # with e its value passes inverses and associativity), associativity
+        # (the loop) and the inverses (Z3 with inv the identity map)
+        (_group_sig_structure([[1] * 3] * 3, [1] * 3, 1), False),
+        (_group_sig_structure(_LOOP_5, range(5), 0), False),
+        (_group_sig_structure([[(x + y) % 3 for y in range(3)] for x in range(3)], range(3), 0), False),
+    ],
+    ids=["Z1", "Z5", "S3", "Q8", "constant", "loop", "wrong-inverses"],
+)
+def test_is_group_matches_the_group_axioms(structure, expected):
+    assert group_axioms(structure) is expected
+    assert is_group(structure) is expected
+
+
+def test_a_repeated_boolean_algebra_check_keeps_its_powerset_domain(monkeypatch):
+    # the domain and its check plan are kept between calls, so a second
+    # check of a structure whose own plan is kept reads no generators
+    ba4 = powerset_boolean_algebra(4)
+    assert is_boolean_algebra(ba4)
+    calls = []
+    original = core._generators
+    monkeypatch.setattr(core, "_generators", lambda t: calls.append(t) or original(t))
+    assert is_boolean_algebra(ba4)
+    assert calls == []
+    # the builder still returns a structure of its own
+    assert powerset_boolean_algebra(4) is not zoo._powerset_domain(4)
+    assert powerset_boolean_algebra(4) is not powerset_boolean_algebra(4)
 
 
 def test_quaternion_group_structure():
