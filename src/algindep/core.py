@@ -186,8 +186,8 @@ def _associative(t, gens=None) -> bool:
 
 
 class _Plan:
-    """How a map reads the operation tables of one structure: the check of
-    ``morphisms._preserves`` and of ``is_congruence``.
+    """How one structure's operation tables are read: by the map checks of
+    ``morphisms._preserves`` and ``is_congruence``, and by ``generation``.
 
     ``ops`` holds, per operation of positive arity in signature order, its
     arity and its table.  Line i of a table is the operation with its first
@@ -202,7 +202,8 @@ class _Plan:
     - ``full`` and ``own``: the lines a check reads on the domain side,
       every line, or the generator rows for the operations in ``rows``;
     - ``tables``: on the codomain side, for at most ``BYTE_RANGE``
-      elements, each line padded to one 256-byte ``bytes.translate`` table.
+      elements, each line padded to one 256-byte ``bytes.translate`` table;
+    - ``translations``: the basic translations, per argument position.
 
     The plan is kept on the structure, as its hash is; two threads that
     both build a part on a first call store equal values.
@@ -242,6 +243,30 @@ class _Plan:
             [bytes(table[k : k + m]) + pad for k in range(0, len(table), m)]
             for _, table in self.ops
         ]
+
+    @functools.cached_property
+    def translations(self) -> list[tuple[int, list[tuple[int, ...]]]]:
+        """(arity, family) per argument position p of each operation, by
+        arity, then in signature order.  ``family[a]`` holds the table's own
+        ints at the cells with a at p, the other arguments in row-major
+        order (row a of a binary table at p = 0, column a at p = 1), so each
+        basic translation is one column of a family.  A family equal to an
+        earlier one of its operation, as in a commutative table, is left out."""
+        n = self.size
+        out = []
+        for ar, table in sorted(self.ops, key=lambda op: op[0]):
+            families: list = []
+            for p in range(ar):
+                inner = n ** (ar - 1 - p)  # runs of this many cells share the value at p
+                if inner == 1:  # one strided slice, not n**ar one-cell runs
+                    family = [table[a::n] for a in range(n)]
+                else:
+                    runs = [table[k : k + inner] for k in range(0, len(table), inner)]
+                    family = [tuple(itertools.chain.from_iterable(runs[a::n])) for a in range(n)]
+                if family not in families:
+                    families.append(family)
+            out += [(ar, family) for family in families]
+        return out
 
     def _select(self, rows: dict) -> tuple:
         """The domain side of a check that reads the operations at the

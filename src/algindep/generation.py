@@ -45,11 +45,11 @@ principal congruences and then closes under partition joins with them.  If
 theta relates a with a' and b with b', then theta v Cg(a, b) =
 theta v Cg(a', b'), so each congruence is joined once per pair of its
 blocks, with Cg of their first elements, or once per principal congruence
-when there are no more of those.  When every basic translation permutes or
-is constant, the pairs of distinct elements that ``cg(a, b)`` reaches are
-images of (a, b) under permutations whose inverses are their powers, so they
-share its principal congruence and make no ``cg`` call of their own.
-Lattices are memoized by the structure's value.
+when there are no more of those.  When every basic translation, of any
+arity, permutes or is constant, the pairs of distinct elements that
+``cg(a, b)`` reaches are images of (a, b) under permutations whose inverses
+are their powers, so they share its principal congruence and make no ``cg``
+call of their own.  Lattices are memoized by the structure's value.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from .core import (
     SizeLimitExceeded,
     SubUniverse,
     _check_elements,
+    _plan,
     flat_index,
 )
 
@@ -353,25 +354,22 @@ def _translation_classes(structure: FiniteStructure, sub: SubUniverse) -> list[i
     elements outside ``sub``; an element of ``sub`` is its own class.
 
     A translation by S is a unary operation, or a binary one with an
-    argument fixed in S.  If one sends x to y and another sends y back to x,
-    then <S, x> = <S, y>, and x and y share a class; the classes are the
-    connected components of these two-way steps, found by depth-first
-    search from each smallest element.  A one-way step merges nothing, since
-    <S, y> can lie strictly below <S, x>; other arities merge nothing either.
+    argument fixed in S: ``family[s]`` of a binary family of
+    ``core._Plan.translations``.  If one sends x to y and another sends y
+    back to x, then <S, x> = <S, y>, and x and y share a class; the classes
+    are the connected components of these two-way steps, found by
+    depth-first search from each smallest element.  A one-way step merges
+    nothing, since <S, y> can lie strictly below <S, x>; other arities
+    merge nothing either.
     """
     n = structure.size
     members = sub.member_set()
-    # each translation by S as its image table; s fixed left is a row, s
-    # fixed right a column, and the columns are dropped when they equal the
-    # rows, as in a commutative operation
-    images = []
-    for _, ar, table in structure.op_views():
+    images = []  # each translation by S as its image table
+    for ar, family in _plan(structure).translations:
         if ar == 1:
-            images.append(table)
+            images += zip(*family)  # its one column
         elif ar == 2:
-            rows = [table[s * n : s * n + n] for s in sub.members]
-            cols = [table[s::n] for s in sub.members]
-            images += rows if cols == rows else rows + cols
+            images += [family[s] for s in sub.members]
     root = list(range(n))
     if not images:
         return root
@@ -394,48 +392,31 @@ def cg(
 ) -> Congruence:
     """Smallest congruence containing the given pairs.
 
-    Union-find merging with propagation: every merged pair is pushed through
-    all one-variable translations of every operation, and the resulting image
-    pairs are merged in turn, to a fixpoint.  A binary operation's
-    translations are its rows and columns, sliced once per call; the columns
-    are dropped when they equal the rows, as in a commutative operation.
+    Union-find merging with propagation: every merged pair (a, b) is pushed
+    through every basic translation, as ``zip(family[a], family[b])`` for
+    each family of ``core._Plan.translations``, which the structure keeps,
+    and the resulting image pairs are merged in turn, to a fixpoint.  One
+    loop serves every arity; unary operations are pushed first, then binary
+    ones, then wider ones.
 
     A ``reached`` list serves as the first-in, first-out queue, so on return
     it holds every pair (p(a), p(b)) pushed for a given (a, b), p a
     composition of basic translations.
     """
-    n = structure.size
-    uf = _UnionFind(n)
+    uf = _UnionFind(structure.size)
     queue: list[tuple[int, int]] = [] if reached is None else reached
     head = len(queue)
     for x, y in pairs:
         _check_elements(structure, (x, y))
         queue.append((x, y))
-    unary, lines, wide = [], [], []
-    for _, ar, table in structure.op_views():
-        if ar == 1:
-            unary.append(table)
-        elif ar == 2:
-            rows = [table[s * n : s * n + n] for s in range(n)]
-            cols = [table[s::n] for s in range(n)]
-            lines += [rows] if cols == rows else [rows, cols]
-        elif ar > 2:
-            wide.append((ar, table))
+    families = [family for _, family in _plan(structure).translations]
     while head < len(queue):
         a, b = queue[head]
         head += 1
         if not uf.union(a, b):
             continue
-        for table in unary:
-            queue.append((table[a], table[b]))
-        for line in lines:
-            queue.extend(zip(line[a], line[b]))
-        for ar, table in wide:
-            for p in range(ar):
-                for rest in itertools.product(range(n), repeat=ar - 1):
-                    u = rest[:p] + (a,) + rest[p:]
-                    v = rest[:p] + (b,) + rest[p:]
-                    queue.append((table[flat_index(n, u)], table[flat_index(n, v)]))
+        for family in families:
+            queue.extend(zip(family[a], family[b]))
     number, count = uf.numbering()
     return Congruence._canonical(tuple(number), count)
 
@@ -481,18 +462,14 @@ _lattice_memo_lock = threading.Lock()
 
 
 def _translations_permute(structure: FiniteStructure) -> bool:
-    """No arity above 2, and each unary table and each row and column of a
-    binary one is a permutation or constant."""
+    """Is each basic translation, of every arity, a permutation or constant?
+    Each is a column of a family of ``core._Plan.translations``."""
     n = structure.size
-    for _, ar, table in structure.op_views():
-        if ar > 2:
-            return False
-        width = n**ar // n  # rows: 1 for a unary table, n for a binary one
-        for s in range(width):
-            for line in (table[s * n : s * n + n], table[s::width]):
-                if len(set(line)) not in (1, n):
-                    return False
-    return True
+    return all(
+        len(set(translation)) in (1, n)
+        for _, family in _plan(structure).translations
+        for translation in zip(*family)
+    )
 
 
 def all_congruences(structure: FiniteStructure, max_size: int = 12) -> list[Congruence]:
@@ -502,10 +479,12 @@ def all_congruences(structure: FiniteStructure, max_size: int = 12) -> list[Cong
     {identity} is closed under ``join_partitions`` with the principal
     congruences Cg(a, b), one join per pair of blocks of each congruence.
     Each Cg(a, b) takes one ``cg`` call, unless ``_translations_permute``
-    holds and an earlier call reached (a, b): that call's pairs are images
-    of its own pair under permutations whose inverses are their powers, so
-    they generate the same congruence.  F2^4 takes 15 calls instead of 120,
-    S4 4 instead of 276.  Lattices are memoized by structure value, as
+    holds and an earlier call reached (a, b): each pair (c, d), c != d,
+    that cg(c', d') reaches is (p(c'), p(d')) for a composition p of
+    permuting translations, p's inverse is a power of p, so (c', d') is
+    reached from (c, d) too, and Cg(c, d) = Cg(c', d').  F2^4 takes 15
+    calls instead of 120, S4 4 instead of 276, and x - y + z on Z6 3
+    instead of 15.  Lattices are memoized by structure value, as
     tuples, within ``_LATTICE_MEMO_CONGRUENCES`` congruences, and each call
     returns a new list.  Exceeding ``max_size`` elements or
     ``MAX_CONGRUENCE_LATTICE`` congruences raises ``SizeLimitExceeded``, on
@@ -519,10 +498,6 @@ def all_congruences(structure: FiniteStructure, max_size: int = 12) -> list[Cong
     with _lattice_memo_lock:
         entry = _lattice_memo.pop(structure, None)  # put back last below
     if entry is None:
-        # When every basic translation permutes or is constant, each pair
-        # (c, d), c != d, that cg(a, b) reaches is (p(a), p(b)) for a
-        # composition p of permuting translations.  p's inverse is a power
-        # of p, so (a, b) is reached from (c, d) too: Cg(c, d) = Cg(a, b).
         reuse = _translations_permute(structure)
         known: dict[int, Congruence] = {}  # c * n + d -> Cg(c, d)
         pair_cg: dict[tuple[int, int], Congruence] = {}

@@ -17,7 +17,7 @@ from .independence import CongruenceWitness, SubalgebraWitness, Verdict
 
 
 class StructureParseError(ValueError):
-    """A malformed structure file; the message names the line or field."""
+    """A malformed structure file; the message names the line, byte or field."""
 
 
 def structure_to_dict(structure: FiniteStructure, name: str = "structure") -> dict:
@@ -130,14 +130,17 @@ def dump_structure(structure: FiniteStructure, path, name: str = "structure") ->
 
 
 def load_structure(path) -> tuple[FiniteStructure, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.loads(fh.read())  # read() decodes the whole file at once
+    except UnicodeDecodeError as exc:
+        raise StructureParseError(f"byte {exc.start}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise StructureParseError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise StructureParseError("arrays or objects nested too deeply") from None
     except ValueError as exc:  # an integer with too many digits to convert
         raise StructureParseError(str(exc).split(";")[0]) from None
     return structure_from_dict(doc)

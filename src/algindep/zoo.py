@@ -34,12 +34,13 @@ from .core import (
     _associative,
     _check_product,
     _excerpt,
+    _plan,
     direct_product,
     induced_substructure,
     validate,
 )
 from .generation import join
-from .morphisms import Homomorphism, Mode, _search, enumerate_homs, is_homomorphism
+from .morphisms import Homomorphism, Mode, _search, enumerate_homs
 
 SET_SIG = Signature()
 GRAPH_SIG = Signature(rel_symbols=(("edge", 2),))
@@ -127,8 +128,9 @@ def is_abelian_group(structure: FiniteStructure) -> bool:
 def is_boolean_algebra(structure: FiniteStructure) -> bool:
     """Stone: a finite Boolean algebra is the powerset of its k atoms.  So
     exactly when n = 2^k and phi, sending a set S of atoms (bit i for
-    ``_atoms(structure)[i]``) to their join, is a bijective homomorphism
-    from ``_powerset_boolean(k)``."""
+    ``_atoms(structure)[i]``) to their join, is a bijection that carries
+    S ^ full, S | T, S & T, full and 0 on bit sets to the structure's
+    operations: an isomorphism from the powerset algebra, never built."""
     if structure.sig != BOOLEAN_SIG or validate(structure):
         return False
     atoms = _atoms(structure)
@@ -136,12 +138,20 @@ def is_boolean_algebra(structure: FiniteStructure) -> bool:
     if 1 << len(atoms) != n:
         return False
     vee = structure.op_table("join")
-    phi = list(structure.op_table("zero"))
+    phi = list(structure.op_table("zero"))  # so phi(0) is zero
     for a in atoms:
         phi += [vee[x * n + a] for x in phi]
     if len(set(phi)) != n:
         return False
-    return is_homomorphism(_powerset_domain(len(atoms)), structure, tuple(phi))
+    compl, union, meet = _plan(structure).lines  # in signature order
+    phi, s, full = np.array(phi, dtype=np.intp), np.arange(n), n - 1
+    at = np.ix_(phi, phi)
+    return bool(
+        structure.op_table("one")[0] == phi[full]
+        and np.array_equal(compl[0].take(phi), phi.take(s ^ full))
+        and np.array_equal(union[at], phi.take(s[:, None] | s))
+        and np.array_equal(meet[at], phi.take(s[:, None] & s))
+    )
 
 
 def is_vector_space(structure: FiniteStructure, p: int) -> bool:
@@ -320,21 +330,6 @@ def _powerset_boolean(atoms: int) -> FiniteStructure:
         (),
         tuple(label(x) for x in range(n)),
     )
-
-
-# Bound of the memo of powerset domains that ``is_boolean_algebra`` keeps.
-_POWERSET_MEMO_SIZE = 4
-
-
-@functools.lru_cache(maxsize=_POWERSET_MEMO_SIZE)
-def _powerset_domain(atoms: int) -> FiniteStructure:
-    """``_powerset_boolean(atoms)`` for ``is_boolean_algebra`` only, kept
-    with the check plan that ``is_homomorphism`` builds on it, for the
-    ``_POWERSET_MEMO_SIZE`` most recently used atom counts.  ``lru_cache``
-    locks its own bookkeeping; two threads that miss together build equal
-    domains.  The builder ``powerset_boolean_algebra`` returns a fresh
-    structure."""
-    return _powerset_boolean(atoms)
 
 
 def _check_power(sig: Signature, base: int, exp: int) -> None:

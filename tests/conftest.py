@@ -2,14 +2,13 @@
 
 import pytest
 
-from algindep import generation, independence, morphisms, zoo
+from algindep import generation, independence, morphisms
 
 
 def _clear_memos() -> None:
     generation._lattice_memo.clear()
     independence._endo_memo.clear()
     morphisms._induced_memo.cache_clear()
-    zoo._powerset_domain.cache_clear()
 
 
 @pytest.fixture(autouse=True)

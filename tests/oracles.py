@@ -3,8 +3,9 @@
 They build on the per-cell brute forces of ``algindep.reference``, which the
 acceptance battery shares, and prefer exhaustive scans over cleverness: pair
 closures are naive fixpoints over full re-scans, ``brute_cg`` and the
-meet-irreducibles come from the filtered partitions, and homomorphisms and
-isomorphisms come from filtering all maps or permutations.  The two
+meet-irreducibles come from the filtered partitions, translation classes
+come from steps read cell by cell, and homomorphisms and isomorphisms come
+from filtering all maps or permutations.  The two
 ``reference_*_independence`` deciders rebuild the library's deciders per
 pair, from ``cg`` and from forced-image propagation, so that witnesses and
 ``pairs_examined`` can be compared exactly.  ``cyclic_extension_subuniverses``
@@ -177,6 +178,34 @@ def brute_cg(structure, pairs) -> Congruence:
             if best is None or _finer(theta, best):
                 best = theta
     return best
+
+
+def brute_translation_classes(structure, members) -> list[int]:
+    """The smallest element of each element's component of two-way
+    translation steps outside ``members``, cell by cell: x steps to y when a
+    unary operation sends x to y, or a binary one does with its other
+    argument in ``members``; x and y are joined when each steps to the
+    other.  An element of ``members`` is its own class."""
+    n = structure.size
+
+    def step(x, y) -> bool:
+        for _, ar, table in structure.op_views():
+            if ar == 1 and table[x] == y:
+                return True
+            if ar == 2 and any(
+                y in (table[flat_index(n, (s, x))], table[flat_index(n, (x, s))])
+                for s in members
+            ):
+                return True
+        return False
+
+    root = list(range(n))  # each class labelled by its smallest element
+    outside = [x for x in range(n) if x not in members]
+    for x, y in itertools.combinations(outside, 2):
+        if step(x, y) and step(y, x):
+            rx, ry = root[x], root[y]
+            root = [min(rx, ry) if r in (rx, ry) else r for r in root]
+    return root
 
 
 def brute_meet_irreducibles(structure) -> list[Congruence]:

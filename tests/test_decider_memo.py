@@ -2,16 +2,19 @@
 a verdict, whatever the order of calls, and a stream is read once."""
 
 import dataclasses
+import importlib
 import itertools
+import pkgutil
 import sys
 import threading
 
 import pytest
 
+import algindep
 from algindep import generation, independence, morphisms
 from algindep.core import InputError, SubUniverse, induced_substructure
 from algindep.generation import all_congruences, all_subuniverses, close, join
-from algindep.independence import decide_subalgebra_independence
+from algindep.independence import decide_congruence_independence, decide_subalgebra_independence
 from algindep.morphisms import HOM_CLASSES, Homomorphism, enumerate_endos, joint_extension
 from algindep.zoo import (
     cyclic_group,
@@ -294,3 +297,33 @@ def test_threads_sharing_the_lattice_memo_get_the_sequential_lattices(
             assert 0 < held <= bound
     finally:
         sys.setswitchinterval(interval)
+
+
+def _module_memos() -> dict[str, int]:
+    """Every module-level memo of the library by name, with its size: each
+    ``lru_cache`` and each ``_*_memo`` dict."""
+    memos = {}
+    for info in pkgutil.iter_modules(algindep.__path__):
+        module = importlib.import_module(f"algindep.{info.name}")
+        for name, value in vars(module).items():
+            where = f"{info.name}.{name}"
+            if hasattr(value, "cache_info"):
+                memos[where] = value.cache_info().currsize
+            elif name.startswith("_") and name.endswith("_memo") and isinstance(value, dict):
+                memos[where] = len(value)
+    return memos
+
+
+def test_the_memo_fixture_empties_every_module_memo(cold_memos):
+    # one decision of each kind fills every memo; a memo that the fixture
+    # in conftest.py does not empty fails here
+    z6 = cyclic_group(6)
+    a, b = SubUniverse(z6, (0, 3)), SubUniverse(z6, (0, 2, 4))
+    decide_subalgebra_independence(z6, a, b)
+    decide_congruence_independence(z6, a, b)
+    all_congruences(z6)
+    filled = _module_memos()
+    assert {"generation._lattice_memo", "independence._endo_memo", "morphisms._induced_memo"} <= set(filled)
+    assert all(filled.values()), filled
+    cold_memos()
+    assert not any(_module_memos().values())

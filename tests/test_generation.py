@@ -243,6 +243,12 @@ def _count_cg_calls(monkeypatch):
     return calls
 
 
+def _malcev(n):
+    """Z_n with the Mal'cev term m(x, y, z) = x - y + z as its only operation."""
+    table = tuple((x - y + z) % n for x in range(n) for y in range(n) for z in range(n))
+    return FiniteStructure(Signature((("m", 3),)), n, (table,), ())
+
+
 @pytest.mark.parametrize(
     "structure, size_bound, cg_calls",
     [
@@ -250,17 +256,21 @@ def _count_cg_calls(monkeypatch):
         (symmetric_group(4), 24, 4),
         (powerset_boolean_algebra(3), 12, 28),
         (empty_sig_set(6), 12, 15),
+        (_malcev(5), 5, 2),
+        (_malcev(6), 6, 3),
     ],
-    ids=["F2^4", "S4", "BA3", "set6"],
+    ids=["F2^4", "S4", "BA3", "set6", "malcev-Z5", "malcev-Z6"],
 )
 def test_all_congruences_reuses_principals_of_reached_pairs(
     monkeypatch, cold_memos, structure, size_bound, cg_calls
 ):
     # F2^4 and S4 translate every pair by permutations: one cg call per
     # class of translatable pairs, 15 cosets of 2-element subspaces and 4
-    # conjugacy classes.  BA3's translations x v s and x ^ s are neither
-    # permutations nor constant, and set6 has no operations to translate
-    # by: one call per pair.
+    # conjugacy classes.  The Mal'cev term's translations x + c and c - y
+    # permute too, at arity 3: one call per difference up to sign, 1 and 2
+    # in Z5, and 1, 2 and 3 in Z6.  BA3's translations x v s and x ^ s are
+    # neither permutations nor constant, and set6 has no operations to
+    # translate by: one call per pair.
     calls = _count_cg_calls(monkeypatch)
     lattice = all_congruences(structure, max_size=size_bound)
     assert len(calls) == cg_calls

@@ -371,6 +371,24 @@ def test_cli_error_paths(tmp_path):
     r = run_cli("gen", "no_such_family", "-o", tmp_path / "x.json")
     assert r.returncode == 2
 
+    # a file that is not UTF-8 (a UTF-16 byte order mark at byte 0), and one
+    # nested deeper than the JSON parser recurses
+    for name, data, message in (
+        ("utf16.json", b"\xff\xfe{}", "byte 0: not UTF-8 text"),
+        ("deep.json", b"[" * 200000 + b"]" * 200000, "nested too deeply"),
+    ):
+        path = tmp_path / name
+        path.write_bytes(data)
+        for command in (
+            ("decide-sub", "-s", path, "--a", "0", "--b", "0"),
+            ("iso", "-s", path, "-s", path),
+        ):
+            r = run_cli(*command)
+            assert r.returncode == 2
+            assert "Traceback" not in r.stderr
+            [line] = r.stderr.splitlines()
+            assert line.startswith("error:") and message in line and len(line) < 100
+
     # a universe over the element bound, declared by a file or asked of gen
     big = tmp_path / "big.json"
     big.write_text('{"name":"big","size":1000000000,"ops":[],"rels":[]}')

@@ -13,7 +13,7 @@ from algindep.core import (
     direct_product,
     induced_substructure,
 )
-from algindep.generation import all_subuniverses, generated_subuniverse_of_square, join
+from algindep.generation import all_subuniverses, cg, generated_subuniverse_of_square, join
 from algindep.morphisms import (
     ExtensionRefusal,
     HOM_CLASS_AUTO,
@@ -158,6 +158,12 @@ def test_plan_is_built_once_and_left_out_of_a_pickle():
     plan = z6.__dict__["_plan"]
     assert is_homomorphism(z6, z6, tuple(range(6)))
     assert z6.__dict__["_plan"] is plan
+    # the basic translations are built on the same plan by the first cg call
+    assert "translations" not in plan.__dict__
+    cg(z6, [(0, 3)])
+    families = plan.translations
+    cg(z6, [(0, 2)])
+    assert z6.__dict__["_plan"] is plan and plan.translations is families
     hash(z6)
     assert {"_hash", "_plan"} <= set(z6.__dict__)
     copy = pickle.loads(pickle.dumps(z6))

@@ -57,11 +57,13 @@ from algindep.reference import (
 from algindep.zoo import graph
 
 from oracles import (
+    brute_cg,
     brute_homs,
     brute_isomorphisms,
     brute_meet_irreducibles,
     brute_pair_closure,
     brute_subuniverses,
+    brute_translation_classes,
     check_joint_context,
     first_relation_violation,
     greedy_generating_sequence,
@@ -191,6 +193,33 @@ def quasigroups(draw, max_size=9):
         tables.append((draw(st.integers(0, n - 1)),) * n)
     structure = FiniteStructure(Signature(tuple(ops)), n, tuple(tables), ())
     return relabel(structure, draw(st.permutations(range(n))))
+
+
+@st.composite
+def affine_ternaries(draw, max_size=7):
+    """Z_n with the ternary operation a*x + b*y + c*z + d for units a, b, c
+    of Z_n (x - y + z is the Mal'cev term), relabelled: every basic
+    translation of arity 3 permutes, so ``all_congruences`` reuses the
+    principal congruences of reached pairs."""
+    n = draw(st.integers(1, max_size))
+    units = [u for u in range(n) if math.gcd(u, n) == 1]
+    a, b, c = (draw(st.sampled_from(units)) for _ in range(3))
+    d = draw(st.integers(0, n - 1))
+    table = tuple(
+        (a * x + b * y + c * z + d) % n for x in range(n) for y in range(n) for z in range(n)
+    )
+    structure = FiniteStructure(Signature((("m", 3),)), n, (table,), ())
+    return relabel(structure, draw(st.permutations(range(n))))
+
+
+# every layout of the basic translations: unary, binary and wider operations,
+# permuting or not, beside relations
+TRANSLATED = st.one_of(
+    algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES),
+    quasigroups(max_size=6),
+    mixed_structures(),
+    affine_ternaries(),
+)
 
 
 @given(algebras_with_seed(max_size=8))
@@ -341,10 +370,12 @@ def test_is_congruence_matches_cell_by_cell_check_on_every_partition(structure):
         assert is_congruence(structure, theta) == is_compatible(structure, theta)
 
 
-@given(algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES))
-@settings(max_examples=30, deadline=None)
+@given(TRANSLATED)
+@settings(max_examples=60, deadline=None)
 def test_all_congruences_matches_partition_filter(structure):
     assert all_congruences(structure) == brute_congruences(structure)
+    for a, b in itertools.combinations(range(structure.size), 2):
+        assert cg(structure, [(a, b)]) == brute_cg(structure, [(a, b)])
 
 
 @given(algebras(max_size=5, shapes=SHAPES + WIDE_SHAPES))
@@ -354,17 +385,27 @@ def test_meet_irreducibles_match_cover_count(structure):
     assert list(lattice.meet_irreducibles) == brute_meet_irreducibles(structure)
 
 
-@given(quasigroups())
-@settings(max_examples=25, deadline=None)
+@given(st.one_of(quasigroups(), affine_ternaries()))
+@settings(max_examples=40, deadline=None)
 def test_congruences_of_quasigroups_match_partition_filter(structure):
-    # principal congruences of reached pairs are reused here, and almost
-    # never on the random SHAPES above
+    # principal congruences of reached pairs are reused here, at arity 2
+    # and 3, and almost never on the random SHAPES above
     from algindep import generation
 
     assert generation._translations_permute(structure)
     lattice = all_congruences(structure)
     assert lattice == brute_congruences(structure)
     assert list(lattice.meet_irreducibles) == brute_meet_irreducibles(structure)
+
+
+@given(TRANSLATED)
+@settings(max_examples=60, deadline=None)
+def test_translation_classes_match_the_cell_by_cell_oracle(structure):
+    from algindep import generation
+
+    for sub in all_subuniverses(structure):
+        classes = generation._translation_classes(structure, sub)
+        assert classes == brute_translation_classes(structure, sub.member_set())
 
 
 @given(
@@ -872,9 +913,31 @@ def law_structures(draw):
     return FiniteStructure(sig, n, tuple(map(tuple, tables)), ())
 
 
+def _perturbed_boolean(atoms, change):
+    """The powerset algebra with one meet cell changed (1 ^ 2 becomes 3
+    instead of 0), one complement changed (that of 1 becomes that of 2), or
+    its constants swapped."""
+    ba = zoo.powerset_boolean_algebra(atoms)
+    n = ba.size
+    compl, vee, meet, one, zero = map(list, ba.op_tables)
+    if change == "meet":
+        meet[1 * n + 2] = 3
+    elif change == "compl":
+        compl[1] = compl[2]
+    else:
+        one, zero = zero, one
+    return FiniteStructure(ba.sig, n, tuple(map(tuple, (compl, vee, meet, one, zero))), ())
+
+
 # join(zero, 1) = zero sends both subsets of the one atom to zero, a
 # homomorphism from the powerset algebra that is not onto
 @example(FiniteStructure(zoo.BOOLEAN_SIG, 2, ((0, 0), (0, 0, 0, 1), (0, 0, 0, 1), (0,), (0,)), ()))
+@example(_perturbed_boolean(3, "meet"))
+@example(_perturbed_boolean(3, "compl"))
+@example(_perturbed_boolean(3, "constants"))
+@example(_perturbed_boolean(4, "meet"))
+@example(_perturbed_boolean(4, "compl"))
+@example(_perturbed_boolean(4, "constants"))
 @given(law_structures())
 @settings(max_examples=150, deadline=None)
 def test_row_wise_law_checks_match_whole_array_checks(structure):

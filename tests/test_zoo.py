@@ -253,19 +253,19 @@ def test_is_group_matches_the_group_axioms(structure, expected):
     assert is_group(structure) is expected
 
 
-def test_a_repeated_boolean_algebra_check_keeps_its_powerset_domain(monkeypatch):
-    # the domain and its check plan are kept between calls, so a second
-    # check of a structure whose own plan is kept reads no generators
-    ba4 = powerset_boolean_algebra(4)
-    assert is_boolean_algebra(ba4)
-    calls = []
-    original = core._generators
-    monkeypatch.setattr(core, "_generators", lambda t: calls.append(t) or original(t))
-    assert is_boolean_algebra(ba4)
-    assert calls == []
-    # the builder still returns a structure of its own
-    assert powerset_boolean_algebra(4) is not zoo._powerset_domain(4)
-    assert powerset_boolean_algebra(4) is not powerset_boolean_algebra(4)
+def test_the_boolean_algebra_check_builds_no_powerset_structure(monkeypatch):
+    # phi is compared with the operations on bit sets, read off np.arange(n),
+    # so no powerset algebra is built, whether the check accepts or refuses
+    algebras = [powerset_boolean_algebra(k) for k in (1, 2, 4, 6)]
+
+    def refuse(atoms):
+        raise AssertionError(f"a powerset algebra of {atoms} atoms was built")
+
+    monkeypatch.setattr(zoo, "_powerset_boolean", refuse)
+    assert all(map(is_boolean_algebra, algebras))
+    compl, vee, meet, one, zero = algebras[2].op_tables
+    swapped = FiniteStructure(zoo.BOOLEAN_SIG, 16, (compl, vee, meet, zero, one), ())
+    assert not is_boolean_algebra(swapped)
 
 
 def test_quaternion_group_structure():
@@ -357,14 +357,15 @@ def test_boolean_coproducts_are_bounded_by_their_table_cells(monkeypatch):
     powerset = zoo._powerset_boolean
     monkeypatch.setattr(zoo, "_powerset_boolean", lambda k: built.append(k) or powerset(k))
     tag = CategoryTag("boolean_algebra")
-    # 3 x 4 atom pairs: 4096 elements, binary tables of 2^24 cells
-    # the law checks build each input's powerset copy, and nothing else is built
+    # 3 x 4 atom pairs: 4096 elements, binary tables of 2^24 cells; the law
+    # checks of the inputs build nothing, and the refusal comes before the
+    # coproduct is built
     with pytest.raises(InputError, match="a table of 16777216 entries, over the bound of 1048576"):
         coproduct(tag, ba[3], ba[4])
-    assert built == [3, 4]
+    assert built == []
     # 2 x 5 atom pairs: 1024 elements, binary tables of exactly 2^20 cells
     cop, _, _ = coproduct(tag, ba[2], ba[5])
-    assert built == [3, 4, 2, 5, 10] and cop.size == 1024
+    assert built == [10] and cop.size == 1024
 
 
 def test_disjoint_union_coproducts_are_bounded_by_the_element_count():
